@@ -5,7 +5,7 @@ analytical cross-checks (closed forms, conservation, orderings), interbank
 network reconstruction from aggregates, panel ingestion, and sweep tooling.
 """
 from .core import (
-    BalanceSheet, FirstRound, LeverageDecomposition, LiabilityNetwork,
+    FirstRound, LeverageDecomposition, LiabilityNetwork,
     RelativeLiabilities, ShockSpec, apply_first_round, build_network,
     leverage_decomposition, network_from_vectors, relative_liabilities,
 )
@@ -18,7 +18,8 @@ from .analysis import (
     OrderingReport, TopologyInvarianceReport, VulnerabilityReport,
     conservation_check, en_closed_form_H, en_second_round_bound,
     en_second_round_exact, first_round_default_set, global_vulnerability,
-    ordering_audit, topology_invariance_check, vulnerability_report,
+    ordering_audit, run_with_firewall, topology_invariance_check,
+    vulnerability_report,
 )
 from .reconstruct import (
     Aggregates, EnsembleResult, ReconstructionConfig, calibrate_z,
@@ -31,7 +32,7 @@ from .ingest import (
 )
 from .sweeps import (
     SweepSpec, make_shock, run_recovery_sweep, run_shock_sweep,
-    run_timeseries, run_with_firewall,
+    run_timeseries,
 )
 from . import errors, fixtures
 

@@ -6,12 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
-from .errors import AggregateMismatch, ModelMismatch, PreconditionViolated, ProvedOrderingViolated
+from .core import LiabilityNetwork, ShockSpec, leverage_decomposition, relative_liabilities
+from .errors import (
+    AggregateMismatch, ModelMismatch, NonConvergence, PreconditionViolated,
+    ProvedOrderingViolated,
+)
 from .models import (
-    ModelConfig, Trajectory, ADR, CDR, DC, EN, RV,
-    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
-    run_eisenberg_noe, run_rogers_veraart,
+    ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory,
+    run_eisenberg_noe, run_model,
 )
 
 BOUNDARY_TOL = 1e-12
@@ -39,14 +41,13 @@ def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
     where some bank's loss equals its equity exactly, which the tie rule
     places inside the default set.
     """
-    first = apply_first_round(network, shock)
-    lev = leverage_decomposition(network).external_leverage_total
-    raw = first.h1.copy()
-    # recompute unclipped loss ratio for the boundary diagnosis
-    unclipped = lev * first.effective_shock
+    s = shock.effective_per_bank(network)  # also rejects a shock of the wrong size
+    lev = leverage_decomposition(network)
+    # the loss ratio before the first round clips it at 1
     if shock.per_class_shock is not None:
-        unclipped = leverage_decomposition(network).external_leverage @ np.asarray(
-            shock.per_class_shock, dtype=float)
+        unclipped = lev.external_leverage @ np.asarray(shock.per_class_shock, dtype=float)
+    else:
+        unclipped = lev.external_leverage_total * s
     members = np.flatnonzero(unclipped >= 1.0 - BOUNDARY_TOL)
     boundary = bool(np.any(np.abs(unclipped - 1.0) <= BOUNDARY_TOL))
     return frozenset(members.tolist()), boundary
@@ -269,32 +270,45 @@ def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str,
         raise ProvedOrderingViolated(pair, i, t)
 
 
+def run_with_firewall(network: LiabilityNetwork, shock: ShockSpec, models,
+                      recovery_rate: float, rv_beta: float) -> dict:
+    """Run the requested models plus the firewall triple; return trajectories.
+
+    The firewall hard-asserts the proved chain EN <= RV <= cDR, with the
+    cascade at zero recovery (the regime covered by the proofs), running
+    cDR(R=0) separately when recovery_rate is not 0. A cDR run that stopped
+    at its iteration cap carries a truncated H(inf) and raises
+    NonConvergence. Trajectories are keyed in MODEL_NAMES order.
+    """
+    trajectories = {}
+    needed = set(models) | {EN, RV, CDR}
+    for name in MODEL_NAMES:
+        if name not in needed:
+            continue
+        cfg = ModelConfig(model=name, exogenous_recovery_rate=recovery_rate,
+                          rv_beta=rv_beta)
+        trajectories[name] = run_model(network, shock, cfg)
+    assert_proved_ordering(trajectories[EN], trajectories[RV], "EN<=RV")
+    cdr_ref = trajectories[CDR]
+    if recovery_rate != 0.0:
+        cdr_ref = run_model(network, shock,
+                            ModelConfig(model=CDR, exogenous_recovery_rate=0.0))
+    if trajectories[CDR].cap_hit or cdr_ref.cap_hit:
+        raise NonConvergence("cyclic DebtRank stopped at its iteration cap; "
+                             "H(inf) would be truncated")
+    assert_proved_ordering(trajectories[RV], cdr_ref, "RV<=cDR")
+    return trajectories
+
+
 def ordering_audit(network: LiabilityNetwork, shock: ShockSpec,
                    recovery_rate: float = 0.0, rv_beta: float = 1.0) -> OrderingReport:
-    """Run all five models, hard-assert the proved chain, report the rest.
+    """Run all five models through the firewall and report their ordering.
 
-    The proved chain is clearing <= discounted clearing <= full-propagation
-    cascade, with the cascade run at zero recovery (the regime covered by the
-    proofs). The five-model empirical chain at the supplied (R, beta) is
-    reported, never asserted.
+    The proved chain is hard-asserted by run_with_firewall. The five-model
+    empirical chain at the supplied (R, beta) is reported, never asserted.
     """
-    cfg_rv = ModelConfig(model=RV, rv_beta=rv_beta)
-    cfg_R = ModelConfig(exogenous_recovery_rate=recovery_rate, model=DC)
-    en = run_eisenberg_noe(network, shock)
-    rv = run_rogers_veraart(network, shock, cfg_rv)
-    dc = run_default_cascade(network, shock, cfg_R)
-    adr = run_acyclic_debtrank(network, shock,
-                               ModelConfig(model=ADR, exogenous_recovery_rate=recovery_rate))
-    cdr = run_cyclic_debtrank(network, shock,
-                              ModelConfig(model=CDR, exogenous_recovery_rate=recovery_rate))
-    cdr0 = cdr if recovery_rate == 0.0 else run_cyclic_debtrank(
-        network, shock, ModelConfig(model=CDR, exogenous_recovery_rate=0.0))
-
-    assert_proved_ordering(en, rv, "EN<=RV")
-    assert_proved_ordering(rv, cdr0, "RV<=cDR")
-
-    H = {t.model: global_vulnerability(t, network)
-         for t in (en, rv, dc, adr, cdr)}
+    trajectories = run_with_firewall(network, shock, MODEL_NAMES, recovery_rate, rv_beta)
+    H = {name: global_vulnerability(t, network) for name, t in trajectories.items()}
     chain = (H[EN] <= H[DC] + 1e-12 and H[DC] <= H[RV] + 1e-12
              and H[RV] <= H[ADR] + 1e-12 and H[ADR] <= H[CDR] + 1e-12)
     lb = leverage_decomposition(network).interbank_leverage

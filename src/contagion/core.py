@@ -1,11 +1,12 @@
-"""Leverage-network data model: balance sheets, liability networks, shocks.
+"""Leverage-network data model: liability networks, leverages, shocks.
 
-All monetary quantities are float64. Networks are immutable after
-construction and safe to share across workers.
+All monetary quantities are float64. A network stores its balance sheets as
+per-bank arrays; they are read-only after construction, so networks are safe
+to share across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,78 +25,33 @@ DEFAULT_ASSET_CLASSES = ("derivatives", "impaired_loans", "other")
 
 
 @dataclass(frozen=True)
-class BalanceSheet:
-    """Book values of a single bank at t=0."""
-
-    external_assets_by_class: np.ndarray  # one entry per asset class
-    interbank_assets_total: float
-    interbank_liabilities_total: float
-    external_liabilities: float
-    equity: float
-
-    @property
-    def external_assets(self) -> float:
-        return float(np.sum(self.external_assets_by_class))
-
-    @property
-    def total_assets(self) -> float:
-        return self.external_assets + self.interbank_assets_total
-
-    def identity_residual(self) -> float:
-        return self.equity - (self.total_assets
-                              - self.external_liabilities
-                              - self.interbank_liabilities_total)
-
-    @staticmethod
-    def single_class(external_assets, interbank_assets, interbank_liabilities,
-                     external_liabilities, equity) -> "BalanceSheet":
-        return BalanceSheet(
-            external_assets_by_class=np.array([float(external_assets)]),
-            interbank_assets_total=float(interbank_assets),
-            interbank_liabilities_total=float(interbank_liabilities),
-            external_liabilities=float(external_liabilities),
-            equity=float(equity),
-        )
-
-
-@dataclass(frozen=True)
 class LiabilityNetwork:
-    """System state at t=0: nominal liability matrix plus per-bank balance sheets.
+    """System state at t=0: nominal liability matrix plus per-bank book values.
 
-    liabilities[i, j] is the nominal liability of bank i to bank j.
+    liabilities[i, j] is the nominal liability of bank i to bank j. The
+    balance-sheet fields are n-vectors indexed like the rows of liabilities,
+    except external_assets_by_class, which is n x m with one column per asset
+    class. Every array is read-only.
     """
 
-    n: int
     liabilities: np.ndarray
-    balance_sheets: tuple
+    equity: np.ndarray
+    external_assets_by_class: np.ndarray
+    external_assets: np.ndarray
+    external_liabilities: np.ndarray
+    interbank_assets: np.ndarray
+    interbank_liabilities: np.ndarray
     asset_classes: tuple = DEFAULT_ASSET_CLASSES
 
     def __post_init__(self):
-        self.liabilities.setflags(write=False)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
-    def equity(self) -> np.ndarray:
-        return np.array([b.equity for b in self.balance_sheets])
-
-    @property
-    def external_assets(self) -> np.ndarray:
-        return np.array([b.external_assets for b in self.balance_sheets])
-
-    @property
-    def external_assets_by_class(self) -> np.ndarray:
-        return np.vstack([b.external_assets_by_class for b in self.balance_sheets])
-
-    @property
-    def external_liabilities(self) -> np.ndarray:
-        return np.array([b.external_liabilities for b in self.balance_sheets])
-
-    @property
-    def interbank_assets(self) -> np.ndarray:
-        return np.array([b.interbank_assets_total for b in self.balance_sheets])
-
-    @property
-    def interbank_liabilities(self) -> np.ndarray:
-        return np.array([b.interbank_liabilities_total for b in self.balance_sheets])
+    def n(self) -> int:
+        return self.liabilities.shape[0]
 
     @property
     def asset_matrix(self) -> np.ndarray:
@@ -186,17 +142,31 @@ class FirstRound:
     effective_shock: np.ndarray          # s_i
 
 
-def build_network(balance_sheets, liability_matrix,
+def build_network(liability_matrix, equity, external_assets_by_class,
+                  external_liabilities, interbank_assets, interbank_liabilities,
                   asset_classes=DEFAULT_ASSET_CLASSES) -> LiabilityNetwork:
-    """Validate and assemble a LiabilityNetwork.
+    """Validate per-bank n-vectors and assemble a read-only LiabilityNetwork.
 
-    Rejects banks with non-positive equity, negative entries, self-exposure,
-    and row/column sums inconsistent with the per-bank interbank totals.
+    external_assets_by_class is n x m, one column per asset class;
+    interbank_assets and interbank_liabilities are the per-bank totals the
+    matrix margins must match. The inputs are copied. Rejects mismatched
+    dimensions, negative entries, self-exposure, non-positive equity,
+    balance sheets violating E = A^e + A^b - L^e - L^b, and matrix margins
+    inconsistent with the interbank totals. When several banks are faulty
+    the error names the lowest-index one.
     """
     L = np.array(liability_matrix, dtype=float)
-    n = len(balance_sheets)
+    E = np.array(equity, dtype=float)
+    ae_by_class = np.array(external_assets_by_class, dtype=float)
+    le = np.array(external_liabilities, dtype=float)
+    ab = np.array(interbank_assets, dtype=float)
+    lb = np.array(interbank_liabilities, dtype=float)
+    n = E.size
     if L.shape != (n, n):
         raise DimensionMismatch(f"liability matrix is {L.shape}, expected ({n}, {n})")
+    if (any(v.shape != (n,) for v in (E, le, ab, lb))
+            or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
+        raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
     neg = np.argwhere(L < 0)
     if neg.size:
         raise NegativeEntry(int(neg[0, 0]), int(neg[0, 1]))
@@ -205,33 +175,33 @@ def build_network(balance_sheets, liability_matrix,
         i = int(diag[0, 0])
         raise NegativeEntry(i, i)
 
-    sheets = []
-    for i, b in enumerate(balance_sheets):
-        if not isinstance(b, BalanceSheet):
-            raise TypeError("balance_sheets must contain BalanceSheet records")
-        if b.equity <= 0:
+    ae = ae_by_class.sum(axis=1)
+    total_assets = ae + ab
+    resid = E - (total_assets - le - lb)
+    bad_sheet = (E <= 0) | (np.abs(resid) > IDENTITY_RTOL * np.maximum(1.0, total_assets))
+    if bad_sheet.any():
+        i = int(np.argmax(bad_sheet))
+        if E[i] <= 0:
             raise NonPositiveEquity(i)
-        scale = max(1.0, b.total_assets)
-        resid = b.identity_residual()
-        if abs(resid) > IDENTITY_RTOL * scale:
-            raise IdentityViolation(i, resid)
-        sheets.append(b)
+        raise IdentityViolation(i, float(resid[i]))
 
-    row = L.sum(axis=1)
-    col = L.sum(axis=0)
-    for i, b in enumerate(sheets):
-        if abs(row[i] - b.interbank_liabilities_total) > MARGIN_RTOL * max(1.0, b.interbank_liabilities_total):
-            raise IdentityViolation(i, row[i] - b.interbank_liabilities_total)
-        if abs(col[i] - b.interbank_assets_total) > MARGIN_RTOL * max(1.0, b.interbank_assets_total):
-            raise IdentityViolation(i, col[i] - b.interbank_assets_total)
+    row_gap = L.sum(axis=1) - lb
+    col_gap = L.sum(axis=0) - ab
+    bad_row = np.abs(row_gap) > MARGIN_RTOL * np.maximum(1.0, lb)
+    bad_col = np.abs(col_gap) > MARGIN_RTOL * np.maximum(1.0, ab)
+    if (bad_row | bad_col).any():
+        i = int(np.argmax(bad_row | bad_col))
+        raise IdentityViolation(i, float(row_gap[i] if bad_row[i] else col_gap[i]))
 
-    return LiabilityNetwork(n=n, liabilities=L, balance_sheets=tuple(sheets),
-                            asset_classes=tuple(asset_classes))
+    return LiabilityNetwork(
+        liabilities=L, equity=E, external_assets_by_class=ae_by_class,
+        external_assets=ae, external_liabilities=le, interbank_assets=ab,
+        interbank_liabilities=lb, asset_classes=tuple(asset_classes))
 
 
 def network_from_vectors(external_assets, external_liabilities, liability_matrix,
                          equity=None) -> LiabilityNetwork:
-    """Convenience constructor: derive per-bank totals from the matrix.
+    """Single-asset-class constructor: derive interbank totals from the matrix.
 
     If equity is omitted it is computed from the balance sheet identity.
     """
@@ -242,11 +212,7 @@ def network_from_vectors(external_assets, external_liabilities, liability_matrix
     lb = L.sum(axis=1)
     if equity is None:
         equity = ae + ab - le - lb
-    sheets = [
-        BalanceSheet.single_class(ae[i], ab[i], lb[i], le[i], equity[i])
-        for i in range(len(ae))
-    ]
-    return build_network(sheets, L, asset_classes=("external",))
+    return build_network(L, equity, ae[:, None], le, ab, lb, asset_classes=("external",))
 
 
 def leverage_decomposition(network: LiabilityNetwork) -> LeverageDecomposition:

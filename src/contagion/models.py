@@ -152,10 +152,8 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, alpha: float,
     for _ in range(network.n + 1):
         resources = pi_T @ p + ae
         new_D = D | (resources < p_bar - 1e-12 * np.maximum(1.0, p_bar))
-        if new_D.sum() == D.sum() and len(payments) > 2:
-            break
         if new_D.sum() == D.sum():
-            # No defaults at all: converged immediately after the first round.
+            # No new defaulters; with none at all, converged after the first round.
             break
         D = new_D
         p = _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta, ae, p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BalanceSheet, build_network, DEFAULT_ASSET_CLASSES
+from .core import build_network, DEFAULT_ASSET_CLASSES
 from .errors import (
     AllZeroTotals, ContagionError, EnsembleInfeasible, InfeasibleSupport,
     IPFNonConvergence, UnreachableDensity,
@@ -265,17 +265,8 @@ def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
         if np.any(le < 0):
             last_error = ContagionError("negative implied outside liabilities")
             continue
-        sheets = [
-            BalanceSheet(
-                external_assets_by_class=ae_cls[i].copy(),
-                interbank_assets_total=float(ab[i]),
-                interbank_liabilities_total=float(lb[i]),
-                external_liabilities=float(le[i]),
-                equity=float(aggregates.equity[i]),
-            )
-            for i in range(aggregates.n)
-        ]
-        net = build_network(sheets, liabilities, asset_classes=aggregates.asset_classes)
+        net = build_network(liabilities, aggregates.equity, ae_cls, le, ab, lb,
+                            asset_classes=aggregates.asset_classes)
         density = adj.sum() / (adj.shape[0] * (adj.shape[0] - 1))
         return net, float(density), None
     return None, None, last_error
@@ -333,12 +324,13 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
                      "interbank_assets", "interbank_liabilities",
                      "external_liabilities"])
         for k, net in enumerate(result.networks):
-            for i, b in enumerate(net.balance_sheets):
-                wr.writerow([k, aggregates.bank_ids[i], repr(b.equity),
-                             repr(b.external_assets),
-                             repr(b.interbank_assets_total),
-                             repr(b.interbank_liabilities_total),
-                             repr(b.external_liabilities)])
+            # tolist() yields Python floats, whose repr carries no numpy prefix
+            columns = zip(aggregates.bank_ids, net.equity.tolist(),
+                          net.external_assets.tolist(), net.interbank_assets.tolist(),
+                          net.interbank_liabilities.tolist(),
+                          net.external_liabilities.tolist())
+            for bank_id, *values in columns:
+                wr.writerow([k, bank_id, *map(repr, values)])
     manifest = {
         "ensemble_size": result.config.ensemble_size,
         "emitted": len(result.networks),

@@ -1,22 +1,21 @@
 """Batch experiment harness: time series, shock sweeps, recovery sweeps.
 
-Every realization passes through an ordering firewall before its numbers are
+Every realization passes through the ordering firewall
+(``analysis.run_with_firewall``, re-exported here) before its numbers are
 emitted: the clearing model may never exceed the discounted clearing model,
 and the discounted clearing model may never exceed the zero-recovery cyclic
 cascade. A violation signals an implementation bug and aborts the run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import global_vulnerability, assert_proved_ordering
-from .core import LiabilityNetwork, ShockSpec
+from .analysis import global_vulnerability, run_with_firewall
+from .core import ShockSpec
 from .ingest import Panel, to_aggregates
-from .models import (
-    CDR, EN, MODEL_NAMES, RV, ModelConfig, Trajectory, run_model,
-)
+from .models import MODEL_NAMES, Trajectory
 from .reconstruct import ReconstructionConfig, generate_ensemble
 
 ASSET_CLASS_CHOICES = ("all_external", "derivatives", "impaired_loans")
@@ -48,26 +47,6 @@ def make_shock(asset_class: str, s: float) -> ShockSpec:
     if asset_class == "all_external":
         return ShockSpec.uniform(s)
     return ShockSpec.on_class(asset_class, s)
-
-
-def run_with_firewall(network: LiabilityNetwork, shock: ShockSpec, models,
-                      recovery_rate: float, rv_beta: float) -> dict:
-    """Run the requested models plus the firewall triple; return trajectories."""
-    trajectories = {}
-    needed = set(models) | {EN, RV, CDR}
-    for name in MODEL_NAMES:
-        if name not in needed:
-            continue
-        cfg = ModelConfig(model=name, exogenous_recovery_rate=recovery_rate,
-                          rv_beta=rv_beta)
-        trajectories[name] = run_model(network, shock, cfg)
-    assert_proved_ordering(trajectories[EN], trajectories[RV], "EN<=RV")
-    cdr_ref = trajectories[CDR]
-    if recovery_rate != 0.0:
-        cdr_ref = run_model(network, shock,
-                            ModelConfig(model=CDR, exogenous_recovery_rate=0.0))
-    assert_proved_ordering(trajectories[RV], cdr_ref, "RV<=cDR")
-    return trajectories
 
 
 def _default_fraction(traj: Trajectory, t: int) -> float:
@@ -151,13 +130,7 @@ def run_timeseries(panel: Panel, spec: SweepSpec, shock_level: float | None = No
     rows = []
     for qi, quarter in enumerate(panel.quarters):
         agg, _ = to_aggregates(panel, quarter)
-        cfg = ReconstructionConfig(
-            target_density=spec.ensemble.target_density,
-            ensemble_size=spec.ensemble.ensemble_size,
-            ipf_marginal_tolerance=spec.ensemble.ipf_marginal_tolerance,
-            ipf_max_sweeps=spec.ensemble.ipf_max_sweeps,
-            rng_seed=spec.ensemble.rng_seed + qi,
-        )
+        cfg = replace(spec.ensemble, rng_seed=spec.ensemble.rng_seed + qi)
         ensemble = generate_ensemble(agg, cfg)
         shock = make_shock(spec.asset_class, s)
         per_model = {m: {"H1": [], "H_inf": []} for m in spec.models}

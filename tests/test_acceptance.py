@@ -5,6 +5,7 @@ single PASS/FAIL line (run pytest with -rA to see the lines for passing
 tests). Tolerances are never loosened here; a red test means the criterion
 is not met.
 """
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -19,10 +20,12 @@ from contagion import (
     topology_invariance_check,
 )
 from contagion import fixtures as fx
+from contagion.cli import _write_rows
 from contagion.ingest import interpolate_missing, synthesize_panel, to_aggregates
 from contagion.reconstruct import (
     ReconstructionConfig, generate_ensemble, rebalance_totals, write_ensemble,
 )
+from contagion.sweeps import SweepSpec, run_shock_sweep
 
 
 @contextmanager
@@ -266,6 +269,28 @@ def test_criterion_7_reconstruction_byte_identical(tmp_path):
         for name in ("edges.csv", "balance_sheets.csv", "manifest.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_reconstruction_and_sweep_bytes_match_recorded_digests(tmp_path):
+    """Ensemble files and shock-sweep CSV hash to digests recorded from an
+    earlier release (numpy 2.4, x86-64). A change in summation order, in float
+    formatting or in the sweep rows shows up here."""
+    panel, _ = interpolate_missing(synthesize_panel(30, 4, seed=2024))
+    agg, _ = to_aggregates(panel, panel.quarters[-1])
+    result = generate_ensemble(agg, ReconstructionConfig(
+        ensemble_size=10, rng_seed=11, target_density=0.20))
+    write_ensemble(result, agg, str(tmp_path))
+    rows = run_shock_sweep(result.networks, SweepSpec(
+        shock_grid=(0.0, 0.05, 0.1, 0.2), recovery_grid=(0.6,), rv_beta=0.6))
+    _write_rows(rows, str(tmp_path), "sweep_shock.csv")
+    expected = {
+        "edges.csv": "5087942169fbab67289edcfea82e90e90a1d94dd258ab137bd4e6e8256d50a9e",
+        "balance_sheets.csv": "072c2d4ab85a68762e99a520247b5d4d2e1ae0b541ecec480acd0ea7c2ec648a",
+        "manifest.json": "dde5af8a1f858c8c022479f9b43b5cd04686949c59ea2e3d38a786e1a4f97aff",
+        "sweep_shock.csv": "347cf47fbcccf8cf3ecf31b960ed2737107eec992bb1a1cb2df1d7868e3d0fe1",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def _h_at(traj, t, net):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from contagion import (
-    ModelConfig, ShockSpec, conservation_check, en_closed_form_H,
+    MODEL_NAMES, ModelConfig, ShockSpec, conservation_check, en_closed_form_H,
     en_second_round_bound, en_second_round_exact, first_round_default_set,
-    global_vulnerability, ordering_audit, run_eisenberg_noe,
-    topology_invariance_check, vulnerability_report,
+    global_vulnerability, network_from_vectors, ordering_audit,
+    run_eisenberg_noe, run_with_firewall, topology_invariance_check,
+    vulnerability_report,
 )
-from contagion.errors import AggregateMismatch, ModelMismatch, PreconditionViolated
+from contagion.errors import (
+    AggregateMismatch, ModelMismatch, NonConvergence, PreconditionViolated,
+)
 from contagion import fixtures as fx
-from contagion.models import run_acyclic_debtrank
+from contagion.models import run_acyclic_debtrank, run_cyclic_debtrank
 
 
 def test_global_vulnerability_chain():
@@ -199,3 +202,20 @@ def test_ordering_audit_proved_chain_on_random_networks():
         assert rep.proved_chain_checked
         assert rep.leading_eigenvalue >= 0
         json.loads(rep.to_json())  # serializable
+
+
+@pytest.mark.parametrize("recovery_rate", [0.0, 0.9])
+def test_firewall_raises_when_cyclic_debtrank_hits_its_cap(recovery_rate):
+    # Two banks lend each other 0.999 of their equity. At R = 0 cDR distress
+    # shrinks by 0.999 a round and is still moving at the 10 n = 20 round cap;
+    # at R = 0.9 the run converges and only the cDR(R=0) reference hits the cap.
+    L = np.array([[0.0, 0.999], [0.999, 0.0]])
+    net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
+    shock = ShockSpec.uniform(0.01)
+    cdr = run_cyclic_debtrank(net, shock, ModelConfig(model="CDR",
+                                                      exogenous_recovery_rate=recovery_rate))
+    assert cdr.cap_hit == (recovery_rate == 0.0)
+    with pytest.raises(NonConvergence):
+        run_with_firewall(net, shock, MODEL_NAMES, recovery_rate, recovery_rate)
+    with pytest.raises(NonConvergence):
+        ordering_audit(net, shock, recovery_rate=recovery_rate)

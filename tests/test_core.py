@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from contagion import (
-    BalanceSheet, ShockSpec, apply_first_round, build_network,
-    leverage_decomposition, network_from_vectors, relative_liabilities,
+    ShockSpec, apply_first_round, build_network, leverage_decomposition,
+    network_from_vectors, relative_liabilities,
 )
 from contagion.errors import (
     DimensionMismatch, IdentityViolation, NegativeEntry, NonPositiveEquity,
 )
 from contagion import fixtures as fx
+
+
+def single_class(L, external_assets, interbank_assets, interbank_liabilities,
+                 external_liabilities, equity):
+    """build_network with one external asset class; each argument after L is
+    an n-vector."""
+    return build_network(L, equity, np.array(external_assets, dtype=float)[:, None],
+                         external_liabilities, interbank_assets, interbank_liabilities)
 
 
 def test_build_network_accepts_three_bank_cycle():
@@ -20,57 +28,69 @@ def test_build_network_accepts_three_bank_cycle():
 
 
 def test_zero_equity_rejected():
-    sheets = [
-        BalanceSheet.single_class(10, 0, 0, 10, 0.0),
-        BalanceSheet.single_class(10, 0, 0, 5, 5.0),
-    ]
     with pytest.raises(NonPositiveEquity):
-        build_network(sheets, np.zeros((2, 2)))
+        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [10, 5], [0.0, 5.0])
 
 
 def test_self_loop_rejected():
     L = np.zeros((2, 2))
     L[0, 0] = 1.0
-    sheets = [
-        BalanceSheet.single_class(10, 0, 1, 4, 5.0),
-        BalanceSheet.single_class(10, 1, 0, 6, 5.0),
-    ]
     with pytest.raises(NegativeEntry):
-        build_network(sheets, L)
+        single_class(L, [10, 10], [0, 1], [1, 0], [4, 6], [5.0, 5.0])
 
 
 def test_negative_entry_rejected():
     L = np.zeros((2, 2))
     L[0, 1] = -1.0
-    sheets = [BalanceSheet.single_class(10, 0, 0, 5, 5.0)] * 2
     with pytest.raises(NegativeEntry):
-        build_network(sheets, L)
+        single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
 
 
 def test_dimension_mismatch():
-    sheets = [BalanceSheet.single_class(10, 0, 0, 5, 5.0)] * 3
     with pytest.raises(DimensionMismatch):
-        build_network(sheets, np.zeros((2, 2)))
+        single_class(np.zeros((2, 2)), [10] * 3, [0] * 3, [0] * 3, [5] * 3, [5.0] * 3)
+    with pytest.raises(DimensionMismatch):  # vectors disagree with each other
+        single_class(np.zeros((2, 2)), [10] * 3, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
 
 
 def test_identity_violation():
-    sheets = [
-        BalanceSheet.single_class(10, 0, 0, 1, 5.0),  # residual 4
-        BalanceSheet.single_class(10, 0, 0, 5, 5.0),
-    ]
-    with pytest.raises(IdentityViolation):
-        build_network(sheets, np.zeros((2, 2)))
+    with pytest.raises(IdentityViolation):  # bank 0 has residual 4
+        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [1, 5], [5.0, 5.0])
 
 
 def test_margin_mismatch_rejected():
     L = np.zeros((2, 2))
     L[0, 1] = 7.0  # bank 0 claims total 5 but matrix says 7
-    sheets = [
-        BalanceSheet.single_class(10, 0, 5, 0, 5.0),
-        BalanceSheet.single_class(10, 5, 0, 10, 5.0),
-    ]
     with pytest.raises(IdentityViolation):
-        build_network(sheets, L)
+        single_class(L, [10, 10], [0, 5], [5, 0], [0, 10], [5.0, 5.0])
+
+
+@pytest.mark.parametrize("equity, external_liabilities, L01, error", [
+    ([5.0, 0.0], [1, 5], 0.0, IdentityViolation),   # bank 0 identity, bank 1 equity
+    ([0.0, 5.0], [10, 1], 0.0, NonPositiveEquity),  # bank 0 equity, bank 1 identity
+    ([5.0, 5.0], [5, 5], 1.0, IdentityViolation),   # margins of both banks
+])
+def test_error_names_lowest_faulty_bank(equity, external_liabilities, L01, error):
+    L = np.zeros((2, 2))
+    L[0, 1] = L01
+    with pytest.raises(error) as info:
+        single_class(L, [10, 10], [0, 0], [0, 0], external_liabilities, equity)
+    assert info.value.bank == 0
+
+
+def test_network_arrays_are_read_only():
+    L = np.zeros((2, 2))
+    L[0, 1] = 5.0
+    equity = np.array([5.0, 15.0])
+    net = single_class(L, [10, 10], [0, 5], [5, 0], [0, 0], equity)
+    arrays = (net.liabilities, net.equity, net.external_assets_by_class,
+              net.external_assets, net.external_liabilities, net.interbank_assets,
+              net.interbank_liabilities)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    equity[0] = 1.0  # the network holds a copy, not the caller's array
+    assert net.equity[0] == 5.0
 
 
 def test_fragile_bank_leverage():
@@ -159,13 +179,12 @@ def test_first_round_wheel_center_defaults():
 
 
 def test_per_class_shock_aggregation():
-    sheets = [
-        BalanceSheet(np.array([30.0, 10.0, 60.0]), 0.0, 5.0, 85.0, 10.0),
-        BalanceSheet(np.array([20.0, 0.0, 30.0]), 5.0, 0.0, 45.0, 10.0),
-    ]
     L = np.zeros((2, 2))
     L[0, 1] = 5.0
-    net = build_network(sheets, L)
+    net = build_network(L, equity=[10.0, 10.0],
+                        external_assets_by_class=[[30.0, 10.0, 60.0], [20.0, 0.0, 30.0]],
+                        external_liabilities=[85.0, 45.0], interbank_assets=[0.0, 5.0],
+                        interbank_liabilities=[5.0, 0.0])
     shock = ShockSpec.on_class("derivatives", 0.5)
     first = apply_first_round(net, shock)
     # bank 0: loss 15 on equity 10 -> clipped at 1; bank 1: loss 10 on equity 10
@@ -175,10 +194,10 @@ def test_per_class_shock_aggregation():
 
 
 def test_per_class_shock_values():
-    sheets = [
-        BalanceSheet(np.array([4.0, 2.0, 14.0]), 0.0, 0.0, 10.0, 10.0),
-    ]
-    net = build_network(sheets, np.zeros((1, 1)))
+    net = build_network(np.zeros((1, 1)), equity=[10.0],
+                        external_assets_by_class=[[4.0, 2.0, 14.0]],
+                        external_liabilities=[10.0], interbank_assets=[0.0],
+                        interbank_liabilities=[0.0])
     first = apply_first_round(net, ShockSpec.on_class("impaired_loans", 0.5))
     assert first.h1[0] == pytest.approx(0.1, abs=1e-12)
     # shocked external total drops by the class loss
