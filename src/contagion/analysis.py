@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LiabilityNetwork, ShockSpec, leverage_decomposition, relative_liabilities
+from .core import (
+    LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition,
+    relative_liabilities,
+)
 from .errors import (
     AggregateMismatch, ModelMismatch, NonConvergence, PreconditionViolated,
     ProvedOrderingViolated,
@@ -41,13 +44,7 @@ def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
     where some bank's loss equals its equity exactly, which the tie rule
     places inside the default set.
     """
-    s = shock.effective_per_bank(network)  # also rejects a shock of the wrong size
-    lev = leverage_decomposition(network)
-    # the loss ratio before the first round clips it at 1
-    if shock.per_class_shock is not None:
-        unclipped = lev.external_leverage @ np.asarray(shock.per_class_shock, dtype=float)
-    else:
-        unclipped = lev.external_leverage_total * s
+    unclipped = apply_first_round(network, shock).loss_ratio
     members = np.flatnonzero(unclipped >= 1.0 - BOUNDARY_TOL)
     boundary = bool(np.any(np.abs(unclipped - 1.0) <= BOUNDARY_TOL))
     return frozenset(members.tolist()), boundary

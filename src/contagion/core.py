@@ -94,7 +94,7 @@ class ShockSpec:
             raise ValueError("give exactly one of per_class_shock or per_bank_shock")
         vec = self.per_class_shock if self.per_class_shock is not None else self.per_bank_shock
         vec = np.asarray(vec, dtype=float)
-        if np.any(vec < 0) or np.any(vec > 1):
+        if not np.all((vec >= 0) & (vec <= 1)):  # NaN fails too
             raise ValueError("shock components must lie in [0, 1]")
 
     @staticmethod
@@ -138,8 +138,8 @@ class ShockSpec:
 @dataclass(frozen=True)
 class FirstRound:
     shocked_external_assets: np.ndarray  # A^e_i (1 - s_i)
-    h1: np.ndarray                       # min{1, l^e_i s_i}
-    effective_shock: np.ndarray          # s_i
+    h1: np.ndarray                       # min{1, loss_ratio}
+    loss_ratio: np.ndarray               # l^e_i s_i, before clipping at 1
 
 
 def build_network(liability_matrix, equity, external_assets_by_class,
@@ -152,8 +152,9 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     matrix margins must match. The inputs are copied. Rejects mismatched
     dimensions, negative entries, self-exposure, non-positive equity,
     balance sheets violating E = A^e + A^b - L^e - L^b, and matrix margins
-    inconsistent with the interbank totals. When several banks are faulty
-    the error names the lowest-index one.
+    inconsistent with the interbank totals; NaN entries fail the same
+    checks. When several banks are faulty the error names the lowest-index
+    one.
     """
     L = np.array(liability_matrix, dtype=float)
     E = np.array(equity, dtype=float)
@@ -167,7 +168,8 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     if (any(v.shape != (n,) for v in (E, le, ab, lb))
             or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
         raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
-    neg = np.argwhere(L < 0)
+    # Each check is written so that NaN fails it.
+    neg = np.argwhere(~(L >= 0))
     if neg.size:
         raise NegativeEntry(int(neg[0, 0]), int(neg[0, 1]))
     diag = np.argwhere(np.diag(L) != 0)
@@ -178,17 +180,17 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     ae = ae_by_class.sum(axis=1)
     total_assets = ae + ab
     resid = E - (total_assets - le - lb)
-    bad_sheet = (E <= 0) | (np.abs(resid) > IDENTITY_RTOL * np.maximum(1.0, total_assets))
+    bad_sheet = ~(E > 0) | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets))
     if bad_sheet.any():
         i = int(np.argmax(bad_sheet))
-        if E[i] <= 0:
+        if not E[i] > 0:
             raise NonPositiveEquity(i)
         raise IdentityViolation(i, float(resid[i]))
 
     row_gap = L.sum(axis=1) - lb
     col_gap = L.sum(axis=0) - ab
-    bad_row = np.abs(row_gap) > MARGIN_RTOL * np.maximum(1.0, lb)
-    bad_col = np.abs(col_gap) > MARGIN_RTOL * np.maximum(1.0, ab)
+    bad_row = ~(np.abs(row_gap) <= MARGIN_RTOL * np.maximum(1.0, lb))
+    bad_col = ~(np.abs(col_gap) <= MARGIN_RTOL * np.maximum(1.0, ab))
     if (bad_row | bad_col).any():
         i = int(np.argmax(bad_row | bad_col))
         raise IdentityViolation(i, float(row_gap[i] if bad_row[i] else col_gap[i]))
@@ -253,5 +255,5 @@ def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound
         raw = lev.external_leverage @ np.asarray(shock.per_class_shock, dtype=float)
     else:
         raw = lev.external_leverage_total * s
-    h1 = np.minimum(1.0, raw)
-    return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=h1, effective_shock=s)
+    return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=np.minimum(1.0, raw),
+                      loss_ratio=raw)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
-from .errors import NonConvergence, PreconditionViolated
+from .errors import NonConvergence
 
 EN = "EN"
 RV = "RV"
@@ -21,16 +21,14 @@ CDR = "CDR"
 
 MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
+CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     model: str = EN
     exogenous_recovery_rate: float = 0.0    # R, used by DC / aDR / cDR
     rv_beta: float = 1.0                    # payout discount on defaulters (RV)
-    rv_alpha: float | None = None           # defaults to rv_beta
-    allow_alpha_neq_beta: bool = False
-    max_iterations: int | None = None       # defaults to 10 n for cDR
-    cdr_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
@@ -39,28 +37,20 @@ class ModelConfig:
             raise ValueError("recovery rate must lie in [0, 1]")
         if not 0.0 <= self.rv_beta <= 1.0:
             raise ValueError("rv_beta must lie in [0, 1]")
-        if self.cdr_tolerance <= 0:
-            raise ValueError("cdr_tolerance must be positive")
-        if (self.rv_alpha is not None and self.rv_alpha != self.rv_beta
-                and not self.allow_alpha_neq_beta):
-            raise PreconditionViolated(
-                "rv_alpha differs from rv_beta; set allow_alpha_neq_beta to override")
-
-    @property
-    def alpha(self) -> float:
-        return self.rv_beta if self.rv_alpha is None else self.rv_alpha
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One run: the vulnerability path h(t), plus p(t) for the clearing models.
+
+    Everything else (round count, default sets, endogenous recovery) is
+    derived from these on read.
+    """
+
     model: str
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros
-    payments: np.ndarray | None        # (T+1, n) for EN/RV, else None
-    default_sets: tuple                # frozenset per t: {i : h_i(t) = 1}
-    active_sets: tuple | None          # DC/aDR only
-    converged_at: int
+    payments: np.ndarray | None = None  # (T+1, n) for EN/RV, row 0 is p_bar
     cap_hit: bool = False
-    endogenous_recovery: np.ndarray | None = None  # p(inf)/p_bar (EN/RV)
 
     @property
     def n(self) -> int:
@@ -74,9 +64,25 @@ class Trajectory:
     def h1(self) -> np.ndarray:
         return self.h[1]
 
+    @property
+    def converged_at(self) -> int:
+        return self.h.shape[0] - 1
 
-def _default_sets_from_h(h: np.ndarray) -> tuple:
-    return tuple(frozenset(np.flatnonzero(row >= 1.0).tolist()) for row in h)
+    @property
+    def default_sets(self) -> tuple:
+        """frozenset per t: {i : h_i(t) = 1}."""
+        return tuple(frozenset(np.flatnonzero(row >= 1.0).tolist()) for row in self.h)
+
+    @property
+    def endogenous_recovery(self) -> np.ndarray | None:
+        """p(inf) / p_bar per bank, 1 where p_bar = 0; None without payments."""
+        if self.payments is None:
+            return None
+        p_bar = self.payments[0]
+        recovery = np.ones(self.n)
+        nz = p_bar > 0
+        recovery[nz] = self.payments[-1, nz] / p_bar[nz]
+        return recovery
 
 
 def _check_trajectory(h: np.ndarray) -> None:
@@ -86,11 +92,10 @@ def _check_trajectory(h: np.ndarray) -> None:
         raise NonConvergence("vulnerability decreased over time; internal fault")
 
 
-def _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta,
-                              shocked_external, p_current):
+def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
-    Solves (I - beta * Pi^T_DD) p_D = alpha A^e'_D + beta (Pi^T)_D,ND p_bar_ND
+    Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND
     and falls back to damped fixed-point iteration when the linear system is
     ill-conditioned (closed defaulting subsystems).
     """
@@ -99,7 +104,7 @@ def _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta,
         return p_bar.copy()
     p = p_bar.copy()
     A_dd = pi_T[np.ix_(idx, idx)]
-    b = alpha * shocked_external[idx] + beta * (pi_T[idx] @ p - A_dd @ p[idx])
+    b = beta * shocked_external[idx] + beta * (pi_T[idx] @ p - A_dd @ p[idx])
     mat = np.eye(idx.size) - beta * A_dd
     ok = False
     try:
@@ -115,7 +120,7 @@ def _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta,
         # the greatest fixed point of the restricted map.
         sol = p_current[idx].copy()
         for _ in range(200_000):
-            nxt = alpha * shocked_external[idx] + beta * (
+            nxt = beta * shocked_external[idx] + beta * (
                 pi_T[idx] @ p - A_dd @ p[idx] + A_dd @ sol)
             nxt = np.clip(nxt, 0.0, p_bar[idx])
             if np.abs(nxt - sol).max() < 1e-13 * max(1.0, p_bar[idx].max(initial=0.0)):
@@ -126,13 +131,13 @@ def _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta,
     return p
 
 
-def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, alpha: float,
-                  beta: float, model: str) -> Trajectory:
+def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
+                  model: str) -> Trajectory:
     """Fictitious default algorithm shared by the EN and RV models.
 
     A bank defaults when its nominal resources Pi^T p + A^e(1-s) fall short
-    of total obligations; defaulters pay alpha A^e' + beta Pi^T p, others pay
-    in full. EN is the alpha = beta = 1 special case.
+    of total obligations; defaulters pay beta (A^e' + Pi^T p), others pay
+    in full. EN is the beta = 1 special case.
     """
     rel = relative_liabilities(network)
     p_bar = rel.total_obligations
@@ -156,7 +161,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, alpha: float,
             # No new defaulters; with none at all, converged after the first round.
             break
         D = new_D
-        p = _solve_defaulter_payments(pi_T, p_bar, D, alpha, beta, ae, p)
+        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, p)
         E = equities(p)
         E[D] = 0.0
         h = np.minimum(1.0, (E0 - E) / E0)
@@ -171,31 +176,19 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, alpha: float,
     pay = np.vstack(payments)
     if np.any(np.diff(pay, axis=0) > 1e-9 * np.maximum(1.0, p_bar)):
         raise NonConvergence("payments increased between sweeps; internal fault")
-    recovery = np.ones(network.n)
-    nz = p_bar > 0
-    recovery[nz] = pay[-1, nz] / p_bar[nz]
-    return Trajectory(
-        model=model,
-        h=h_arr,
-        payments=pay,
-        default_sets=_default_sets_from_h(h_arr),
-        active_sets=None,
-        converged_at=len(h_rows) - 1,
-        endogenous_recovery=recovery,
-    )
+    return Trajectory(model=model, h=h_arr, payments=pay)
 
 
 def run_eisenberg_noe(network: LiabilityNetwork, shock: ShockSpec,
                       config: ModelConfig | None = None) -> Trajectory:
     """Clearing-payment fixed point with full recovery on liquidation."""
-    return _run_clearing(network, shock, alpha=1.0, beta=1.0, model=EN)
+    return _run_clearing(network, shock, beta=1.0, model=EN)
 
 
 def run_rogers_veraart(network: LiabilityNetwork, shock: ShockSpec,
                        config: ModelConfig) -> Trajectory:
     """Clearing with bankruptcy costs: defaulters pay a beta-discounted value."""
-    return _run_clearing(network, shock, alpha=config.alpha, beta=config.rv_beta,
-                         model=RV)
+    return _run_clearing(network, shock, beta=config.rv_beta, model=RV)
 
 
 def _run_active_set(network, shock, R, active_rule, model):
@@ -208,7 +201,6 @@ def _run_active_set(network, shock, R, active_rule, model):
     lb = lev.interbank_leverage
     first = apply_first_round(network, shock)
     h_rows = [np.zeros(network.n), first.h1.copy()]
-    actives = [frozenset(), frozenset()]
     propagated = np.zeros(network.n, dtype=bool)
 
     for _ in range(network.n):
@@ -216,22 +208,12 @@ def _run_active_set(network, shock, R, active_rule, model):
         active = active_rule(h) & ~propagated
         if not active.any():
             break
-        actives.append(frozenset(np.flatnonzero(active).tolist()))
         inflow = (1.0 - R) * (lb[:, active] @ h[active])
         h_rows.append(np.minimum(1.0, h + inflow))
         propagated |= active
     h_arr = np.vstack(h_rows)
     _check_trajectory(h_arr)
-    while len(actives) < len(h_rows):
-        actives.append(frozenset())
-    return Trajectory(
-        model=model,
-        h=h_arr,
-        payments=None,
-        default_sets=_default_sets_from_h(h_arr),
-        active_sets=tuple(actives),
-        converged_at=len(h_rows) - 1,
-    )
+    return Trajectory(model=model, h=h_arr)
 
 
 def run_default_cascade(network: LiabilityNetwork, shock: ShockSpec,
@@ -253,35 +235,26 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     """Distress propagated along all walks, including cycles.
 
     h(t+1) = min{1, h(t) + (1-R) l^b [h(t) - h(t-1)]}; stops when the largest
-    componentwise change drops below cdr_tolerance or the iteration cap fires
-    (flagged, not fatal).
+    componentwise change drops below CDR_TOLERANCE or the 10 n iteration cap
+    fires (flagged, not fatal).
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
-    cap = config.max_iterations or 10 * network.n
     h_rows = [np.zeros(network.n), first.h1.copy()]
     cap_hit = False
-    for _ in range(cap):
+    for _ in range(10 * network.n):
         h_prev, h = h_rows[-2], h_rows[-1]
         delta = h - h_prev
-        if delta.max(initial=0.0) < config.cdr_tolerance:
+        if delta.max(initial=0.0) < CDR_TOLERANCE:
             break
         h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
     else:
         cap_hit = True
     h_arr = np.vstack(h_rows)
     _check_trajectory(h_arr)
-    return Trajectory(
-        model=CDR,
-        h=h_arr,
-        payments=None,
-        default_sets=_default_sets_from_h(h_arr),
-        active_sets=None,
-        converged_at=len(h_rows) - 1,
-        cap_hit=cap_hit,
-    )
+    return Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
 
 
 def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec,
@@ -305,15 +278,7 @@ def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec,
         h_rows.append(np.minimum(1.0, h_rows[-1] + ratio @ drop))
     h_arr = np.vstack(h_rows)
     _check_trajectory(h_arr)
-    return Trajectory(
-        model=EN,
-        h=h_arr,
-        payments=pay,
-        default_sets=_default_sets_from_h(h_arr),
-        active_sets=None,
-        converged_at=base.converged_at,
-        endogenous_recovery=base.endogenous_recovery,
-    )
+    return Trajectory(model=EN, h=h_arr, payments=pay)
 
 
 def run_model(network: LiabilityNetwork, shock: ShockSpec,

@@ -54,7 +54,7 @@ class ReconstructionConfig:
             raise ValueError("target_density must lie in (0, 1]")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be positive")
-        if self.ipf_marginal_tolerance <= 0 or self.ipf_max_sweeps < 1:
+        if not self.ipf_marginal_tolerance > 0 or self.ipf_max_sweeps < 1:  # NaN fails
             raise ValueError("bad IPF settings")
 
 

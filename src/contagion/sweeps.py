@@ -50,49 +50,62 @@ def make_shock(asset_class: str, s: float) -> ShockSpec:
 
 
 def _default_fraction(traj: Trajectory, t: int) -> float:
-    return len(traj.default_sets[min(t, len(traj.default_sets) - 1)]) / traj.n
+    return int(np.count_nonzero(traj.h[t] >= 1.0)) / traj.n
 
 
-def _quantiles(values) -> tuple:
+# Per-run statistics a sweep can collect, by name. The lambdas look names up
+# at call time, so a rebinding of global_vulnerability (the bench tracer's)
+# is seen.
+_STATISTICS = {
+    "H1": lambda traj, net: global_vulnerability(traj, net, 1),
+    "H_inf": lambda traj, net: global_vulnerability(traj, net),
+    "df1": lambda traj, net: _default_fraction(traj, 1),
+    "df_inf": lambda traj, net: _default_fraction(traj, -1),
+}
+
+
+def _collect(networks, shock: ShockSpec, models, recovery_rate: float,
+             rv_beta: float, stats) -> dict:
+    """Run every network through the firewall; return model -> statistic ->
+    one value per network, for the named statistics only."""
+    out = {m: {name: [] for name in stats} for m in models}
+    for net in networks:
+        trajs = run_with_firewall(net, shock, models, recovery_rate, rv_beta)
+        for m in models:
+            for name in stats:
+                out[m][name].append(_STATISTICS[name](trajs[m], net))
+    return out
+
+
+def _h_inf_columns(values) -> dict:
+    """Ensemble median and quartiles of H(inf)."""
     arr = np.asarray(values, dtype=float)
-    return (float(np.median(arr)), float(np.quantile(arr, 0.25)),
-            float(np.quantile(arr, 0.75)))
+    return {"H_inf_median": float(np.median(arr)),
+            "H_inf_q25": float(np.quantile(arr, 0.25)),
+            "H_inf_q75": float(np.quantile(arr, 0.75))}
 
 
-def run_shock_sweep(networks, spec: SweepSpec, recovery_rate: float | None = None,
-                    rv_beta: float | None = None) -> list:
+def run_shock_sweep(networks, spec: SweepSpec) -> list:
     """Per shock level and model: H(1), H(inf), default fractions.
 
     Returns long-format rows (dicts) with ensemble median and quartiles.
     """
-    R = spec.recovery_grid[0] if recovery_rate is None else recovery_rate
-    beta = spec.rv_beta if rv_beta is None else rv_beta
+    R, beta = spec.recovery_grid[0], spec.rv_beta
     rows = []
     for s in spec.shock_grid:
-        shock = make_shock(spec.asset_class, s)
-        per_model = {m: {"H1": [], "H_inf": [], "df1": [], "df_inf": []}
-                     for m in spec.models}
-        for net in networks:
-            trajs = run_with_firewall(net, shock, spec.models, R, beta)
-            for m in spec.models:
-                traj = trajs[m]
-                per_model[m]["H1"].append(global_vulnerability(traj, net, 1))
-                per_model[m]["H_inf"].append(global_vulnerability(traj, net))
-                per_model[m]["df1"].append(_default_fraction(traj, 1))
-                per_model[m]["df_inf"].append(_default_fraction(traj, len(traj.default_sets) - 1))
+        per_model = _collect(networks, make_shock(spec.asset_class, s), spec.models,
+                             R, beta, ("H1", "H_inf", "df1", "df_inf"))
         for m in spec.models:
-            med, q25, q75 = _quantiles(per_model[m]["H_inf"])
+            v = per_model[m]
             rows.append({
                 "shock": s,
                 "model": m,
                 "recovery_rate": R,
                 "rv_beta": beta,
-                "H1": float(np.median(per_model[m]["H1"])),
-                "H_inf_median": med,
-                "H_inf_q25": q25,
-                "H_inf_q75": q75,
-                "default_fraction_first": float(np.median(per_model[m]["df1"])),
-                "default_fraction_final": float(np.median(per_model[m]["df_inf"])),
+                "H1": float(np.median(v["H1"])),
+                **_h_inf_columns(v["H_inf"]),
+                "default_fraction_first": float(np.median(v["df1"])),
+                "default_fraction_final": float(np.median(v["df_inf"])),
             })
     return rows
 
@@ -103,50 +116,26 @@ def run_recovery_sweep(networks, spec: SweepSpec) -> list:
     rows = []
     for R in spec.recovery_grid:
         for s in spec.shock_grid:
-            shock = make_shock(spec.asset_class, s)
-            per_model = {m: [] for m in spec.models}
-            for net in networks:
-                trajs = run_with_firewall(net, shock, spec.models, R, R)
-                for m in spec.models:
-                    per_model[m].append(global_vulnerability(trajs[m], net))
+            per_model = _collect(networks, make_shock(spec.asset_class, s), spec.models,
+                                 R, R, ("H_inf",))
             for m in spec.models:
-                med, q25, q75 = _quantiles(per_model[m])
-                rows.append({
-                    "recovery_rate": R,
-                    "shock": s,
-                    "model": m,
-                    "H_inf_median": med,
-                    "H_inf_q25": q25,
-                    "H_inf_q75": q75,
-                })
+                rows.append({"recovery_rate": R, "shock": s, "model": m,
+                             **_h_inf_columns(per_model[m]["H_inf"])})
     return rows
 
 
-def run_timeseries(panel: Panel, spec: SweepSpec, shock_level: float | None = None,
-                   recovery_rate: float | None = None) -> list:
+def run_timeseries(panel: Panel, spec: SweepSpec) -> list:
     """Per quarter: shared H(1) and ensemble-median H(inf) per model."""
-    s = spec.shock_grid[0] if shock_level is None else shock_level
-    R = spec.recovery_grid[0] if recovery_rate is None else recovery_rate
+    shock = make_shock(spec.asset_class, spec.shock_grid[0])
     rows = []
     for qi, quarter in enumerate(panel.quarters):
         agg, _ = to_aggregates(panel, quarter)
         cfg = replace(spec.ensemble, rng_seed=spec.ensemble.rng_seed + qi)
-        ensemble = generate_ensemble(agg, cfg)
-        shock = make_shock(spec.asset_class, s)
-        per_model = {m: {"H1": [], "H_inf": []} for m in spec.models}
-        for net in ensemble.networks:
-            trajs = run_with_firewall(net, shock, spec.models, R, spec.rv_beta)
-            for m in spec.models:
-                per_model[m]["H1"].append(global_vulnerability(trajs[m], net, 1))
-                per_model[m]["H_inf"].append(global_vulnerability(trajs[m], net))
+        per_model = _collect(generate_ensemble(agg, cfg).networks, shock, spec.models,
+                             spec.recovery_grid[0], spec.rv_beta, ("H1", "H_inf"))
         for m in spec.models:
-            med, q25, q75 = _quantiles(per_model[m]["H_inf"])
-            rows.append({
-                "quarter": quarter,
-                "model": m,
-                "H1": float(np.median(per_model[m]["H1"])),
-                "H_inf_median": med,
-                "H_inf_q25": q25,
-                "H_inf_q75": q75,
-            })
+            v = per_model[m]
+            rows.append({"quarter": quarter, "model": m,
+                         "H1": float(np.median(v["H1"])),
+                         **_h_inf_columns(v["H_inf"])})
     return rows

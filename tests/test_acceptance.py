@@ -25,7 +25,9 @@ from contagion.ingest import interpolate_missing, synthesize_panel, to_aggregate
 from contagion.reconstruct import (
     ReconstructionConfig, generate_ensemble, rebalance_totals, write_ensemble,
 )
-from contagion.sweeps import SweepSpec, run_shock_sweep
+from contagion.sweeps import (
+    SweepSpec, run_recovery_sweep, run_shock_sweep, run_timeseries,
+)
 
 
 @contextmanager
@@ -272,22 +274,40 @@ def test_criterion_7_reconstruction_byte_identical(tmp_path):
 
 
 def test_reconstruction_and_sweep_bytes_match_recorded_digests(tmp_path):
-    """Ensemble files and shock-sweep CSV hash to digests recorded from an
-    earlier release (numpy 2.4, x86-64). A change in summation order, in float
-    formatting or in the sweep rows shows up here."""
+    """Ensemble files and the CSVs of every sweep hash to digests recorded
+    from an earlier release (numpy 2.4, x86-64). A change in summation order,
+    in float formatting or in the sweep rows shows up here."""
     panel, _ = interpolate_missing(synthesize_panel(30, 4, seed=2024))
     agg, _ = to_aggregates(panel, panel.quarters[-1])
     result = generate_ensemble(agg, ReconstructionConfig(
         ensemble_size=10, rng_seed=11, target_density=0.20))
     write_ensemble(result, agg, str(tmp_path))
+    shocks = (0.0, 0.05, 0.1, 0.2)
     rows = run_shock_sweep(result.networks, SweepSpec(
-        shock_grid=(0.0, 0.05, 0.1, 0.2), recovery_grid=(0.6,), rv_beta=0.6))
+        shock_grid=shocks, recovery_grid=(0.6,), rv_beta=0.6))
     _write_rows(rows, str(tmp_path), "sweep_shock.csv")
+    rows = run_shock_sweep(result.networks, SweepSpec(
+        shock_grid=shocks, recovery_grid=(0.6,), rv_beta=0.6,
+        asset_class="derivatives"))
+    _write_rows(rows, str(tmp_path), "sweep_shock_derivatives.csv")
+    rows = run_recovery_sweep(result.networks, SweepSpec(
+        shock_grid=(0.02, 0.1), recovery_grid=(0.0, 0.5, 1.0)))
+    _write_rows(rows, str(tmp_path), "recovery_sweep.csv")
+    small, _ = interpolate_missing(synthesize_panel(40, 4, seed=3))
+    rows = run_timeseries(small, SweepSpec(
+        shock_grid=(0.01,), recovery_grid=(0.6,), rv_beta=0.6,
+        ensemble=ReconstructionConfig(ensemble_size=5, rng_seed=3,
+                                      target_density=0.20)))
+    _write_rows(rows, str(tmp_path), "timeseries.csv")
     expected = {
         "edges.csv": "5087942169fbab67289edcfea82e90e90a1d94dd258ab137bd4e6e8256d50a9e",
         "balance_sheets.csv": "072c2d4ab85a68762e99a520247b5d4d2e1ae0b541ecec480acd0ea7c2ec648a",
         "manifest.json": "dde5af8a1f858c8c022479f9b43b5cd04686949c59ea2e3d38a786e1a4f97aff",
         "sweep_shock.csv": "347cf47fbcccf8cf3ecf31b960ed2737107eec992bb1a1cb2df1d7868e3d0fe1",
+        "sweep_shock_derivatives.csv":
+            "37f2503a21153c7af93fba3222ac1b0ef3ba134544f88c18a9199f138feb7f5a",
+        "recovery_sweep.csv": "9c8b0f61c73e1691d3b4dbb09aff906a4d58c7fb4ec76a76ab52ed53f5cdad3a",
+        "timeseries.csv": "48b4b93b5d14dffda912941ccd900928e32feb6a20c82f93ad2767183d27d846",
     }
     for name, digest in expected.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -30,6 +30,10 @@ def test_build_network_accepts_three_bank_cycle():
 def test_zero_equity_rejected():
     with pytest.raises(NonPositiveEquity):
         single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [10, 5], [0.0, 5.0])
+    with pytest.raises(NonPositiveEquity) as info:  # NaN equity is not positive
+        network_from_vectors([10.0, np.nan], [0, 0], np.zeros((2, 2)),
+                             equity=[10.0, np.nan])
+    assert info.value.bank == 1
 
 
 def test_self_loop_rejected():
@@ -44,6 +48,9 @@ def test_negative_entry_rejected():
     L[0, 1] = -1.0
     with pytest.raises(NegativeEntry):
         single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
+    L[0, 1] = np.nan
+    with pytest.raises(NegativeEntry):
+        single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
 
 
 def test_dimension_mismatch():
@@ -56,6 +63,9 @@ def test_dimension_mismatch():
 def test_identity_violation():
     with pytest.raises(IdentityViolation):  # bank 0 has residual 4
         single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [1, 5], [5.0, 5.0])
+    with pytest.raises(IdentityViolation) as info:  # bank 1 has residual NaN
+        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [5, np.nan], [5.0, 5.0])
+    assert info.value.bank == 1
 
 
 def test_margin_mismatch_rejected():
@@ -150,6 +160,10 @@ def test_shock_spec_validation():
         ShockSpec(per_bank_shock=np.array([0.5]), per_class_shock=np.array([0.5]))
     with pytest.raises(ValueError):
         ShockSpec(per_bank_shock=np.array([1.5]))
+    with pytest.raises(ValueError):
+        ShockSpec(per_bank_shock=np.array([np.nan]))
+    with pytest.raises(ValueError):
+        ShockSpec(per_class_shock=np.array([0.1, np.nan, 0.0]))
 
 
 def test_first_round_zero_shock_is_identity():

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from contagion import (
-    ModelConfig, ShockSpec, en_vulnerability_form, run_acyclic_debtrank,
-    run_cyclic_debtrank, run_default_cascade, run_eisenberg_noe,
-    run_rogers_veraart,
+    ModelConfig, ShockSpec, en_vulnerability_form, leverage_decomposition,
+    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
+    run_eisenberg_noe, run_rogers_veraart,
 )
-from contagion.errors import PreconditionViolated
 from contagion import fixtures as fx
 
 
-def cfg(model="EN", R=0.0, beta=1.0, **kw):
-    return ModelConfig(model=model, exogenous_recovery_rate=R, rv_beta=beta, **kw)
+def cfg(model="EN", R=0.0, beta=1.0):
+    return ModelConfig(model=model, exogenous_recovery_rate=R, rv_beta=beta)
 
 
 # --- clearing model -------------------------------------------------------
@@ -55,8 +54,18 @@ def test_clearing_fixed_point_residual():
         nz = p_bar > 0
         pi_T[nz] = net.liabilities[nz] / p_bar[nz, None]
         pi_T = pi_T.T
-        target = np.minimum(pi_T @ p + net.external_assets * (1 - s), p_bar)
+        ae = net.external_assets * (1 - s)
+        target = np.minimum(pi_T @ p + ae, p_bar)
         assert np.allclose(p, target, rtol=1e-9, atol=1e-9 * max(1, p_bar.max()))
+        # Picard iteration from p_bar decreases to the greatest clearing
+        # vector; EN must have found that one, not a smaller fixed point.
+        greatest = p_bar.copy()
+        for _ in range(10_000):
+            nxt = np.minimum(p_bar, pi_T @ greatest + ae)
+            if np.array_equal(nxt, greatest):
+                break
+            greatest = nxt
+        assert np.abs(p - greatest).max() <= 1e-12 * max(1, p_bar.max())
 
 
 def test_endogenous_recovery_recorded():
@@ -104,13 +113,6 @@ def test_rv_payments_below_en_every_iteration():
         assert np.all(pr <= pe + 1e-9)
 
 
-def test_rv_alpha_override_required():
-    with pytest.raises(PreconditionViolated):
-        ModelConfig(model="RV", rv_beta=0.5, rv_alpha=0.3)
-    c = ModelConfig(model="RV", rv_beta=0.5, rv_alpha=0.3, allow_alpha_neq_beta=True)
-    assert c.alpha == 0.3
-
-
 # --- threshold cascade ----------------------------------------------------
 
 def test_dc_counterexample_values():
@@ -133,16 +135,24 @@ def test_dc_no_defaults_no_propagation():
 
 
 def test_single_propagation_invariant():
+    # Each bank j transmits once, h_j at the first round t >= 1 in which it
+    # meets the model's rule, so h(inf) = min(1, h(1) + (1-R) l_b v) with v_j
+    # that value (0 if j never meets the rule). A second transmission by any
+    # bank breaks this identity.
     rng = np.random.default_rng(13)
     for _ in range(20):
         net = fx.random_network(rng, int(rng.integers(3, 25)))
         shock = ShockSpec.uniform(rng.uniform(0, 0.6))
-        for runner in (run_default_cascade, run_acyclic_debtrank):
-            traj = runner(net, shock, cfg("DC", R=rng.uniform(0, 1)))
-            seen = set()
-            for active in traj.active_sets:
-                assert not (active & seen)
-                seen |= active
+        lb = leverage_decomposition(net).interbank_leverage
+        for runner, rule in ((run_default_cascade, lambda h: h >= 1.0),
+                             (run_acyclic_debtrank, lambda h: h > 0.0)):
+            R = rng.uniform(0, 1)
+            traj = runner(net, shock, cfg("DC", R=R))
+            meets = rule(traj.h[1:])
+            first = np.argmax(meets, axis=0) + 1
+            v = np.where(meets.any(axis=0), traj.h[first, np.arange(net.n)], 0.0)
+            expected = np.minimum(1.0, traj.h1 + (1.0 - R) * (lb @ v))
+            assert np.abs(traj.h_final - expected).max() <= 1e-12
 
 
 # --- one-shot cascade -----------------------------------------------------
