@@ -16,12 +16,10 @@ import numpy as np
 
 from . import fixtures as fx
 from .analysis import global_vulnerability, ordering_audit
+from .core import ShockSpec
 from .errors import ContagionError, ProvedOrderingViolated
 from .ingest import interpolate_missing, load_panel, synthesize_panel, to_aggregates
-from .models import (
-    ADR, DC, MODEL_NAMES, ModelConfig,
-    run_acyclic_debtrank, run_default_cascade, run_eisenberg_noe,
-)
+from .models import MODEL_NAMES, ModelConfig, run_model
 from .reconstruct import ReconstructionConfig, generate_ensemble, write_ensemble
 from .sweeps import (
     ASSET_CLASS_CHOICES, SweepSpec, run_recovery_sweep, run_shock_sweep,
@@ -32,9 +30,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
 
+GOLDEN_ATOL = 1e-12  # fixtures run: |measured - expected| bound, no relative slack
+
 
 def _read_config_file(path: str) -> dict:
-    """Simple key=value config; '#' starts a comment; commas make lists."""
+    """Simple key=value config; '#' starts a comment; values stay strings."""
     out = {}
     with open(path) as f:
         for raw in f:
@@ -48,34 +48,12 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(value: str):
-    parts = [p.strip() for p in value.split(",")] if "," in value else [value]
-    coerced = []
-    for p in parts:
-        try:
-            coerced.append(int(p))
-            continue
-        except ValueError:
-            pass
-        try:
-            coerced.append(float(p))
-            continue
-        except ValueError:
-            pass
-        coerced.append(p)
-    return coerced if len(coerced) > 1 else coerced[0]
+def _grid(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(","))
 
 
-def _grid(text) -> tuple:
-    if isinstance(text, (int, float)):
-        return (float(text),)
-    return tuple(float(p) for p in str(text).split(","))
-
-
-def _models(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(text)
-    names = tuple(p.strip().upper() for p in str(text).split(","))
+def _models(text: str) -> tuple:
+    names = tuple(p.strip().upper() for p in text.split(","))
     unknown = set(names) - set(MODEL_NAMES)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
@@ -92,30 +70,39 @@ def _write_rows(rows, out_dir, name):
     return path
 
 
-def _write_manifest(out_dir, payload):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=str)
+def _write_outputs(args, rows, name, **extra) -> None:
+    """Write rows to out_dir/name, then manifest.json: the parsed arguments,
+    the command and any extra entries."""
+    path = _write_rows(rows, args.out_dir, name)
+    manifest = {k: v for k, v in vars(args).items() if k != "func"}
+    manifest.update(command=f"{args.command} {args.subcommand}", **extra)
+    with open(os.path.join(args.out_dir, "manifest.json"), "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+    print(f"wrote {path}")
 
 
-def _load_aggregates(args):
-    """Panel file or synthetic panel, interpolated, reduced to one quarter."""
+def _load_panel(args):
+    """Panel file or seeded synthetic panel, with gaps interpolated."""
     if args.panel:
         panel = load_panel(args.panel)
     else:
         panel = synthesize_panel(args.synthetic_banks, args.synthetic_quarters,
                                  seed=args.seed)
-    panel, dropped = interpolate_missing(panel, drop_failures=True)
+    return interpolate_missing(panel, drop_failures=True)[0]
+
+
+def _load_aggregates(args):
+    """The panel reduced to one quarter: (aggregates, quarter)."""
+    panel = _load_panel(args)
     quarter = args.quarter or panel.quarters[-1]
-    agg, issues = to_aggregates(panel, quarter)
-    return agg, quarter, dropped, issues
+    return to_aggregates(panel, quarter)[0], quarter
 
 
-def _ensemble_config(args, seed_offset: int = 0) -> ReconstructionConfig:
+def _ensemble_config(args) -> ReconstructionConfig:
     return ReconstructionConfig(
         target_density=args.density,
         ensemble_size=args.ensemble_size,
-        rng_seed=args.seed + seed_offset,
+        rng_seed=args.seed,
     )
 
 
@@ -148,7 +135,7 @@ def cmd_ingest_validate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    agg, quarter, dropped, issues = _load_aggregates(args)
+    agg, quarter = _load_aggregates(args)
     result = generate_ensemble(agg, _ensemble_config(args))
     write_ensemble(result, agg, args.out_dir)
     print(f"quarter {quarter}: emitted {len(result.networks)} networks "
@@ -159,51 +146,24 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_run_timeseries(args) -> int:
-    if args.panel:
-        panel = load_panel(args.panel)
-    else:
-        panel = synthesize_panel(args.synthetic_banks, args.synthetic_quarters,
-                                 seed=args.seed)
-    panel, _ = interpolate_missing(panel, drop_failures=True)
-    spec = _sweep_spec(args)
-    rows = run_timeseries(panel, spec)
-    path = _write_rows(rows, args.out_dir, "timeseries.csv")
-    _write_manifest(args.out_dir, {**vars(args), "command": "run timeseries"})
-    print(f"wrote {path}")
+    rows = run_timeseries(_load_panel(args), _sweep_spec(args))
+    _write_outputs(args, rows, "timeseries.csv")
     return EXIT_OK
 
 
-def _sweep_networks(args):
-    agg, quarter, _, _ = _load_aggregates(args)
-    result = generate_ensemble(agg, _ensemble_config(args))
-    return result.networks, quarter
-
-
-def cmd_sweep_shock(args) -> int:
-    networks, quarter = _sweep_networks(args)
-    spec = _sweep_spec(args)
-    rows = run_shock_sweep(networks, spec)
-    path = _write_rows(rows, args.out_dir, "shock_sweep.csv")
-    _write_manifest(args.out_dir, {**vars(args), "command": "sweep shock",
-                                   "quarter": quarter})
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_sweep_recovery(args) -> int:
-    networks, quarter = _sweep_networks(args)
-    spec = _sweep_spec(args)
-    rows = run_recovery_sweep(networks, spec)
-    path = _write_rows(rows, args.out_dir, "recovery_sweep.csv")
-    _write_manifest(args.out_dir, {**vars(args), "command": "sweep recovery",
-                                   "quarter": quarter})
-    print(f"wrote {path}")
+def cmd_sweep(args) -> int:
+    """sweep shock / sweep recovery over one reconstructed ensemble."""
+    runner = {"shock": run_shock_sweep, "recovery": run_recovery_sweep}[args.subcommand]
+    agg, quarter = _load_aggregates(args)
+    networks = generate_ensemble(agg, _ensemble_config(args)).networks
+    rows = runner(networks, _sweep_spec(args))
+    _write_outputs(args, rows, f"{args.subcommand}_sweep.csv", quarter=quarter)
     return EXIT_OK
 
 
 def cmd_audit_ordering(args) -> int:
     rng = np.random.default_rng(args.seed)
-    shock = fx.ShockSpec.uniform(_grid(args.shock)[0])
+    shock = ShockSpec.uniform(_grid(args.shock)[0])
     reports = []
     for fixture in fx.topology_family():
         rep = ordering_audit(fixture.network, fixture.shock,
@@ -224,47 +184,24 @@ def cmd_audit_ordering(args) -> int:
     return EXIT_OK
 
 
-def _check(name, ok, results):
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-
 def cmd_fixtures_run(args) -> int:
+    """Run each golden fixture's models and check every stored expectation."""
     results = []
-    for fixture in fx.topology_family():
-        en = run_eisenberg_noe(fixture.network, fixture.shock)
-        adr = run_acyclic_debtrank(
-            fixture.network, fixture.shock,
-            ModelConfig(model=ADR, exogenous_recovery_rate=fixture.recovery_rate))
-        _check(f"{fixture.name}: clearing h(inf)",
-               np.allclose(en.h_final, fixture.expected_h_en, atol=1e-9), results)
-        _check(f"{fixture.name}: clearing H(inf) = 0.16",
-               abs(global_vulnerability(en, fixture.network) - 0.16) < 1e-9, results)
-        _check(f"{fixture.name}: cascade h(inf)",
-               np.allclose(adr.h_final, fixture.expected_h_adr, atol=1e-9), results)
-        _check(f"{fixture.name}: cascade H(inf)",
-               abs(global_vulnerability(adr, fixture.network)
-                   - fixture.expected_H_adr) < 1e-9, results)
-    ce = fx.dc_vs_adr_fixture()
-    dc = run_default_cascade(ce.network, ce.shock,
-                             ModelConfig(model=DC, exogenous_recovery_rate=0.0))
-    adr = run_acyclic_debtrank(ce.network, ce.shock,
-                               ModelConfig(model=ADR, exogenous_recovery_rate=0.0))
-    _check("threshold cascade beats one-shot cascade on its counterexample",
-           np.allclose(dc.h_final, ce.expected_h_dc)
-           and np.allclose(adr.h_final, ce.expected_h_adr), results)
-    ce = fx.en_vs_adr_fixture()
-    en = run_eisenberg_noe(ce.network, ce.shock)
-    adr = run_acyclic_debtrank(ce.network, ce.shock,
-                               ModelConfig(model=ADR, exogenous_recovery_rate=0.0))
-    _check("clearing beats one-shot cascade on its counterexample",
-           np.allclose(en.h_final, ce.expected_h_en)
-           and np.allclose(adr.h_final, ce.expected_h_adr), results)
-    for n in (2, 4, 8, 16):
-        wheel = fx.wheel_fixture(n)
-        en = run_eisenberg_noe(wheel.network, wheel.shock)
-        _check(f"wheel n={n}: mutualized counterparty vulnerability",
-               np.allclose(en.h_final, wheel.expected_h_en, atol=1e-12), results)
+
+    def check(name, measured, expected):
+        ok = bool(np.allclose(measured, expected, rtol=0.0, atol=GOLDEN_ATOL))
+        results.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+
+    for f in fx.golden():
+        for model in dict.fromkeys([*f.expected_h, *f.expected_H]):
+            traj = run_model(f.network, f.shock, ModelConfig(
+                model=model, exogenous_recovery_rate=f.recovery_rate))
+            if model in f.expected_h:
+                check(f"{f.name}: {model} h(inf)", traj.h_final, f.expected_h[model])
+            if model in f.expected_H:
+                check(f"{f.name}: {model} H(inf)",
+                      global_vulnerability(traj, f.network), f.expected_H[model])
     print(f"{sum(results)}/{len(results)} fixture checks passed")
     return EXIT_OK if all(results) else EXIT_VALIDATION
 
@@ -314,14 +251,11 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweeps")
     swsub = p.add_subparsers(dest="subcommand", required=True)
-    ps = swsub.add_parser("shock", help="sweep the shock grid")
-    add_common(ps)
-    ps.set_defaults(func=cmd_sweep_shock)
-    leaves.append(ps)
-    pr = swsub.add_parser("recovery", help="sweep the recovery-rate grid")
-    add_common(pr)
-    pr.set_defaults(func=cmd_sweep_recovery)
-    leaves.append(pr)
+    for name, what in (("shock", "shock"), ("recovery", "recovery-rate")):
+        ps = swsub.add_parser(name, help=f"sweep the {what} grid")
+        add_common(ps)
+        ps.set_defaults(func=cmd_sweep)
+        leaves.append(ps)
 
     p = sub.add_parser("audit", help="model-order audits")
     audsub = p.add_subparsers(dest="subcommand", required=True)
@@ -343,6 +277,8 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     if overrides:
         # Subparsers keep their own defaults, so file values must be pushed
         # into each leaf; restrict to the flags the leaf actually defines.
+        # The values stay strings, which argparse parses with each flag's
+        # type exactly as it parses the flag itself.
         for leaf in leaves:
             known = {a.dest for a in leaf._actions}
             values = {k: v for k, v in overrides.items() if k in known}
@@ -360,11 +296,7 @@ def main(argv=None) -> int:
     file_values = {}
     if known.config:
         try:
-            file_values = {k: _coerce(v) if k not in ("panel", "quarter", "models",
-                                                      "shock", "recovery",
-                                                      "asset_class", "out_dir")
-                           else v
-                           for k, v in _read_config_file(known.config).items()}
+            file_values = _read_config_file(known.config)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

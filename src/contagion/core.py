@@ -152,9 +152,9 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     matrix margins must match. The inputs are copied. Rejects mismatched
     dimensions, negative entries, self-exposure, non-positive equity,
     balance sheets violating E = A^e + A^b - L^e - L^b, and matrix margins
-    inconsistent with the interbank totals; NaN entries fail the same
-    checks. When several banks are faulty the error names the lowest-index
-    one.
+    inconsistent with the interbank totals; NaN and infinite entries fail
+    the same checks. When several banks are faulty the error names the
+    lowest-index one.
     """
     L = np.array(liability_matrix, dtype=float)
     E = np.array(equity, dtype=float)
@@ -168,8 +168,9 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     if (any(v.shape != (n,) for v in (E, le, ab, lb))
             or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
         raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
-    # Each check is written so that NaN fails it.
-    neg = np.argwhere(~(L >= 0))
+    # Each check is written so that NaN fails it. An infinite entry would make
+    # the tolerances below infinite, so finiteness is checked explicitly.
+    neg = np.argwhere(~(np.isfinite(L) & (L >= 0)))
     if neg.size:
         raise NegativeEntry(int(neg[0, 0]), int(neg[0, 1]))
     diag = np.argwhere(np.diag(L) != 0)
@@ -180,7 +181,9 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     ae = ae_by_class.sum(axis=1)
     total_assets = ae + ab
     resid = E - (total_assets - le - lb)
-    bad_sheet = ~(E > 0) | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets))
+    finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
+    bad_sheet = (~(E > 0) | ~finite
+                 | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))
     if bad_sheet.any():
         i = int(np.argmax(bad_sheet))
         if not E[i] > 0:

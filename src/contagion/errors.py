@@ -28,7 +28,7 @@ class NegativeEntry(ContagionError):
     def __init__(self, i, j):
         self.i = i
         self.j = j
-        super().__init__(f"liability matrix entry ({i},{j}) is invalid (negative or self-exposure)")
+        super().__init__(f"liability matrix entry ({i},{j}) is invalid (negative, not finite or self-exposure)")
 
 
 # --- model runs ---

@@ -14,25 +14,29 @@ docstring for the adjustment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import LiabilityNetwork, ShockSpec, network_from_vectors
+from .models import ADR, DC, EN
 
 
 @dataclass(frozen=True)
 class Fixture:
+    """A network, its shock and the hand-verified outcomes of some models.
+
+    expected_h maps a model name to its final vulnerabilities h(inf), and
+    expected_H to its final global vulnerability H(inf); every expectation
+    holds at recovery_rate.
+    """
+
     name: str
     network: LiabilityNetwork
     shock: ShockSpec
-    recovery_rate: float            # R used for the cascade expectations
-    expected_h_en: np.ndarray | None = None
-    expected_h_adr: np.ndarray | None = None
-    expected_h_dc: np.ndarray | None = None
-    expected_H_en: float | None = None
-    expected_H_adr: float | None = None
-    expected_second_round: float | None = None
+    recovery_rate: float
+    expected_h: dict
+    expected_H: dict = field(default_factory=dict)
 
 
 def chain_fixture() -> Fixture:
@@ -51,11 +55,9 @@ def chain_fixture() -> Fixture:
         network=net,
         shock=ShockSpec.on_bank(0, 0.10, 4),
         recovery_rate=0.5,
-        expected_h_en=np.array([1.0, 0.06, 0.0, 0.0]),
-        expected_h_adr=np.array([1.0, 0.75, 0.5625, 0.421875]),
-        expected_H_en=0.16,
-        expected_H_adr=22.34375 / 35.0,
-        expected_second_round=0.6 / 35.0,
+        expected_h={EN: np.array([1.0, 0.06, 0.0, 0.0]),
+                    ADR: np.array([1.0, 0.75, 0.5625, 0.421875])},
+        expected_H={EN: 0.16, ADR: 22.34375 / 35.0},
     )
 
 
@@ -80,11 +82,9 @@ def star_fixture() -> Fixture:
         network=net,
         shock=ShockSpec.on_bank(0, 0.10, 4),
         recovery_rate=0.5,
-        expected_h_en=np.array([1.0, 0.02, 0.02, 0.02]),
-        expected_h_adr=np.array([1.0, 0.75, 0.75, 0.75]),
-        expected_H_en=0.16,
-        expected_H_adr=27.5 / 35.0,
-        expected_second_round=0.6 / 35.0,
+        expected_h={EN: np.array([1.0, 0.02, 0.02, 0.02]),
+                    ADR: np.array([1.0, 0.75, 0.75, 0.75])},
+        expected_H={EN: 0.16, ADR: 27.5 / 35.0},
     )
 
 
@@ -109,11 +109,9 @@ def cycle_fixture() -> Fixture:
         network=net,
         shock=ShockSpec.on_bank(0, 0.10, 4),
         recovery_rate=0.6,
-        expected_h_en=np.array([1.0, 0.06, 0.0, 0.0]),
-        expected_h_adr=np.array([1.0, 0.75, 0.5625, 0.421875]),
-        expected_H_en=0.16,
-        expected_H_adr=22.34375 / 35.0,
-        expected_second_round=0.6 / 35.0,
+        expected_h={EN: np.array([1.0, 0.06, 0.0, 0.0]),
+                    ADR: np.array([1.0, 0.75, 0.5625, 0.421875])},
+        expected_H={EN: 0.16, ADR: 22.34375 / 35.0},
     )
 
 
@@ -144,8 +142,8 @@ def dc_vs_adr_fixture() -> Fixture:
         network=net,
         shock=ShockSpec.uniform(0.10),
         recovery_rate=0.0,
-        expected_h_dc=np.array([1.0, 1.0, 1.0]),
-        expected_h_adr=np.array([1.0, 1.0, 4.0 / 5.0]),
+        expected_h={DC: np.array([1.0, 1.0, 1.0]),
+                    ADR: np.array([1.0, 1.0, 4.0 / 5.0])},
     )
 
 
@@ -170,8 +168,8 @@ def en_vs_adr_fixture() -> Fixture:
         network=net,
         shock=ShockSpec.uniform(1.0),
         recovery_rate=0.0,
-        expected_h_en=np.array([1.0, 1.0, 1.0]),
-        expected_h_adr=np.array([1.0, 1.0, 32.0 / 49.0]),
+        expected_h={EN: np.array([1.0, 1.0, 1.0]),
+                    ADR: np.array([1.0, 1.0, 32.0 / 49.0])},
     )
 
 
@@ -204,7 +202,7 @@ def wheel_fixture(n: int) -> Fixture:
         network=net,
         shock=ShockSpec.on_bank(0, 0.10, n),
         recovery_rate=0.0,
-        expected_h_en=expected,
+        expected_h={EN: expected},
     )
 
 
@@ -256,21 +254,7 @@ def random_network(rng: np.random.Generator, n: int, density: float = 0.3,
     return network_from_vectors(ae, le, L, equity=equity)
 
 
-ALL_GOLDEN = ("chain", "star", "cycle", "dc-vs-adr", "en-vs-adr",
-              "wheel-2", "wheel-4", "wheel-8", "wheel-16")
-
-
-def by_name(name: str) -> Fixture:
-    if name == "chain":
-        return chain_fixture()
-    if name == "star":
-        return star_fixture()
-    if name == "cycle":
-        return cycle_fixture()
-    if name == "dc-vs-adr":
-        return dc_vs_adr_fixture()
-    if name == "en-vs-adr":
-        return en_vs_adr_fixture()
-    if name.startswith("wheel-"):
-        return wheel_fixture(int(name.split("-")[1]))
-    raise KeyError(name)
+def golden() -> list:
+    """Every fixture with stored expectations, for the fixtures self-check."""
+    return [*topology_family(), dc_vs_adr_fixture(), en_vs_adr_fixture(),
+            *(wheel_fixture(n) for n in (2, 4, 8, 16))]

@@ -41,12 +41,14 @@ class Aggregates:
         return self.external_assets_by_class.sum(axis=1)
 
 
+IPF_MARGINAL_TOLERANCE = 0.01  # absolute and relative marginal deviation
+IPF_MAX_SWEEPS = 10_000
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     target_density: float = 0.20
     ensemble_size: int = 1000
-    ipf_marginal_tolerance: float = 0.01
-    ipf_max_sweeps: int = 10_000
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -54,8 +56,6 @@ class ReconstructionConfig:
             raise ValueError("target_density must lie in (0, 1]")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be positive")
-        if not self.ipf_marginal_tolerance > 0 or self.ipf_max_sweeps < 1:  # NaN fails
-            raise ValueError("bad IPF settings")
 
 
 def rebalance_totals(aggregates: Aggregates) -> Aggregates:
@@ -147,8 +147,8 @@ def sample_adjacency(fitnesses: np.ndarray, z: float,
 
 
 def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
-                col_targets: np.ndarray, tolerance: float = 0.01,
-                max_sweeps: int = 10_000,
+                col_targets: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE,
+                max_sweeps: int = IPF_MAX_SWEEPS,
                 init: np.ndarray | None = None) -> np.ndarray:
     """Alternate row/column scaling of a weight matrix on a fixed support.
 
@@ -247,10 +247,7 @@ def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
             last_error = ContagionError("empty adjacency draw")
             continue
         try:
-            pi_hat = ipf_weights(adj, row_t, col_t,
-                                 tolerance=config.ipf_marginal_tolerance,
-                                 max_sweeps=config.ipf_max_sweeps,
-                                 init=np.outer(x, x))
+            pi_hat = ipf_weights(adj, row_t, col_t, init=np.outer(x, x))
         except ContagionError as exc:
             last_error = exc
             continue
@@ -339,7 +336,7 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
         "mean_density": float(result.densities.mean()) if len(result.densities) else None,
         "z": result.z,
         "rng_seed": result.config.rng_seed,
-        "ipf_marginal_tolerance": result.config.ipf_marginal_tolerance,
+        "ipf_marginal_tolerance": IPF_MARGINAL_TOLERANCE,
         "bank_ids": list(aggregates.bank_ids),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:

@@ -147,3 +147,42 @@ def test_invalid_model_name(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "shock", *SWEEP_ARGS,
                        "--models", "XX", "--out-dir", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_config_values_parse_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nensemble_size = 5\nsynthetic_banks = 40\n"
+                   "rv_beta = 1\nshock = 0.1\nmodels = EN,RV\n")
+    code, _, _ = run(capsys, "--config", str(cfg), "sweep", "shock",
+                     "--out-dir", str(tmp_path / "cfg"))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "shock", *SWEEP_ARGS, "--rv-beta", "1",
+                     "--shock", "0.1", "--models", "EN,RV",
+                     "--out-dir", str(tmp_path / "flags"))
+    assert code == 0
+    assert ((tmp_path / "cfg" / "shock_sweep.csv").read_bytes()
+            == (tmp_path / "flags" / "shock_sweep.csv").read_bytes())
+
+
+@pytest.mark.parametrize("line", ["ensemble_size = 5.0", "density = 0.1,0.2"])
+def test_config_value_of_wrong_type_exits_like_flag(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(cfg), "reconstruct", *SWEEP_ARGS[:4],
+              "--out-dir", str(tmp_path / "x")])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["sweep", "shock"], ["sweep", "recovery"],
+                                     ["run", "timeseries"]])
+def test_manifest_holds_only_json_values(capsys, tmp_path, command):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, *command, *SWEEP_ARGS, "--models", "EN",
+                     "--out-dir", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "func" not in manifest
+    assert manifest["command"] == " ".join(command)
+    assert all(v is None or isinstance(v, (str, int, float))
+               for v in manifest.values())

@@ -51,6 +51,9 @@ def test_negative_entry_rejected():
     L[0, 1] = np.nan
     with pytest.raises(NegativeEntry):
         single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
+    L[0, 1] = np.inf
+    with pytest.raises(NegativeEntry):
+        single_class(L, [10] * 2, [0, np.inf], [np.inf, 0], [5] * 2, [5.0] * 2)
 
 
 def test_dimension_mismatch():
@@ -65,6 +68,14 @@ def test_identity_violation():
         single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [1, 5], [5.0, 5.0])
     with pytest.raises(IdentityViolation) as info:  # bank 1 has residual NaN
         single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [5, np.nan], [5.0, 5.0])
+    assert info.value.bank == 1
+    # An infinite total would make the identity tolerance infinite.
+    with pytest.raises(IdentityViolation) as info:
+        network_from_vectors([np.inf, 10.0], [0, 0], np.zeros((2, 2)),
+                             equity=[10.0, 10.0])
+    assert info.value.bank == 0
+    with pytest.raises(IdentityViolation) as info:  # bank 1 has no links
+        single_class(np.zeros((2, 2)), [10, 10], [0, np.inf], [0, 0], [5, 5], [5.0, 5.0])
     assert info.value.bank == 1
 
 

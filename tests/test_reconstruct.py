@@ -28,8 +28,6 @@ def make_aggregates(n=10, seed=0, sigma=0.5):
 
 @pytest.mark.parametrize("settings", [
     {"target_density": 0.0}, {"target_density": np.nan}, {"ensemble_size": 0},
-    {"ipf_marginal_tolerance": 0.0}, {"ipf_marginal_tolerance": np.nan},
-    {"ipf_max_sweeps": 0},
 ])
 def test_config_rejects_bad_settings(settings):
     with pytest.raises(ValueError):
