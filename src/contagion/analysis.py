@@ -11,8 +11,8 @@ from .core import (
     relative_liabilities,
 )
 from .errors import (
-    AggregateMismatch, ModelMismatch, NonConvergence, PreconditionViolated,
-    ProvedOrderingViolated,
+    AggregateMismatch, EquivalentFormsDisagree, ModelMismatch, NonConvergence,
+    PreconditionViolated, ProvedOrderingViolated,
 )
 from .models import (
     ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory,
@@ -132,7 +132,8 @@ def en_second_round_bound(network: LiabilityNetwork, shock: ShockSpec) -> float:
     """Topology-free upper bound on second-round losses.
 
     (1/sum E) sum_{i in D(1)} beta_i (A^e_i s_i - E_i); the equivalent
-    weighted form sum beta_i w_i (l^e_i s_i - 1) is checked internally.
+    weighted form sum beta_i w_i (l^e_i s_i - 1) is checked internally and
+    raises EquivalentFormsDisagree when it differs.
     """
     rel = relative_liabilities(network)
     s = shock.effective_per_bank(network)
@@ -146,7 +147,8 @@ def en_second_round_bound(network: LiabilityNetwork, shock: ShockSpec) -> float:
     lev = leverage_decomposition(network).external_leverage_total[idx]
     alt = float(np.sum(beta * w * (lev * s[idx] - 1.0)))
     if abs(alt - bound) > 1e-12 * max(1.0, abs(bound)):
-        raise AssertionError("equivalent bound forms disagree; internal fault")
+        raise EquivalentFormsDisagree(
+            f"second-round bound {bound!r} != weighted form {alt!r}; internal fault")
     return bound
 
 

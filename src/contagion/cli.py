@@ -207,7 +207,11 @@ def cmd_fixtures_run(args) -> int:
 
 
 def build_parser(overrides=None) -> argparse.ArgumentParser:
-    """Build the CLI parser; overrides become per-subcommand defaults."""
+    """Build the CLI parser; overrides become per-subcommand defaults.
+
+    Raises ValueError for an override that no subcommand defines, or that
+    lies outside its flag's choices.
+    """
     parser = argparse.ArgumentParser(prog="contagion")
     parser.add_argument("--config", help="key=value config file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,12 +282,22 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
         # Subparsers keep their own defaults, so file values must be pushed
         # into each leaf; restrict to the flags the leaf actually defines.
         # The values stay strings, which argparse parses with each flag's
-        # type exactly as it parses the flag itself.
+        # type exactly as it parses the flag itself. argparse checks choices
+        # only on flags given on the command line, so they are checked here.
+        used = set()
         for leaf in leaves:
-            known = {a.dest for a in leaf._actions}
-            values = {k: v for k, v in overrides.items() if k in known}
+            actions = {a.dest: a for a in leaf._actions}
+            values = {k: v for k, v in overrides.items() if k in actions}
+            for key, value in values.items():
+                choices = actions[key].choices
+                if choices is not None and value not in choices:
+                    raise ValueError(f"{key} = {value!r} is not one of {', '.join(choices)}")
             if values:
                 leaf.set_defaults(**values)
+            used.update(values)
+        unknown = sorted(set(overrides) - used)
+        if unknown:
+            raise ValueError(f"no command takes the keys {', '.join(unknown)}")
     return parser
 
 
@@ -293,14 +307,12 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    file_values = {}
-    if known.config:
-        try:
-            file_values = _read_config_file(known.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    parser = build_parser(overrides=file_values)
+    try:
+        file_values = _read_config_file(known.config) if known.config else {}
+        parser = build_parser(overrides=file_values)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -7,6 +7,7 @@ to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,14 @@ LEVERAGE_RTOL = 1e-9
 DEFAULT_ASSET_CLASSES = ("derivatives", "impaired_loans", "other")
 
 
+def _freeze_arrays(obj) -> None:
+    """Mark every array field of a dataclass instance read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class LiabilityNetwork:
     """System state at t=0: nominal liability matrix plus per-bank book values.
@@ -31,7 +40,8 @@ class LiabilityNetwork:
     liabilities[i, j] is the nominal liability of bank i to bank j. The
     balance-sheet fields are n-vectors indexed like the rows of liabilities,
     except external_assets_by_class, which is n x m with one column per asset
-    class. Every array is read-only.
+    class. Every array is read-only. The leverages and relative liabilities
+    are derived on first use and kept, read-only as well.
     """
 
     liabilities: np.ndarray
@@ -44,10 +54,7 @@ class LiabilityNetwork:
     asset_classes: tuple = DEFAULT_ASSET_CLASSES
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _freeze_arrays(self)
 
     @property
     def n(self) -> int:
@@ -58,6 +65,31 @@ class LiabilityNetwork:
         """Interbank asset matrix: entry (i, j) is bank i's claim on bank j."""
         return self.liabilities.T
 
+    @cached_property
+    def _leverages(self) -> LeverageDecomposition:
+        E = self.equity
+        ext = self.external_assets_by_class / E[:, None]
+        inter = self.asset_matrix / E[:, None]
+        total = ext.sum(axis=1) + inter.sum(axis=1)
+        l_sys = float(self.external_assets.sum() / E.sum())
+        return LeverageDecomposition(
+            external_leverage=ext,
+            interbank_leverage=inter,
+            total_leverage=total,
+            system_external_leverage=l_sys,
+        )
+
+    @cached_property
+    def _relative(self) -> RelativeLiabilities:
+        p_bar = self.liabilities.sum(axis=1) + self.external_liabilities
+        pi = np.zeros_like(self.liabilities)
+        nz = p_bar > 0
+        pi[nz] = self.liabilities[nz] / p_bar[nz, None]
+        # beta from the same arithmetic path as the Pi row sums
+        beta = pi.sum(axis=1)
+        return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi,
+                                   financial_connectivity=beta)
+
 
 @dataclass(frozen=True)
 class LeverageDecomposition:
@@ -65,6 +97,9 @@ class LeverageDecomposition:
     interbank_leverage: np.ndarray    # n x n, claim of i on j over E_i
     total_leverage: np.ndarray
     system_external_leverage: float
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
     @property
     def external_leverage_total(self) -> np.ndarray:
@@ -76,6 +111,9 @@ class RelativeLiabilities:
     total_obligations: np.ndarray   # p_bar
     pi_matrix: np.ndarray           # row-substochastic relative liabilities
     financial_connectivity: np.ndarray  # beta in [0, 1]
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
 
 @dataclass(frozen=True)
@@ -221,28 +259,13 @@ def network_from_vectors(external_assets, external_liabilities, liability_matrix
 
 
 def leverage_decomposition(network: LiabilityNetwork) -> LeverageDecomposition:
-    E = network.equity
-    ext = network.external_assets_by_class / E[:, None]
-    inter = network.asset_matrix / E[:, None]
-    total = ext.sum(axis=1) + inter.sum(axis=1)
-    l_sys = float(network.external_assets.sum() / E.sum())
-    return LeverageDecomposition(
-        external_leverage=ext,
-        interbank_leverage=inter,
-        total_leverage=total,
-        system_external_leverage=l_sys,
-    )
+    """External, interbank and total leverages; computed once per network."""
+    return network._leverages
 
 
 def relative_liabilities(network: LiabilityNetwork) -> RelativeLiabilities:
-    p_bar = network.liabilities.sum(axis=1) + network.external_liabilities
-    pi = np.zeros_like(network.liabilities)
-    nz = p_bar > 0
-    pi[nz] = network.liabilities[nz] / p_bar[nz, None]
-    # beta from the same arithmetic path as the Pi row sums
-    beta = pi.sum(axis=1)
-    return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi,
-                               financial_connectivity=beta)
+    """p_bar, Pi and beta; computed once per network."""
+    return network._relative
 
 
 def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound:

@@ -41,6 +41,10 @@ class ModelMismatch(ContagionError):
     pass
 
 
+class EquivalentFormsDisagree(ContagionError):
+    """Two algebraically equal forms of one quantity differ; indicates an internal fault."""
+
+
 class PreconditionViolated(ContagionError):
     pass
 

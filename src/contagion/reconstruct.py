@@ -43,6 +43,13 @@ class Aggregates:
 
 IPF_MARGINAL_TOLERANCE = 0.01  # absolute and relative marginal deviation
 IPF_MAX_SWEEPS = 10_000
+# A fit has stalled, and fails, when its residual has fallen by no more than
+# IPF_STALL_RTOL of itself over the last IPF_STALL_WINDOW sweeps. Supports that
+# cannot carry the marginals plateau: over both attempts of the 1000 members
+# of the criterion-7 acceptance ensemble, all 61 failing fits stall by sweep
+# 1,335, while every window of the 1,939 accepted fits falls by 4 % or more.
+IPF_STALL_WINDOW = 100
+IPF_STALL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,8 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
     zero-fitness banks are isolated by construction. Monotone bisection after
     exponential bracketing. When the needed-marginal masks are given, the
     expected links forced by support repair are part of the calibrated mean.
+    Raises UnreachableDensity when 200 bisection steps do not bring the
+    density within tol of the target.
     """
     if target_density >= 1.0:
         raise UnreachableDensity("mean link probability is strictly below 1")
@@ -136,7 +145,8 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise UnreachableDensity(
+        f"bisection did not reach density {target_density} within {tol}")
 
 
 def sample_adjacency(fitnesses: np.ndarray, z: float,
@@ -154,14 +164,15 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
 
     Targets are normalized marginal shares (each side sums to one). Stops
     when both the absolute and relative marginal deviations drop below the
-    tolerance. The initial matrix defaults to the adjacency itself.
+    tolerance. The initial matrix defaults to the adjacency itself. Raises
+    IPFNonConvergence once the residual, the larger of the two deviations,
+    has stalled (see IPF_STALL_WINDOW) or after max_sweeps sweeps.
     """
     adjacency = adjacency.astype(bool)
-    row_support = adjacency.any(axis=1)
-    col_support = adjacency.any(axis=0)
-    for i in np.flatnonzero((row_targets > 0) & ~row_support):
+    row_pos, col_pos = row_targets > 0, col_targets > 0
+    for i in np.flatnonzero(row_pos & ~adjacency.any(axis=1)):
         raise InfeasibleSupport(int(i), "lending")
-    for j in np.flatnonzero((col_targets > 0) & ~col_support):
+    for j in np.flatnonzero(col_pos & ~adjacency.any(axis=0)):
         raise InfeasibleSupport(int(j), "borrowing")
 
     w = (adjacency.astype(float) if init is None
@@ -170,20 +181,25 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
         raise InfeasibleSupport(0, "lending")
     w = w / w.sum()
 
-    def deviations(m):
-        r = m.sum(axis=1) - row_targets
-        c = m.sum(axis=0) - col_targets
-        abs_dev = max(np.abs(r).max(), np.abs(c).max())
-        rel_r = np.abs(r[row_targets > 0]) / row_targets[row_targets > 0]
-        rel_c = np.abs(c[col_targets > 0]) / col_targets[col_targets > 0]
-        rel_dev = max(rel_r.max(initial=0.0), rel_c.max(initial=0.0))
-        return abs_dev, rel_dev
+    def deviation(rs, cs):
+        """Largest absolute or relative deviation from the marginals."""
+        r = np.abs(rs - row_targets)
+        c = np.abs(cs - col_targets)
+        rel_r = r[row_pos] / row_targets[row_pos]
+        rel_c = c[col_pos] / col_targets[col_pos]
+        return max(r.max(), c.max(), rel_r.max(initial=0.0), rel_c.max(initial=0.0))
 
-    for _ in range(max_sweeps):
-        abs_dev, rel_dev = deviations(w)
-        if abs_dev < tolerance and rel_dev < tolerance:
+    residuals = []  # residuals[k] is the residual after k sweeps
+    rs = w.sum(axis=1)  # row sums of the current w, reused by the next sweep
+    for sweep in range(max_sweeps + 1):
+        residual = deviation(rs, w.sum(axis=0))
+        if residual < tolerance:
             return w
-        rs = w.sum(axis=1)
+        stalled = (sweep >= IPF_STALL_WINDOW and residuals[sweep - IPF_STALL_WINDOW]
+                   - residual <= IPF_STALL_RTOL * residual)
+        if stalled or sweep == max_sweeps:
+            raise IPFNonConvergence(sweep, residual)
+        residuals.append(residual)
         scale = np.where(rs > 0, np.divide(row_targets, rs, out=np.ones_like(rs),
                                            where=rs > 0), 0.0)
         w = w * scale[:, None]
@@ -191,10 +207,7 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
         scale = np.where(cs > 0, np.divide(col_targets, cs, out=np.ones_like(cs),
                                            where=cs > 0), 0.0)
         w = w * scale[None, :]
-    abs_dev, rel_dev = deviations(w)
-    if abs_dev < tolerance and rel_dev < tolerance:
-        return w
-    raise IPFNonConvergence(max_sweeps, max(abs_dev, rel_dev))
+        rs = w.sum(axis=1)
 
 
 @dataclass(frozen=True)

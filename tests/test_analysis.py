@@ -10,8 +10,10 @@ from contagion import (
     run_eisenberg_noe, run_with_firewall, topology_invariance_check,
     vulnerability_report,
 )
+from contagion import analysis
 from contagion.errors import (
-    AggregateMismatch, ModelMismatch, NonConvergence, PreconditionViolated,
+    AggregateMismatch, EquivalentFormsDisagree, ModelMismatch, NonConvergence,
+    PreconditionViolated,
 )
 from contagion import fixtures as fx
 from contagion.models import run_acyclic_debtrank, run_cyclic_debtrank
@@ -94,6 +96,14 @@ def test_bound_attained_on_single_wave_fixtures():
         exact = en_second_round_exact(f.network, f.shock, traj)
         assert bound == pytest.approx(0.6 / 35.0, abs=1e-12)
         assert bound == pytest.approx(exact, abs=1e-9)
+
+
+def test_bound_raises_typed_error_when_its_forms_disagree(monkeypatch):
+    f = fx.chain_fixture()
+    weights = analysis.equity_weights
+    monkeypatch.setattr(analysis, "equity_weights", lambda net: 1.5 * weights(net))
+    with pytest.raises(EquivalentFormsDisagree):
+        en_second_round_bound(f.network, f.shock)
 
 
 def test_bound_zero_shock():

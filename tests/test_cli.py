@@ -174,6 +174,21 @@ def test_config_value_of_wrong_type_exits_like_flag(capsys, tmp_path, line):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("ensemble_sizes = 7", "no command takes the keys ensemble_sizes"),
+    ("asset_class = nonsense", "asset_class = 'nonsense' is not one of"),
+], ids=["unknown_key", "value_outside_choices"])
+def test_bad_config_key_or_choice_exits_2(capsys, tmp_path, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out_dir = tmp_path / "x"
+    code, _, err = run(capsys, "--config", str(cfg), "reconstruct", *SWEEP_ARGS,
+                       "--out-dir", str(out_dir))
+    assert code == 2
+    assert message in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", [["sweep", "shock"], ["sweep", "recovery"],
                                      ["run", "timeseries"]])
 def test_manifest_holds_only_json_values(capsys, tmp_path, command):

@@ -114,6 +114,18 @@ def test_network_arrays_are_read_only():
     assert net.equity[0] == 5.0
 
 
+def test_derived_matrices_computed_once_and_read_only():
+    net = fx.dc_vs_adr_fixture().network
+    lev, rel = leverage_decomposition(net), relative_liabilities(net)
+    assert leverage_decomposition(net) is lev
+    assert relative_liabilities(net) is rel
+    arrays = (lev.external_leverage, lev.interbank_leverage, lev.total_leverage,
+              rel.total_obligations, rel.pi_matrix, rel.financial_connectivity)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_fragile_bank_leverage():
     # A^e=80, A^b=0, E=5 -> external leverage 16, interbank row 0
     net = fx.chain_fixture().network

@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
-from contagion.errors import AllZeroTotals, InfeasibleSupport, UnreachableDensity
+from contagion.errors import (
+    AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
+)
 from contagion.reconstruct import (
-    Aggregates, ReconstructionConfig, calibrate_z, fitness_scores,
+    IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, Aggregates, ReconstructionConfig,
+    calibrate_z, fitness_scores,
     generate_ensemble, ipf_weights, rebalance_totals, sample_adjacency,
     write_ensemble, _link_probabilities,
 )
@@ -93,6 +98,13 @@ def test_calibrate_z_unreachable():
         calibrate_z(np.full(4, 0.25), 1.0)
 
 
+def test_calibrate_z_raises_when_bisection_runs_out():
+    # No midpoint the bisection visits gives this density exactly, so tol=0
+    # exhausts the 200 steps.
+    with pytest.raises(UnreachableDensity):
+        calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, tol=0.0)
+
+
 def test_probability_monotone_in_z():
     x = np.array([0.5, 0.3, 0.2])
     p1 = _link_probabilities(x, 1.0)
@@ -153,6 +165,35 @@ def test_ipf_infeasible_support():
     col = np.array([0.0, 0.5, 0.5])
     with pytest.raises(InfeasibleSupport):
         ipf_weights(adj, row, col)
+
+
+@pytest.mark.parametrize("adjacency, row, col", [
+    # Rows 0 and 2 lend only to column 1, which then receives 0.8 but needs
+    # 0.2: the residual is 3.0 from the first sweep on.
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [0.4, 0.2, 0.4], [0.1, 0.2, 0.7]),
+    # Column 0 needs 0.5 from row 0, which lends only 0.49: the residual falls
+    # for about 200 sweeps, then plateaus at 0.0204, twice the tolerance.
+    ([[1, 1], [0, 1]], [0.49, 0.51], [0.5, 0.5]),
+], ids=["constant_residual", "plateau_near_tolerance"])
+def test_ipf_stalled_fit_fails_early(adjacency, row, col):
+    t0 = time.perf_counter()
+    with pytest.raises(IPFNonConvergence) as info:
+        ipf_weights(np.array(adjacency, dtype=bool), np.array(row), np.array(col))
+    assert info.value.sweeps < IPF_MAX_SWEEPS
+    assert info.value.residual >= IPF_MARGINAL_TOLERANCE
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_ipf_slow_convergence_is_accepted():
+    # Feasible only with w[0, 1] = 0, so the residual decays like 1/sweeps:
+    # 2,500 sweeps to reach 2e-4, falling by at most 10 % per 50 sweeps from
+    # sweep 500 on and by 4 % per 100 sweeps at the end. A rule such as
+    # "fell by less than half over 50 sweeps" would reject this fit.
+    adj = np.array([[True, True], [False, True]])
+    t = np.array([0.5, 0.5])
+    w = ipf_weights(adj, t, t, tolerance=2e-4)
+    assert np.abs(w.sum(axis=1) - t).max() < 2e-4
+    assert np.abs(w.sum(axis=0) - t).max() < 2e-4
 
 
 def test_generate_ensemble_deterministic():
