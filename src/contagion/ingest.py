@@ -11,8 +11,10 @@ bank growth do not distort the filled values.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,6 +29,10 @@ SCHEMA = (
 )
 VALUE_FIELDS = SCHEMA[2:]
 DIRECT_FIELDS = ("total_equity", "total_assets", "total_loans")
+# Filled on their ratios to, in order: equity, liabilities (total assets less
+# equity), total loans and total assets, each as completed.
+RATIO_FIELDS = ("interbank_assets", "interbank_liabilities", "impaired_loans",
+                "derivatives")
 MAX_GAP = 3
 
 _QUARTER_RE = re.compile(r"^\d{4}-Q[1-4]$")
@@ -68,7 +74,10 @@ class Panel:
 
 
 def load_panel(path: str) -> Panel:
-    """Parse a panel CSV; missing cells stay missing, never zero-filled."""
+    """Parse a panel CSV; missing cells stay missing, never zero-filled.
+
+    A cell that is not a finite number (including nan and inf) raises ParseError.
+    """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -105,50 +114,25 @@ def load_panel(path: str) -> Panel:
                     values[name] = float(cell)
                 except ValueError:
                     raise ParseError(lineno, f"non-numeric {name}={cell!r}") from None
+                if not math.isfinite(values[name]):
+                    raise ParseError(lineno, f"non-finite {name}={cell!r}")
             records.append(PanelRecord(bank_id=bank_id, quarter=quarter, **values))
     records.sort(key=lambda r: (r.bank_id, r.quarter))
     return Panel(records=tuple(records))
 
 
-def _series(records, quarters, name):
-    by_q = {r.quarter: getattr(r, name) for r in records}
-    return np.array([np.nan if by_q.get(q) is None else by_q[q] for q in quarters])
+def _interpolate(series: np.ndarray) -> np.ndarray:
+    """Fill the NaN cells of each banks x quarters x fields series in place.
 
-
-def _check_gaps(vals: np.ndarray, bank: str, name: str) -> None:
-    observed = ~np.isnan(vals)
-    if not observed.any():
-        raise InsufficientAnchors(bank, name)
-    run = 0
-    for obs in observed:
-        run = 0 if obs else run + 1
-        if run > MAX_GAP:
-            raise GapTooLong(bank, name)
-
-
-def _fill(vals: np.ndarray) -> tuple:
-    """Linear interpolation interior, constant extrapolation at boundaries.
-
-    Returns (filled series, boolean mask of boundary-extrapolated cells).
+    Linear inside, constant at the boundaries, by one np.interp call per series
+    with a missing cell. Returns the mask of the boundary-extrapolated cells.
     """
-    idx = np.arange(len(vals))
-    obs = ~np.isnan(vals)
-    filled = np.interp(idx, idx[obs], vals[obs])
-    first, last = idx[obs][0], idx[obs][-1]
-    boundary = ~obs & ((idx < first) | (idx > last))
-    return filled, boundary
-
-
-def _fill_ratio(num: np.ndarray, den: np.ndarray, bank, name) -> tuple:
-    """Interpolate num/den at observed points, then re-multiply by den."""
-    _check_gaps(num, bank, name)
-    obs = ~np.isnan(num)
-    safe_den = np.where(den > 0, den, np.nan)
-    ratio = np.full_like(num, np.nan)
-    ratio[obs] = num[obs] / np.where(np.isnan(safe_den[obs]), 1.0, safe_den[obs])
-    filled_ratio, boundary = _fill(ratio)
-    filled = np.where(obs, num, filled_ratio * np.where(np.isnan(safe_den), 0.0, safe_den))
-    return filled, boundary
+    obs = ~np.isnan(series)
+    idx = np.arange(series.shape[1])
+    for b, k in zip(*np.nonzero(~obs.all(axis=1))):
+        series[b, :, k] = np.interp(idx, idx[obs[b, :, k]], series[b, obs[b, :, k], k])
+    seen_before = np.logical_or.accumulate(obs, axis=1)
+    return ~(seen_before & np.logical_or.accumulate(obs[:, ::-1], axis=1)[:, ::-1])
 
 
 def interpolate_missing(panel: Panel, drop_failures: bool = False):
@@ -156,54 +140,58 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
 
     Returns (panel, issues): issues is a list of (bank_id, error) pairs and is
     only populated when drop_failures is set; otherwise the first failure
-    raises. Cells filled by boundary extrapolation are listed in
-    panel.extrapolated. Observed values are never modified.
+    raises. A bank's reported failure is that of its first failing field,
+    direct fields first, then RATIO_FIELDS in order. Cells filled by boundary
+    extrapolation are listed in panel.extrapolated. Observed values are never
+    modified.
     """
-    quarters = panel.quarters
+    banks, quarters = panel.bank_ids, panel.quarters
+    vals = np.full((len(banks), len(quarters), len(VALUE_FIELDS)), np.nan)
+    cells = attrgetter(*VALUE_FIELDS)
+    vals[np.searchsorted(banks, [r.bank_id for r in panel.records]),  # both sorted
+         np.searchsorted(quarters, [r.quarter for r in panel.records])] = np.array(
+        [cells(r) for r in panel.records], dtype=float).reshape(-1, len(VALUE_FIELDS))
+    direct = [VALUE_FIELDS.index(name) for name in DIRECT_FIELDS]
+    ratio_of = [VALUE_FIELDS.index(name) for name in RATIO_FIELDS]
+
+    observed = ~np.isnan(vals)
+    anchored = observed.any(axis=1)
+    # A gap is too long when MAX_GAP + 1 consecutive quarters add no observed cell.
+    seen = np.pad(observed.cumsum(axis=1), ((0, 0), (1, 0), (0, 0)))
+    too_long = (seen[:, MAX_GAP + 1:] == seen[:, :-MAX_GAP - 1]).any(axis=1)
+    check_order = direct + ratio_of
+    failing = (~anchored | too_long)[:, check_order]
     issues = []
-    out_records = []
-    extrapolated = []
-    for bank, records in sorted(panel.by_bank().items()):
-        try:
-            filled, boundary_cells = _interpolate_bank(records, quarters, bank)
-        except (GapTooLong, InsufficientAnchors) as exc:
-            if drop_failures:
-                issues.append((bank, exc))
-                continue
-            raise
-        out_records.extend(filled)
-        extrapolated.extend(boundary_cells)
-    out_records.sort(key=lambda r: (r.bank_id, r.quarter))
-    result = Panel(records=tuple(out_records), extrapolated=tuple(extrapolated))
-    return (result, issues) if drop_failures else (result, [])
+    for b in np.flatnonzero(failing.any(axis=1)):
+        k = check_order[failing[b].argmax()]
+        error = (GapTooLong if anchored[b, k] else InsufficientAnchors)(
+            banks[b], VALUE_FIELDS[k])
+        if not drop_failures:
+            raise error
+        issues.append((banks[b], error))
+    kept = ~failing.any(axis=1)
+    banks, vals, observed = [banks[b] for b in np.flatnonzero(kept)], vals[kept], observed[kept]
 
+    filled, boundary = np.empty_like(vals), np.empty_like(observed)
+    series = vals[..., direct]
+    boundary[..., direct] = _interpolate(series)
+    filled[..., direct] = series
+    # Ratio fields are filled on num / den at observed cells, re-multiplied by
+    # den; a non-positive den counts as 1 in the ratio and 0 in the fill.
+    equity, assets, loans = (series[..., k] for k in range(len(DIRECT_FIELDS)))
+    den = np.stack([equity, assets - equity, loans, assets], axis=-1)
+    num, num_obs = vals[..., ratio_of], observed[..., ratio_of]
+    ratio = np.divide(num, np.where(den > 0, den, 1.0), out=np.full_like(num, np.nan),
+                      where=num_obs)
+    boundary[..., ratio_of] = _interpolate(ratio)
+    filled[..., ratio_of] = np.where(num_obs, num, ratio * np.where(den > 0, den, 0.0))
 
-def _interpolate_bank(records, quarters, bank):
-    series = {name: _series(records, quarters, name) for name in VALUE_FIELDS}
-    filled = {}
-    boundary_masks = {}
-    for name in DIRECT_FIELDS:
-        _check_gaps(series[name], bank, name)
-        filled[name], boundary_masks[name] = _fill(series[name])
-    liabilities = filled["total_assets"] - filled["total_equity"]
-    ratio_plan = (
-        ("interbank_assets", filled["total_equity"]),
-        ("interbank_liabilities", liabilities),
-        ("impaired_loans", filled["total_loans"]),
-        ("derivatives", filled["total_assets"]),
-    )
-    for name, den in ratio_plan:
-        filled[name], boundary_masks[name] = _fill_ratio(series[name], den, bank, name)
-
-    out = []
-    boundary_cells = []
-    for t, q in enumerate(quarters):
-        values = {name: float(filled[name][t]) for name in VALUE_FIELDS}
-        out.append(PanelRecord(bank_id=bank, quarter=q, **values))
-        for name in VALUE_FIELDS:
-            if boundary_masks[name][t]:
-                boundary_cells.append((bank, q, name))
-    return out, boundary_cells
+    records = tuple(PanelRecord(bank, q, *row)
+                    for bank, rows in zip(banks, filled.tolist())
+                    for q, row in zip(quarters, rows))
+    extrapolated = tuple((banks[b], quarters[t], VALUE_FIELDS[k])
+                         for b, t, k in zip(*np.nonzero(boundary)))
+    return Panel(records=records, extrapolated=extrapolated), issues
 
 
 def to_aggregates(panel: Panel, quarter: str):

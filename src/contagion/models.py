@@ -22,6 +22,7 @@ CDR = "CDR"
 MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
+PICARD_MAX_ITERATIONS = 200_000  # the clearing fallback raises NonConvergence past this
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,13 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current)
         # Picard iteration from the current payments; monotone decreasing to
         # the greatest fixed point of the restricted map.
         sol = p_current[idx].copy()
-        for _ in range(200_000):
-            nxt = beta * shocked_external[idx] + beta * (
-                pi_T[idx] @ p - A_dd @ p[idx] + A_dd @ sol)
-            nxt = np.clip(nxt, 0.0, p_bar[idx])
-            if np.abs(nxt - sol).max() < 1e-13 * max(1.0, p_bar[idx].max(initial=0.0)):
-                sol = nxt
+        for _ in range(PICARD_MAX_ITERATIONS):
+            prev, sol = sol, np.clip(beta * shocked_external[idx] + beta * (
+                pi_T[idx] @ p - A_dd @ p[idx] + A_dd @ sol), 0.0, p_bar[idx])
+            if np.abs(sol - prev).max() < 1e-13 * max(1.0, p_bar[idx].max(initial=0.0)):
                 break
-            sol = nxt
+        else:
+            raise NonConvergence(f"Picard fallback exceeded {PICARD_MAX_ITERATIONS} iterations")
     p[idx] = np.clip(sol, 0.0, p_bar[idx])
     return p
 

@@ -93,26 +93,36 @@ def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
     return p
 
 
-def _mean_density(x: np.ndarray, z: float, row_needed=None,
-                  col_needed=None) -> float:
-    p = _link_probabilities(x, z)
-    mask = np.outer(x, x) > 0
+def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
+    """Mean link density as a function of z, with the z-free matrices built once.
+
+    Each evaluation fills two preallocated n x n buffers with the floats of
+    _link_probabilities(x, z) and reduces them in the same order.
+    """
+    xx = np.outer(x, x)
+    mask = xx > 0
     np.fill_diagonal(mask, False)
     if not mask.any():
         raise UnreachableDensity("all fitness products vanish")
-    expected_links = p[mask].sum()
-    # Support repair forces one link for any needed-but-empty row or column;
-    # include its expected contribution so the calibrated mean density is
-    # that of the full sampling procedure, not just the Bernoulli stage.
-    if row_needed is not None:
-        reachable = p.max(axis=1) > 0
-        empty_prob = np.prod(1.0 - p, axis=1)
-        expected_links += empty_prob[row_needed & reachable].sum()
-    if col_needed is not None:
-        reachable = p.max(axis=0) > 0
-        empty_prob = np.prod(1.0 - p, axis=0)
-        expected_links += empty_prob[col_needed & reachable].sum()
-    return float(expected_links / mask.sum())
+    pairs = mask.sum()
+    p, q = np.empty_like(xx), np.empty_like(xx)
+
+    def density(z: float) -> float:
+        np.multiply(z, xx, out=p)
+        np.divide(p, np.add(1.0, p, out=q), out=p)
+        np.fill_diagonal(p, 0.0)
+        expected_links = p[mask].sum()
+        # Support repair forces one link for any needed-but-empty row or column;
+        # include its expected contribution so the calibrated mean density is
+        # that of the full sampling procedure, not just the Bernoulli stage.
+        np.subtract(1.0, p, out=q)
+        for axis, needed in ((1, row_needed), (0, col_needed)):
+            if needed is not None:
+                reachable = p.max(axis=axis) > 0
+                expected_links += np.prod(q, axis=axis)[needed & reachable].sum()
+        return float(expected_links / pairs)
+
+    return density
 
 
 def calibrate_z(fitnesses: np.ndarray, target_density: float,
@@ -130,15 +140,16 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
         raise UnreachableDensity("mean link probability is strictly below 1")
     if target_density <= 0.0:
         return 0.0
+    density = _density_function(fitnesses, row_needed, col_needed)
     hi = 1.0
-    while _mean_density(fitnesses, hi, row_needed, col_needed) < target_density:
+    while density(hi) < target_density:
         hi *= 10.0
         if hi > 1e30:
             raise UnreachableDensity("density target not reachable")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        d = _mean_density(fitnesses, mid, row_needed, col_needed)
+        d = density(mid)
         if abs(d - target_density) <= tol:
             return mid
         if d < target_density:

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from contagion.errors import (
     GapTooLong, InsufficientAnchors, NegativeDerived, ParseError, SchemaMismatch,
 )
 from contagion.ingest import (
-    SCHEMA, Panel, PanelRecord, interpolate_missing, load_panel, synthesize_panel,
-    to_aggregates,
+    SCHEMA, VALUE_FIELDS, Panel, PanelRecord, interpolate_missing, load_panel,
+    synthesize_panel, to_aggregates,
 )
 
 HEADER = ",".join(SCHEMA)
@@ -77,6 +80,20 @@ def test_load_panel_wrong_cell_count(tmp_path):
     path = write_csv(tmp_path, ["A,2020-Q1,10,200"])
     with pytest.raises(ParseError):
         load_panel(path)
+
+
+@pytest.mark.parametrize("cells, field", [
+    ("nan,200,20,30,80,8,12", "total_equity"),
+    ("10,inf,20,30,80,8,12", "total_assets"),
+    ("10,200,20,30,80,8,-Infinity", "derivatives"),
+])
+def test_load_panel_rejects_non_finite(tmp_path, cells, field):
+    # float() accepts these spellings; a NaN cell would otherwise be filled as
+    # if it were missing, and an infinite one would reach the aggregates.
+    path = write_csv(tmp_path, ["A,2020-Q1,10,200,20,30,80,8,12", "A,2020-Q2," + cells])
+    with pytest.raises(ParseError, match=field) as exc:
+        load_panel(path)
+    assert exc.value.row == 3
 
 
 # --- interpolation --------------------------------------------------------
@@ -189,6 +206,91 @@ def test_no_missingness_is_identity():
     out, _ = interpolate_missing(panel)
     assert out.records == panel.records
     assert out.extrapolated == ()
+
+
+def records_digest(panel):
+    """sha256 of every record, its floats written exactly by float.hex()."""
+    h = hashlib.sha256()
+    for r in panel.records:
+        cells = [r.bank_id, r.quarter] + [getattr(r, name).hex() for name in VALUE_FIELDS]
+        h.update((",".join(cells) + "\n").encode())
+    return h.hexdigest()
+
+
+def cells_digest(cells):
+    return hashlib.sha256("\n".join(",".join(c) for c in cells).encode()).hexdigest()
+
+
+def failing_panel():
+    """Twelve banks, five of which fail: one for each rule that picks the
+    failure reported for a bank (anchors before gaps, direct fields first,
+    then the ratio fields in plan order, absent records counted as missing).
+    Two banks lack their first or last record, which is filled at the boundary,
+    and one has a negative equity where its interbank assets are missing."""
+    base = synthesize_panel(n_banks=12, n_quarters=8, seed=5, missingness=0.4)
+    qs = base.quarters
+    cuts = (  # (bank, field, quarters made missing)
+        ("B001", "total_equity", qs),
+        ("B003", "interbank_liabilities", qs[1:5]),
+        ("B004", "derivatives", qs),
+        ("B004", "total_loans", qs[2:6]),
+        ("B006", "impaired_loans", qs),
+        ("B006", "total_assets", qs[1:5]),
+    )
+    records = []
+    for r in base.records:
+        if (r.bank_id == "B008" and r.quarter in qs[2:6]
+                or r.bank_id == "B010" and r.quarter == qs[0]
+                or r.bank_id == "B011" and r.quarter == qs[-1]):
+            continue
+        if r.bank_id == "B002" and r.quarter == qs[3]:
+            r = replace(r, total_equity=-5.0, interbank_assets=None)
+        records.append(replace(r, **{field: None for bank, field, quarters in cuts
+                                     if r.bank_id == bank and r.quarter in quarters}))
+    return Panel(records=tuple(records))
+
+
+# Recorded from the per-bank implementation that the array-based fill replaced.
+PINNED_FILL = {
+    "records": "7d426c42f840e443c33ea09af0b94a8cc44b43b8776c4af5d5f13a363022ef32",
+    "extrapolated": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+PINNED_FAILING_FILL = {
+    "records": "4716c089a2028d4b7d921ec1394ca2bebba320177b5e7471aa0686783bb190a8",
+    "extrapolated": (21, "131a6f5b5037d8554a44a8bcb69fc7f8fc1dc24244b42f24d6d634dfef384053"),
+    "issues": [
+        ("B001", "InsufficientAnchors",
+         "bank B001, field total_equity: no observed values to interpolate from"),
+        ("B003", "GapTooLong",
+         "bank B003, field interbank_liabilities: more than 3 consecutive missing quarters"),
+        ("B004", "GapTooLong",
+         "bank B004, field total_loans: more than 3 consecutive missing quarters"),
+        ("B006", "GapTooLong",
+         "bank B006, field total_assets: more than 3 consecutive missing quarters"),
+        ("B008", "GapTooLong",
+         "bank B008, field total_equity: more than 3 consecutive missing quarters"),
+    ],
+}
+
+
+def test_interpolation_pinned_bits():
+    out, issues = interpolate_missing(
+        synthesize_panel(n_banks=200, n_quarters=8, seed=2, missingness=0.6))
+    assert issues == []
+    assert records_digest(out) == PINNED_FILL["records"]
+    assert (len(out.extrapolated), cells_digest(out.extrapolated)) == PINNED_FILL["extrapolated"]
+
+
+def test_interpolation_failures_pinned():
+    panel = failing_panel()
+    out, issues = interpolate_missing(panel, drop_failures=True)
+    assert [(bank, type(exc).__name__, str(exc)) for bank, exc in issues] == \
+        PINNED_FAILING_FILL["issues"]
+    assert records_digest(out) == PINNED_FAILING_FILL["records"]
+    assert (len(out.extrapolated), cells_digest(out.extrapolated)) == \
+        PINNED_FAILING_FILL["extrapolated"]
+    with pytest.raises(InsufficientAnchors, match="bank B001, field total_equity"):
+        interpolate_missing(panel)
 
 
 # --- aggregation ----------------------------------------------------------

@@ -7,6 +7,8 @@ from contagion import (
     run_eisenberg_noe, run_rogers_veraart,
 )
 from contagion import fixtures as fx
+from contagion import models
+from contagion.errors import NonConvergence
 
 
 def cfg(model="EN", R=0.0, beta=1.0):
@@ -66,6 +68,18 @@ def test_clearing_fixed_point_residual():
                 break
             greatest = nxt
         assert np.abs(p - greatest).max() <= 1e-12 * max(1, p_bar.max())
+
+
+def test_picard_fallback_raises_at_its_cap(monkeypatch):
+    # Two banks owing each other 10 with nothing outside: I - Pi^T_DD is
+    # singular, so the solve falls back to Picard iteration, which from
+    # p = (10, 4) swaps the two payments forever instead of settling.
+    monkeypatch.setattr(models, "PICARD_MAX_ITERATIONS", 50)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NonConvergence, match="50 iterations"):
+        models._solve_defaulter_payments(
+            swap, np.array([10.0, 10.0]), np.array([True, True]), 1.0,
+            np.zeros(2), np.array([10.0, 4.0]))
 
 
 def test_endogenous_recovery_recorded():

@@ -105,6 +105,60 @@ def test_calibrate_z_raises_when_bisection_runs_out():
         calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, tol=0.0)
 
 
+def calibration_case(n):
+    """Heavy-tailed fitnesses with two zero-fitness banks, and needed masks."""
+    x = fitness_scores(rebalance_totals(make_aggregates(n, seed=n, sigma=1.5)))
+    x[:2] = 0.0
+    rng = np.random.default_rng(n)
+    return x, rng.random(n) < 0.8, rng.random(n) < 0.8
+
+
+# calibrate_z(...).hex() at the default tolerance, recorded from the density
+# evaluation that rebuilt its matrices on each call. The bisection depends
+# only on comparison outcomes, so equal density bits give equal z bits.
+PINNED_Z = {
+    (50, 0.05, False): "0x1.7b41d80000000p+8",
+    (50, 0.05, True): "0x1.c71bd00000000p+7",
+    (50, 0.2, False): "0x1.2331e60000000p+12",
+    (50, 0.2, True): "0x1.1e832b0000000p+12",
+    (50, 0.5, False): "0x1.9e46b00000000p+15",
+    (50, 0.5, True): "0x1.9ddbe04000000p+15",
+    (1000, 0.05, False): "0x1.72f4998000000p+16",
+    (1000, 0.05, True): "0x1.72c3c58000000p+16",
+    (1000, 0.2, False): "0x1.ba7d6f7000000p+19",
+    (1000, 0.2, True): "0x1.ba7b872800000p+19",
+    (1000, 0.5, False): "0x1.1052c8dd00000p+23",
+    (1000, 0.5, True): "0x1.1052c8dd00000p+23",
+}
+
+
+@pytest.mark.parametrize("n, density, needed", sorted(PINNED_Z))
+def test_calibrate_z_pinned_bits(n, density, needed):
+    x, row_needed, col_needed = calibration_case(n)
+    masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
+    assert calibrate_z(x, density, **masks).hex() == PINNED_Z[n, density, needed]
+
+
+# (k, density) with the density recorded, bit for bit, from the same
+# evaluation at z = 0.75 * 10**k, where 10**k brackets density 0.2. With
+# tol=0 the bisection returns that z at its second midpoint only when the
+# density there repeats these bits; a sum in another order misses it.
+EXACT_DENSITY = {
+    (50, False): (4, "0x1.fabd7e5cd4d93p-3"),
+    (50, True): (4, "0x1.fd1152eeafaa9p-3"),
+    (1000, False): (6, "0x1.7362c3fb6572dp-3"),
+    (1000, True): (6, "0x1.736359e8fa736p-3"),
+}
+
+
+@pytest.mark.parametrize("n, needed", sorted(EXACT_DENSITY))
+def test_calibrate_z_repeats_recorded_density_bits(n, needed):
+    x, row_needed, col_needed = calibration_case(n)
+    masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
+    k, density = EXACT_DENSITY[n, needed]
+    assert calibrate_z(x, float.fromhex(density), tol=0.0, **masks) == 0.75 * 10.0 ** k
+
+
 def test_probability_monotone_in_z():
     x = np.array([0.5, 0.3, 0.2])
     p1 = _link_probabilities(x, 1.0)
