@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,12 +176,7 @@ class TopologyInvarianceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "H_values": self.H_values,
-            "max_spread": self.max_spread,
-            "h_dispersion": self.h_dispersion.tolist(),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "h_dispersion": self.h_dispersion.tolist()}
 
 
 def _first_round_signature(network, shock):
@@ -242,16 +237,7 @@ class OrderingReport:
     rv_beta: float
 
     def to_dict(self) -> dict:
-        return {
-            "H_final": self.H_final,
-            "proved_chain_checked": self.proved_chain_checked,
-            "empirical_chain_holds": self.empirical_chain_holds,
-            "dc_exceeds_adr": self.dc_exceeds_adr,
-            "en_exceeds_adr": self.en_exceeds_adr,
-            "leading_eigenvalue": self.leading_eigenvalue,
-            "recovery_rate": self.recovery_rate,
-            "rv_beta": self.rv_beta,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -117,6 +117,12 @@ class InsufficientAnchors(ContagionError):
         super().__init__(f"bank {bank}, field {field}: no observed values to interpolate from")
 
 
+class NonFiniteField(ContagionError):
+    def __init__(self, bank, field):
+        self.bank, self.field = bank, field
+        super().__init__(f"bank {bank}: field {field} is not a finite number")
+
+
 class NegativeDerived(ContagionError):
     def __init__(self, bank, field):
         self.bank = bank

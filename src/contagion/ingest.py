@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import (
-    GapTooLong, InsufficientAnchors, NegativeDerived, ParseError, SchemaMismatch,
+    GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError, SchemaMismatch,
 )
 from .reconstruct import Aggregates
 
@@ -197,8 +197,8 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
 def to_aggregates(panel: Panel, quarter: str):
     """Aggregates for one quarter, dropping banks with impossible sheets.
 
-    Returns (Aggregates, issues) where issues lists (bank_id, error) for
-    banks dropped because a derived quantity came out negative.
+    Returns (Aggregates, issues), issues listing (bank_id, error) for banks with
+    a negative derived quantity. A nan or inf field raises NonFiniteField.
     """
     rows = [r for r in panel.records if r.quarter == quarter]
     if not rows:
@@ -208,6 +208,9 @@ def to_aggregates(panel: Panel, quarter: str):
         if any(getattr(r, name) is None for name in VALUE_FIELDS):
             issues.append((r.bank_id, NegativeDerived(r.bank_id, "missing-after-interpolation")))
             continue
+        for name in VALUE_FIELDS:
+            if not math.isfinite(getattr(r, name)):
+                raise NonFiniteField(r.bank_id, name)
         external_assets = r.total_assets - r.interbank_assets
         liabilities = r.total_assets - r.total_equity
         external_liabilities = liabilities - r.interbank_liabilities

@@ -107,15 +107,12 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current)
     A_dd = pi_T[np.ix_(idx, idx)]
     b = beta * shocked_external[idx] + beta * (pi_T[idx] @ p - A_dd @ p[idx])
     mat = np.eye(idx.size) - beta * A_dd
-    ok = False
     try:
         sol = np.linalg.solve(mat, b)
-        resid = np.abs(mat @ sol - b).max() if idx.size else 0.0
-        scale = max(1.0, np.abs(b).max(initial=0.0))
-        if np.all(np.isfinite(sol)) and resid <= 1e-9 * scale:
-            ok = True
+        resid = np.abs(mat @ sol - b).max()
+        ok = np.all(np.isfinite(sol)) and resid <= 1e-9 * max(1.0, np.abs(b).max())
     except np.linalg.LinAlgError:
-        sol = None
+        ok = False
     if not ok:
         # Picard iteration from the current payments; monotone decreasing to
         # the greatest fixed point of the restricted map.
@@ -165,7 +162,9 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
         E = equities(p)
         E[D] = 0.0
         h = np.minimum(1.0, (E0 - E) / E0)
-        h = np.maximum(h, h_rows[-1])  # guard rounding-level wiggle only
+        if (h_rows[-1] - h).max() > 1e-12:  # only a rounding-level decrease is clamped
+            raise NonConvergence("vulnerability decreased between sweeps; internal fault")
+        h = np.maximum(h, h_rows[-1])
         payments.append(p.copy())
         h_rows.append(h)
     else:

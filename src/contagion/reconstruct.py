@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -130,23 +131,32 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
     """Solve for the scale z giving the target mean link probability.
 
     Density is averaged over ordered pairs with positive fitness product;
-    zero-fitness banks are isolated by construction. Monotone bisection after
-    exponential bracketing. When the needed-marginal masks are given, the
-    expected links forced by support repair are part of the calibrated mean.
-    Raises UnreachableDensity when 200 bisection steps do not bring the
-    density within tol of the target.
+    zero-fitness banks are isolated by construction. Bisection after
+    exponential bracketing. With the needed-marginal masks, the expected links
+    forced by support repair are part of the calibrated mean, which then falls
+    from its z -> 0 limit before it rises: a target below that limit is
+    bracketed by the first decade where the density drops below it. Raises
+    UnreachableDensity when no decade of z reaches the target, or when 200
+    bisection steps do not bring the density within tol of it.
     """
     if target_density >= 1.0:
         raise UnreachableDensity("mean link probability is strictly below 1")
     if target_density <= 0.0:
         return 0.0
     density = _density_function(fitnesses, row_needed, col_needed)
-    hi = 1.0
+    lo, hi = 0.0, 1.0  # density(lo) < target <= density(hi), once bracketed
+    grid = [10.0 ** e for e in range(-30, 31)]
+    if density(grid[0]) >= target_density:
+        seen = np.array([density(z) for z in grid])
+        if not np.any(seen < target_density):
+            raise UnreachableDensity(f"no z reaches density {target_density}; "
+                                     f"the smallest density seen is {seen.min()}")
+        k = int(np.argmax(seen < target_density))
+        lo, hi = grid[k], grid[k - 1]
     while density(hi) < target_density:
         hi *= 10.0
         if hi > 1e30:
             raise UnreachableDensity("density target not reachable")
-    lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d = density(mid)
@@ -327,31 +337,37 @@ def generate_ensemble(aggregates: Aggregates,
     )
 
 
+# edges.csv liability cells: repr(float(x)) between these two strings, which is
+# repr(np.float64(x)): ("np.float64(", ")") under numpy 2, ("", "") under numpy 1.
+LIABILITY_CELL = tuple(repr(np.float64(0.5)).split("0.5"))
+
+
 def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
                    out_dir: str) -> None:
-    """Serialize an ensemble: edge list CSV, balance-sheet CSV, manifest JSON."""
+    """Serialize an ensemble: edge list CSV, balance-sheet CSV, manifest JSON.
+
+    Each network's CSV rows are written as one string, byte for byte the
+    csv.writer rows of repr(np.float64) liabilities and float balance sheets.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    row = csv.writer(SimpleNamespace(write=lambda line: line)).writerow  # returns the line
+    ids = [row([b, ""])[:-len(",\r\n")] for b in aggregates.bank_ids]  # csv-quoted ids
+    head, tail = LIABILITY_CELL
     with open(os.path.join(out_dir, "edges.csv"), "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["realization", "debtor", "creditor", "liability"])
+        f.write("realization,debtor,creditor,liability\r\n")
         for k, net in enumerate(result.networks):
             ii, jj = np.nonzero(net.liabilities)
-            for i, j in zip(ii, jj):
-                wr.writerow([k, aggregates.bank_ids[i], aggregates.bank_ids[j],
-                             repr(net.liabilities[i, j])])
+            f.write("".join([f"{k},{ids[i]},{ids[j]},{head}{v!r}{tail}\r\n" for i, j, v in zip(
+                ii.tolist(), jj.tolist(), net.liabilities[ii, jj].tolist())]))
     with open(os.path.join(out_dir, "balance_sheets.csv"), "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["realization", "bank_id", "equity", "external_assets",
-                     "interbank_assets", "interbank_liabilities",
-                     "external_liabilities"])
+        f.write("realization,bank_id,equity,external_assets,interbank_assets,"
+                "interbank_liabilities,external_liabilities\r\n")
         for k, net in enumerate(result.networks):
-            # tolist() yields Python floats, whose repr carries no numpy prefix
-            columns = zip(aggregates.bank_ids, net.equity.tolist(),
-                          net.external_assets.tolist(), net.interbank_assets.tolist(),
-                          net.interbank_liabilities.tolist(),
+            columns = zip(ids, net.equity.tolist(), net.external_assets.tolist(),
+                          net.interbank_assets.tolist(), net.interbank_liabilities.tolist(),
                           net.external_liabilities.tolist())
-            for bank_id, *values in columns:
-                wr.writerow([k, bank_id, *map(repr, values)])
+            f.write("".join([f"{k},{b},{e!r},{ea!r},{ia!r},{il!r},{el!r}\r\n"
+                             for b, e, ea, ia, il, el in columns]))
     manifest = {
         "ensemble_size": result.config.ensemble_size,
         "emitted": len(result.networks),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from contagion.errors import (
-    GapTooLong, InsufficientAnchors, NegativeDerived, ParseError, SchemaMismatch,
+    GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
+    SchemaMismatch,
 )
 from contagion.ingest import (
     SCHEMA, VALUE_FIELDS, Panel, PanelRecord, interpolate_missing, load_panel,
@@ -333,6 +334,17 @@ def test_to_aggregates_drops_nonpositive_equity():
                                 "2020-Q1")
     assert agg.bank_ids == ("B",)
     assert len(issues) == 1
+
+
+@pytest.mark.parametrize("field, value", [("total_assets", np.inf),
+                                          ("derivatives", np.nan)])
+def test_to_aggregates_rejects_non_finite_fields(field, value):
+    # A Panel built in code skips load_panel's cell checks; unchecked, an
+    # infinite total becomes an infinite "other" asset class.
+    bad = replace(full_record("A", "2020-Q1"), **{field: value})
+    with pytest.raises(NonFiniteField, match=f"bank A: field {field}") as err:
+        to_aggregates(Panel(records=(full_record("B", "2020-Q1"), bad)), "2020-Q1")
+    assert (err.value.bank, err.value.field) == ("A", field)
 
 
 # --- synthesis ------------------------------------------------------------

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contagion import (
     ModelConfig, ShockSpec, en_vulnerability_form, leverage_decomposition,
+    network_from_vectors,
     run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
     run_eisenberg_noe, run_rogers_veraart,
 )
@@ -80,6 +83,29 @@ def test_picard_fallback_raises_at_its_cap(monkeypatch):
         models._solve_defaulter_payments(
             swap, np.array([10.0, 10.0]), np.array([True, True]), 1.0,
             np.zeros(2), np.array([10.0, 4.0]))
+
+
+@pytest.mark.parametrize("bump, raises", [(1e-13, False), (1e-9, True)])
+def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises):
+    # Bank 0 defaults on its debt to bank 1. Bank 2 stands apart, so each sweep
+    # recomputes its first-round h = 0.2; raising h(1) of bank 2 by `bump`
+    # makes the next sweep a decrease of `bump`.
+    net = network_from_vectors([100.0, 100.0, 100.0], [45.0, 100.0, 50.0],
+                               [[0.0, 50.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    shock = ShockSpec.uniform(0.1)
+    first_round = models.apply_first_round
+
+    def bumped(network, shock):
+        first = first_round(network, shock)
+        return replace(first, h1=first.h1 + np.array([0.0, 0.0, bump]))
+
+    monkeypatch.setattr(models, "apply_first_round", bumped)
+    if raises:
+        with pytest.raises(NonConvergence, match="decreased between sweeps"):
+            run_eisenberg_noe(net, shock)
+    else:
+        traj = run_eisenberg_noe(net, shock)
+        assert traj.converged_at >= 2 and traj.h_final[2] == 0.2 + bump
 
 
 def test_endogenous_recovery_recorded():

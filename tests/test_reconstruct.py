@@ -1,4 +1,7 @@
+import csv
+import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +10,10 @@ from contagion.errors import (
     AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
 )
 from contagion.reconstruct import (
-    IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, Aggregates, ReconstructionConfig,
-    calibrate_z, fitness_scores,
+    IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, LIABILITY_CELL, Aggregates,
+    ReconstructionConfig, calibrate_z, fitness_scores,
     generate_ensemble, ipf_weights, rebalance_totals, sample_adjacency,
-    write_ensemble, _link_probabilities,
+    write_ensemble, _density_function, _link_probabilities,
 )
 
 
@@ -157,6 +160,17 @@ def test_calibrate_z_repeats_recorded_density_bits(n, needed):
     masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
     k, density = EXACT_DENSITY[n, needed]
     assert calibrate_z(x, float.fromhex(density), tol=0.0, **masks) == 0.75 * 10.0 ** k
+
+
+def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
+    # With every row and column needed, the links forced by support repair put
+    # the density at 2/49 = 0.0408 as z -> 0; it falls to 0.0375 at z = 10
+    # before it rises, so a bisection from z = 0 alone would chase the limit.
+    x, needed = np.full(50, 0.02), np.ones(50, dtype=bool)
+    z = calibrate_z(x, 0.039, row_needed=needed, col_needed=needed)
+    assert _density_function(x, needed, needed)(z) == pytest.approx(0.039, abs=1e-6)
+    with pytest.raises(UnreachableDensity, match="smallest density seen is 0.0375"):
+        calibrate_z(x, 0.03, row_needed=needed, col_needed=needed)
 
 
 def test_probability_monotone_in_z():
@@ -307,3 +321,60 @@ def test_write_ensemble_files(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["emitted"] == len(result.networks)
     assert manifest["rng_seed"] == 2
+
+
+def write_ensemble_row_by_row(result, aggregates, out_dir):
+    """write_ensemble's CSVs one csv.writer row and one numpy-scalar repr at
+    a time: the oracle for its bytes (manifest.json excepted)."""
+    with open(os.path.join(out_dir, "edges.csv"), "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["realization", "debtor", "creditor", "liability"])
+        for k, net in enumerate(result.networks):
+            ii, jj = np.nonzero(net.liabilities)
+            for i, j in zip(ii, jj):
+                wr.writerow([k, aggregates.bank_ids[i], aggregates.bank_ids[j],
+                             repr(net.liabilities[i, j])])
+    with open(os.path.join(out_dir, "balance_sheets.csv"), "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["realization", "bank_id", "equity", "external_assets",
+                     "interbank_assets", "interbank_liabilities",
+                     "external_liabilities"])
+        for k, net in enumerate(result.networks):
+            columns = zip(aggregates.bank_ids, net.equity.tolist(),
+                          net.external_assets.tolist(), net.interbank_assets.tolist(),
+                          net.interbank_liabilities.tolist(),
+                          net.external_liabilities.tolist())
+            for bank_id, *values in columns:
+                wr.writerow([k, bank_id, *map(repr, values)])
+
+
+def test_write_ensemble_bytes_match_row_by_row_csv_writer(tmp_path):
+    # Bank ids that csv.writer must quote or leave alone: a comma, a double
+    # quote, a leading space, an embedded newline and an empty id.
+    ids = ("plain", "a,b", 'say "hi"', " lead", "two\nlines", "", "C7", "last")
+    agg = replace(make_aggregates(n=len(ids), seed=4), bank_ids=ids)
+    result = generate_ensemble(agg, ReconstructionConfig(
+        ensemble_size=5, rng_seed=1, target_density=0.5))
+    assert len(result.networks) == 5
+    write_ensemble(result, agg, str(tmp_path / "new"))
+    os.makedirs(tmp_path / "old")
+    write_ensemble_row_by_row(result, agg, str(tmp_path / "old"))
+    for name in ("edges.csv", "balance_sheets.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes(), name
+    assert b'"a,b"' in new and b'"say ""hi"""' in new and b'"two\nlines"' in new
+
+
+def test_liability_cell_repeats_numpy_scalar_repr():
+    bits = np.random.default_rng(8).integers(0, 2**64, size=120_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    assert x.size >= 100_000
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    edges = [0.0, 5e-324, np.nextafter(tiny, 0.0), tiny, big]
+    for v in (1e-4, 1e16):
+        edges += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+    values = x.tolist() + [float(s * v) for v in edges for s in (1.0, -1.0)]
+    head, tail = LIABILITY_CELL
+    wrong = [v for v in values if f"{head}{v!r}{tail}" != repr(np.float64(v))]
+    assert wrong == []
