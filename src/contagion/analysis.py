@@ -20,6 +20,8 @@ from .models import (
 )
 
 BOUNDARY_TOL = 1e-12
+ORDERING_TOL = 1e-9  # slack of the componentwise proved-ordering check
+INVARIANCE_TOL = 1e-9  # largest H spread a topology-invariance check passes
 
 
 def equity_weights(network: LiabilityNetwork) -> np.ndarray:
@@ -29,12 +31,9 @@ def equity_weights(network: LiabilityNetwork) -> np.ndarray:
 
 def global_vulnerability(trajectory: Trajectory, network: LiabilityNetwork,
                          t: int | None = None) -> float:
-    """Equity-weighted average of individual vulnerabilities at time t."""
-    if t is None:
-        t = trajectory.h.shape[0] - 1
-    if not -trajectory.h.shape[0] <= t < trajectory.h.shape[0]:
-        raise IndexError(f"t={t} outside trajectory of length {trajectory.h.shape[0]}")
-    return float(equity_weights(network) @ trajectory.h[t])
+    """Equity-weighted average of individual vulnerabilities at time t, the
+    converged state when t is None; a t outside the trajectory raises IndexError."""
+    return float(equity_weights(network) @ trajectory.h[-1 if t is None else t])
 
 
 def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
@@ -175,9 +174,6 @@ class TopologyInvarianceReport:
     h_dispersion: np.ndarray  # per-bank std of final h across networks
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "h_dispersion": self.h_dispersion.tolist()}
-
 
 def _first_round_signature(network, shock):
     s = shock.effective_per_bank(network)
@@ -188,8 +184,7 @@ def _first_round_signature(network, shock):
             idx, beta[idx])
 
 
-def topology_invariance_check(networks, shock: ShockSpec,
-                              tol: float = 1e-9) -> TopologyInvarianceReport:
+def topology_invariance_check(networks, shock: ShockSpec) -> TopologyInvarianceReport:
     """Final clearing H must agree across networks whose aggregates match.
 
     Networks must share equities, first-round monetary losses, and the
@@ -214,7 +209,7 @@ def topology_invariance_check(networks, shock: ShockSpec,
         H_values=H_vals,
         max_spread=float(spread),
         h_dispersion=finals.std(axis=0),
-        passed=bool(spread <= tol),
+        passed=bool(spread <= INVARIANCE_TOL),
     )
 
 
@@ -228,7 +223,6 @@ def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OrderingReport:
     H_final: dict                      # model -> H(inf)
-    proved_chain_checked: bool
     empirical_chain_holds: bool
     dc_exceeds_adr: bool
     en_exceeds_adr: bool
@@ -243,13 +237,12 @@ class OrderingReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str,
-                           tol: float = 1e-9) -> None:
+def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str) -> None:
     """Hard componentwise check h_lo(i, t) <= h_hi(i, t) after padding."""
     T = max(lo.h.shape[0], hi.h.shape[0])
     a = _pad_to(lo.h, T)
     b = _pad_to(hi.h, T)
-    bad = np.argwhere(a > b + tol)
+    bad = np.argwhere(a > b + ORDERING_TOL)
     if bad.size:
         t, i = int(bad[0, 0]), int(bad[0, 1])
         raise ProvedOrderingViolated(pair, i, t)
@@ -300,7 +293,6 @@ def ordering_audit(network: LiabilityNetwork, shock: ShockSpec,
     lead = float(np.max(np.abs(np.linalg.eigvals(lb))))
     return OrderingReport(
         H_final=H,
-        proved_chain_checked=True,
         empirical_chain_holds=bool(chain),
         dc_exceeds_adr=bool(H[DC] > H[ADR] + 1e-12),
         en_exceeds_adr=bool(H[EN] > H[ADR] + 1e-12),

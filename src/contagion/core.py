@@ -20,7 +20,6 @@ from .errors import (
 
 IDENTITY_RTOL = 1e-6
 MARGIN_RTOL = 1e-6
-LEVERAGE_RTOL = 1e-9
 
 DEFAULT_ASSET_CLASSES = ("derivatives", "impaired_loans", "other")
 
@@ -146,9 +145,9 @@ class ShockSpec:
         return ShockSpec(per_bank_shock=vec)
 
     @staticmethod
-    def on_class(name: str, s: float, classes=DEFAULT_ASSET_CLASSES) -> "ShockSpec":
-        vec = np.zeros(len(classes))
-        vec[list(classes).index(name)] = s
+    def on_class(name: str, s: float) -> "ShockSpec":
+        vec = np.zeros(len(DEFAULT_ASSET_CLASSES))
+        vec[DEFAULT_ASSET_CLASSES.index(name)] = s
         return ShockSpec(per_class_shock=vec)
 
     def effective_per_bank(self, network: LiabilityNetwork) -> np.ndarray:

@@ -34,8 +34,13 @@ DIRECT_FIELDS = ("total_equity", "total_assets", "total_loans")
 RATIO_FIELDS = ("interbank_assets", "interbank_liabilities", "impaired_loans",
                 "derivatives")
 MAX_GAP = 3
+# The derived quantities to_aggregates requires non-negative (equity: positive),
+# in the order a bank's first failure is reported.
+DERIVED_CHECKS = ("equity", "external_assets", "external_liabilities", "other",
+                  "derivatives", "impaired_loans")
 
 _QUARTER_RE = re.compile(r"^\d{4}-Q[1-4]$")
+_cells = attrgetter(*VALUE_FIELDS)  # a record's VALUE_FIELDS, in order
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,9 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
     """
     banks, quarters = panel.bank_ids, panel.quarters
     vals = np.full((len(banks), len(quarters), len(VALUE_FIELDS)), np.nan)
-    cells = attrgetter(*VALUE_FIELDS)
     vals[np.searchsorted(banks, [r.bank_id for r in panel.records]),  # both sorted
          np.searchsorted(quarters, [r.quarter for r in panel.records])] = np.array(
-        [cells(r) for r in panel.records], dtype=float).reshape(-1, len(VALUE_FIELDS))
+        [_cells(r) for r in panel.records], dtype=float).reshape(-1, len(VALUE_FIELDS))
     direct = [VALUE_FIELDS.index(name) for name in DIRECT_FIELDS]
     ratio_of = [VALUE_FIELDS.index(name) for name in RATIO_FIELDS]
 
@@ -198,50 +202,44 @@ def to_aggregates(panel: Panel, quarter: str):
     """Aggregates for one quarter, dropping banks with impossible sheets.
 
     Returns (Aggregates, issues), issues listing (bank_id, error) for banks with
-    a negative derived quantity. A nan or inf field raises NonFiniteField.
+    a negative derived quantity, the first of DERIVED_CHECKS that fails. A
+    missing, nan or inf field raises NonFiniteField for the first such cell.
     """
     rows = [r for r in panel.records if r.quarter == quarter]
     if not rows:
         raise KeyError(f"no records for quarter {quarter}")
-    kept, issues = [], []
-    for r in rows:
-        if any(getattr(r, name) is None for name in VALUE_FIELDS):
-            issues.append((r.bank_id, NegativeDerived(r.bank_id, "missing-after-interpolation")))
-            continue
-        for name in VALUE_FIELDS:
-            if not math.isfinite(getattr(r, name)):
-                raise NonFiniteField(r.bank_id, name)
-        external_assets = r.total_assets - r.interbank_assets
-        liabilities = r.total_assets - r.total_equity
-        external_liabilities = liabilities - r.interbank_liabilities
-        other = external_assets - r.derivatives - r.impaired_loans
-        checks = (
-            ("equity", r.total_equity),
-            ("external_assets", external_assets),
-            ("external_liabilities", external_liabilities),
-            ("other", other),
-            ("derivatives", r.derivatives),
-            ("impaired_loans", r.impaired_loans),
-        )
-        bad = next((name for name, v in checks if v < 0 or (name == "equity" and v <= 0)),
-                   None)
-        if bad is not None:
-            issues.append((r.bank_id, NegativeDerived(r.bank_id, bad)))
-            continue
-        kept.append((r, external_assets, other))
+    vals = np.array([_cells(r) for r in rows], dtype=float)  # None -> nan
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        raise NonFiniteField(rows[bad[0, 0]].bank_id, VALUE_FIELDS[bad[0, 1]])
+    equity, assets, ib_assets, ib_liabilities, _, impaired, derivatives = vals.T
+    external_assets = assets - ib_assets
+    external_liabilities = (assets - equity) - ib_liabilities
+    other = external_assets - derivatives - impaired
+    negative = np.column_stack([  # DERIVED_CHECKS, in order
+        equity <= 0,
+        external_assets < 0,
+        external_liabilities < 0,
+        other < 0,
+        derivatives < 0,
+        impaired < 0,
+    ])
+    issues = [(rows[b].bank_id,
+               NegativeDerived(rows[b].bank_id, DERIVED_CHECKS[negative[b].argmax()]))
+              for b in np.flatnonzero(negative.any(axis=1))]
+    kept = ~negative.any(axis=1)
     agg = Aggregates(
-        bank_ids=tuple(r.bank_id for r, _, _ in kept),
-        equity=np.array([r.total_equity for r, _, _ in kept]),
-        interbank_assets=np.array([r.interbank_assets for r, _, _ in kept]),
-        interbank_liabilities=np.array([r.interbank_liabilities for r, _, _ in kept]),
-        external_assets_by_class=np.array(
-            [[r.derivatives, r.impaired_loans, other] for r, _, other in kept]),
+        bank_ids=tuple(r.bank_id for r, k in zip(rows, kept) if k),
+        equity=equity[kept],
+        interbank_assets=ib_assets[kept],
+        interbank_liabilities=ib_liabilities[kept],
+        external_assets_by_class=np.column_stack([derivatives, impaired, other])[kept],
     )
     return agg, issues
 
 
-def _quarter_labels(n_quarters: int, start_year: int = 2010) -> list:
-    return [f"{start_year + t // 4}-Q{t % 4 + 1}" for t in range(n_quarters)]
+def _quarter_labels(n_quarters: int) -> list:
+    return [f"{2010 + t // 4}-Q{t % 4 + 1}" for t in range(n_quarters)]
 
 
 def synthesize_panel(n_banks: int, n_quarters: int, seed: int = 0,

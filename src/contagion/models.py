@@ -256,8 +256,7 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     return Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
 
 
-def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec,
-                          config: ModelConfig | None = None) -> Trajectory:
+def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec) -> Trajectory:
     """Clearing dynamics re-expressed through leverages and payment shortfalls.
 
     h_i(t+1) = min{1, h_i(t) + sum_j l^b_ij (p_j(t) - p_j(t+1)) / p_bar_j};

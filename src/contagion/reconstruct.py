@@ -179,7 +179,6 @@ def sample_adjacency(fitnesses: np.ndarray, z: float,
 
 def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
                 col_targets: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE,
-                max_sweeps: int = IPF_MAX_SWEEPS,
                 init: np.ndarray | None = None) -> np.ndarray:
     """Alternate row/column scaling of a weight matrix on a fixed support.
 
@@ -187,7 +186,7 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
     when both the absolute and relative marginal deviations drop below the
     tolerance. The initial matrix defaults to the adjacency itself. Raises
     IPFNonConvergence once the residual, the larger of the two deviations,
-    has stalled (see IPF_STALL_WINDOW) or after max_sweeps sweeps.
+    has stalled (see IPF_STALL_WINDOW) or after IPF_MAX_SWEEPS sweeps.
     """
     adjacency = adjacency.astype(bool)
     row_pos, col_pos = row_targets > 0, col_targets > 0
@@ -212,13 +211,13 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
 
     residuals = []  # residuals[k] is the residual after k sweeps
     rs = w.sum(axis=1)  # row sums of the current w, reused by the next sweep
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(IPF_MAX_SWEEPS + 1):
         residual = deviation(rs, w.sum(axis=0))
         if residual < tolerance:
             return w
         stalled = (sweep >= IPF_STALL_WINDOW and residuals[sweep - IPF_STALL_WINDOW]
                    - residual <= IPF_STALL_RTOL * residual)
-        if stalled or sweep == max_sweeps:
+        if stalled or sweep == IPF_MAX_SWEEPS:
             raise IPFNonConvergence(sweep, residual)
         residuals.append(residual)
         scale = np.where(rs > 0, np.divide(row_targets, rs, out=np.ones_like(rs),
@@ -263,7 +262,7 @@ def _repair_support(adj: np.ndarray, probs: np.ndarray, row_needed: np.ndarray,
     return forced
 
 
-def _member_rng(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
+def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
     key = (index,) if attempt == 0 else (index, attempt)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -325,7 +324,7 @@ def generate_ensemble(aggregates: Aggregates,
         else:
             networks.append(net)
             densities.append(density)
-    if len(skipped) > max(1, config.ensemble_size) * 0.01:
+    if len(skipped) > config.ensemble_size * 0.01:
         raise EnsembleInfeasible(
             f"{len(skipped)} of {config.ensemble_size} draws infeasible")
     return EnsembleResult(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from contagion import cli, sweeps
 from contagion.cli import main
 
 SWEEP_ARGS = ["--synthetic-banks", "40", "--synthetic-quarters", "4",
@@ -137,16 +138,30 @@ def test_config_file_missing(capsys, tmp_path):
     assert "config error" in err
 
 
-def test_invalid_shock_grid(capsys, tmp_path):
-    code, _, err = run(capsys, "sweep", "shock", *SWEEP_ARGS,
-                       "--shock", "1.5", "--out-dir", str(tmp_path / "x"))
-    assert code == 2
+def forbid_ensembles(monkeypatch):
+    """Make any ensemble draw fail the test: bad sweep settings must exit first."""
+    def draw(*args, **kwargs):
+        raise AssertionError("generate_ensemble called")
+    monkeypatch.setattr(cli, "generate_ensemble", draw)
+    monkeypatch.setattr(sweeps, "generate_ensemble", draw)
 
 
-def test_invalid_model_name(capsys, tmp_path):
-    code, _, err = run(capsys, "sweep", "shock", *SWEEP_ARGS,
-                       "--models", "XX", "--out-dir", str(tmp_path / "x"))
-    assert code == 2
+def test_invalid_shock_grid(capsys, tmp_path, monkeypatch):
+    forbid_ensembles(monkeypatch)
+    for command in (["sweep", "shock"], ["run", "timeseries"]):
+        code, _, err = run(capsys, *command, *SWEEP_ARGS,
+                           "--shock", "1.5", "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "grid values must lie in [0, 1]" in err
+
+
+def test_invalid_model_name(capsys, tmp_path, monkeypatch):
+    forbid_ensembles(monkeypatch)
+    for command in (["sweep", "shock"], ["run", "timeseries"]):
+        code, _, err = run(capsys, *command, *SWEEP_ARGS,
+                           "--models", "XX", "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "unknown models ['XX']" in err
 
 
 def test_config_values_parse_like_flags(capsys, tmp_path):

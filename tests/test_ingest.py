@@ -336,11 +336,54 @@ def test_to_aggregates_drops_nonpositive_equity():
     assert len(issues) == 1
 
 
+def test_to_aggregates_matches_per_record_loop():
+    # Reference: the per-record loop to_aggregates replaced. Every derived
+    # check fails on some bank, so each reason and the order of the issues
+    # are compared too; the arrays must be bit-identical.
+    panel, _ = interpolate_missing(synthesize_panel(30, 2, seed=5))
+    records = list(panel.records)
+    for k, (name, scale) in enumerate([("total_equity", -1.0), ("total_assets", 0.05),
+                                       ("total_equity", 20.0), ("derivatives", 50.0),
+                                       ("derivatives", -1.0), ("impaired_loans", -1.0)]):
+        r = records[4 * k + 1]
+        records[4 * k + 1] = replace(r, **{name: getattr(r, name) * scale})
+    panel = Panel(records=tuple(records))
+    quarter = panel.quarters[-1]
+    kept, expected_issues = [], []
+    for r in (r for r in panel.records if r.quarter == quarter):
+        external_assets = r.total_assets - r.interbank_assets
+        other = external_assets - r.derivatives - r.impaired_loans
+        checks = (("equity", r.total_equity <= 0), ("external_assets", external_assets < 0),
+                  ("external_liabilities",
+                   r.total_assets - r.total_equity - r.interbank_liabilities < 0),
+                  ("other", other < 0), ("derivatives", r.derivatives < 0),
+                  ("impaired_loans", r.impaired_loans < 0))
+        bad = next((name for name, failed in checks if failed), None)
+        if bad is None:
+            kept.append((r.bank_id, r.total_equity, r.interbank_assets,
+                         r.interbank_liabilities, [r.derivatives, r.impaired_loans, other]))
+        else:
+            expected_issues.append((r.bank_id, bad))
+    agg, issues = to_aggregates(panel, quarter)
+    assert [(bank, err.field) for bank, err in issues] == expected_issues
+    assert {name for _, name in expected_issues} == {
+        "equity", "external_assets", "external_liabilities", "other", "derivatives",
+        "impaired_loans"}
+    ids, equity, ib_a, ib_l, by_class = zip(*kept)
+    assert agg.bank_ids == ids
+    for got, want in ((agg.equity, equity), (agg.interbank_assets, ib_a),
+                      (agg.interbank_liabilities, ib_l),
+                      (agg.external_assets_by_class, by_class)):
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("field, value", [("total_assets", np.inf),
-                                          ("derivatives", np.nan)])
+                                          ("derivatives", np.nan),
+                                          ("total_equity", None)])
 def test_to_aggregates_rejects_non_finite_fields(field, value):
     # A Panel built in code skips load_panel's cell checks; unchecked, an
-    # infinite total becomes an infinite "other" asset class.
+    # infinite total becomes an infinite "other" asset class. A missing cell
+    # is reported as missing, not as a negative derived quantity.
     bad = replace(full_record("A", "2020-Q1"), **{field: value})
     with pytest.raises(NonFiniteField, match=f"bank A: field {field}") as err:
         to_aggregates(Panel(records=(full_record("B", "2020-Q1"), bad)), "2020-Q1")

@@ -47,6 +47,29 @@ def test_zero_shock_full_payments():
     assert traj.default_sets[-1] == frozenset()
 
 
+def clearing_map(net, s):
+    """(p_bar, p -> min{p_bar, Pi^T p + A^e (1 - s)}) for a uniform shock s."""
+    p_bar = net.liabilities.sum(axis=1) + net.external_liabilities
+    pi_T = np.zeros_like(net.liabilities)
+    nz = p_bar > 0
+    pi_T[nz] = net.liabilities[nz] / p_bar[nz, None]
+    pi_T = pi_T.T
+    ae = net.external_assets * (1 - s)
+    return p_bar, lambda p: np.minimum(pi_T @ p + ae, p_bar)
+
+
+def greatest_clearing_vector(net, s):
+    """Picard iteration from p_bar, which decreases to the greatest clearing vector."""
+    p_bar, clear = clearing_map(net, s)
+    greatest = p_bar.copy()
+    for _ in range(10_000):
+        nxt = clear(greatest)
+        if np.array_equal(nxt, greatest):
+            break
+        greatest = nxt
+    return greatest
+
+
 def test_clearing_fixed_point_residual():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -54,23 +77,31 @@ def test_clearing_fixed_point_residual():
         s = rng.uniform(0, 0.5)
         traj = run_eisenberg_noe(net, ShockSpec.uniform(s))
         p = traj.payments[-1]
-        p_bar = net.liabilities.sum(axis=1) + net.external_liabilities
-        pi_T = np.zeros_like(net.liabilities)
-        nz = p_bar > 0
-        pi_T[nz] = net.liabilities[nz] / p_bar[nz, None]
-        pi_T = pi_T.T
-        ae = net.external_assets * (1 - s)
-        target = np.minimum(pi_T @ p + ae, p_bar)
-        assert np.allclose(p, target, rtol=1e-9, atol=1e-9 * max(1, p_bar.max()))
-        # Picard iteration from p_bar decreases to the greatest clearing
-        # vector; EN must have found that one, not a smaller fixed point.
-        greatest = p_bar.copy()
-        for _ in range(10_000):
-            nxt = np.minimum(p_bar, pi_T @ greatest + ae)
-            if np.array_equal(nxt, greatest):
-                break
-            greatest = nxt
-        assert np.abs(p - greatest).max() <= 1e-12 * max(1, p_bar.max())
+        p_bar, clear = clearing_map(net, s)
+        assert np.allclose(p, clear(p), rtol=1e-9, atol=1e-9 * max(1, p_bar.max()))
+        # EN must have found the greatest clearing vector, not a smaller one.
+        assert np.abs(p - greatest_clearing_vector(net, s)).max() <= 1e-12 * max(1, p_bar.max())
+
+
+def test_closed_cycle_boundary_bank_pays_in_full():
+    # A closed cycle 0 -> 1 -> 2 -> 0 with no outside liabilities; a full
+    # shock wipes A^e = (5, 15, 15) out of E = (25, 5, 5). Banks 1 and 2
+    # default and pass on bank 0's 10 to bank 0, whose resources then equal
+    # its obligations exactly: it stays out of the clearing default set and
+    # pays in full, though its equity is gone.
+    L = np.zeros((3, 3))
+    L[0, 1], L[1, 2], L[2, 0] = 10.0, 20.0, 30.0
+    net = network_from_vectors([5.0, 15.0, 15.0], np.zeros(3), L)
+    assert net.equity.tolist() == [25.0, 5.0, 5.0]
+    shock = ShockSpec.uniform(1.0)
+    traj = run_eisenberg_noe(net, shock)
+    assert traj.payments[-1].tolist() == [10.0, 10.0, 10.0]
+    assert traj.converged_at == 2
+    assert traj.h_final.tolist() == [1.0, 1.0, 1.0]
+    assert np.array_equal(traj.payments[-1], greatest_clearing_vector(net, 1.0))
+    alt = en_vulnerability_form(net, shock)
+    assert alt.h.shape == traj.h.shape
+    assert np.allclose(alt.h, traj.h, atol=1e-12)
 
 
 def test_picard_fallback_raises_at_its_cap(monkeypatch):
