@@ -25,8 +25,8 @@ INVARIANCE_TOL = 1e-9  # largest H spread a topology-invariance check passes
 
 
 def equity_weights(network: LiabilityNetwork) -> np.ndarray:
-    E = network.equity
-    return E / E.sum()
+    """E_i / sum E, read-only; computed once per network."""
+    return network._equity_weights
 
 
 def global_vulnerability(trajectory: Trajectory, network: LiabilityNetwork,
@@ -216,8 +216,7 @@ def topology_invariance_check(networks, shock: ShockSpec) -> TopologyInvarianceR
 def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
     if h.shape[0] >= T:
         return h
-    pad = np.repeat(h[-1][None, :], T - h.shape[0], axis=0)
-    return np.vstack([h, pad])
+    return np.concatenate((h, h[-1:].repeat(T - h.shape[0], axis=0)))
 
 
 @dataclass(frozen=True)
@@ -242,9 +241,9 @@ def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str) -> None:
     T = max(lo.h.shape[0], hi.h.shape[0])
     a = _pad_to(lo.h, T)
     b = _pad_to(hi.h, T)
-    bad = np.argwhere(a > b + ORDERING_TOL)
-    if bad.size:
-        t, i = int(bad[0, 0]), int(bad[0, 1])
+    bad = a > b + ORDERING_TOL
+    if bad.any():
+        t, i = np.argwhere(bad)[0].tolist()
         raise ProvedOrderingViolated(pair, i, t)
 
 

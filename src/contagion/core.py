@@ -39,8 +39,9 @@ class LiabilityNetwork:
     liabilities[i, j] is the nominal liability of bank i to bank j. The
     balance-sheet fields are n-vectors indexed like the rows of liabilities,
     except external_assets_by_class, which is n x m with one column per asset
-    class. Every array is read-only. The leverages and relative liabilities
-    are derived on first use and kept, read-only as well.
+    class. Every array is read-only. The leverages, the relative liabilities
+    and the equity weights are derived on first use and kept, read-only as
+    well.
     """
 
     liabilities: np.ndarray
@@ -50,7 +51,6 @@ class LiabilityNetwork:
     external_liabilities: np.ndarray
     interbank_assets: np.ndarray
     interbank_liabilities: np.ndarray
-    asset_classes: tuple = DEFAULT_ASSET_CLASSES
 
     def __post_init__(self):
         _freeze_arrays(self)
@@ -89,6 +89,12 @@ class LiabilityNetwork:
         return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi,
                                    financial_connectivity=beta)
 
+    @cached_property
+    def _equity_weights(self) -> np.ndarray:
+        w = self.equity / self.equity.sum()
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class LeverageDecomposition:
@@ -100,9 +106,11 @@ class LeverageDecomposition:
     def __post_init__(self):
         _freeze_arrays(self)
 
-    @property
+    @cached_property
     def external_leverage_total(self) -> np.ndarray:
-        return self.external_leverage.sum(axis=1)
+        total = self.external_leverage.sum(axis=1)
+        total.setflags(write=False)
+        return total
 
 
 @dataclass(frozen=True)
@@ -180,8 +188,8 @@ class FirstRound:
 
 
 def build_network(liability_matrix, equity, external_assets_by_class,
-                  external_liabilities, interbank_assets, interbank_liabilities,
-                  asset_classes=DEFAULT_ASSET_CLASSES) -> LiabilityNetwork:
+                  external_liabilities, interbank_assets,
+                  interbank_liabilities) -> LiabilityNetwork:
     """Validate per-bank n-vectors and assemble a read-only LiabilityNetwork.
 
     external_assets_by_class is n x m, one column per asset class;
@@ -238,7 +246,7 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     return LiabilityNetwork(
         liabilities=L, equity=E, external_assets_by_class=ae_by_class,
         external_assets=ae, external_liabilities=le, interbank_assets=ab,
-        interbank_liabilities=lb, asset_classes=tuple(asset_classes))
+        interbank_liabilities=lb)
 
 
 def network_from_vectors(external_assets, external_liabilities, liability_matrix,
@@ -254,7 +262,7 @@ def network_from_vectors(external_assets, external_liabilities, liability_matrix
     lb = L.sum(axis=1)
     if equity is None:
         equity = ae + ab - le - lb
-    return build_network(L, equity, ae[:, None], le, ab, lb, asset_classes=("external",))
+    return build_network(L, equity, ae[:, None], le, ab, lb)
 
 
 def leverage_decomposition(network: LiabilityNetwork) -> LeverageDecomposition:

@@ -6,6 +6,7 @@ propagation, last index = converged state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ CDR = "CDR"
 MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
+CDR_MAX_ROUNDS = 10_000  # cDR's round cap never exceeds this (or 10 n, if larger)
 PICARD_MAX_ITERATIONS = 200_000  # the clearing fallback raises NonConvergence past this
 
 
@@ -87,9 +89,11 @@ class Trajectory:
 
 
 def _check_trajectory(h: np.ndarray) -> None:
-    if np.any(h < -1e-12) or np.any(h > 1.0 + 1e-12):
+    # Written so that NaN fails the range check. Row 0 is zeros, so the
+    # initial values change no result; they only let a 0-bank h through.
+    if not (h.min(initial=0.0) >= -1e-12 and h.max(initial=0.0) <= 1.0 + 1e-12):
         raise NonConvergence("vulnerability left [0, 1]; internal fault")
-    if np.any(np.diff(h, axis=0) < -1e-9):
+    if (h[:-1] - h[1:]).max(initial=0.0) > 1e-9:
         raise NonConvergence("vulnerability decreased over time; internal fault")
 
 
@@ -104,13 +108,19 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current)
     if idx.size == 0:
         return p_bar.copy()
     p = p_bar.copy()
-    A_dd = pi_T[np.ix_(idx, idx)]
-    b = beta * shocked_external[idx] + beta * (pi_T[idx] @ p - A_dd @ p[idx])
-    mat = np.eye(idx.size) - beta * A_dd
+    rows = pi_T.take(idx, axis=0)  # pi_T[idx]
+    A_dd = rows.take(idx, axis=1)  # pi_T[np.ix_(idx, idx)]
+    b = beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx])
+    del rows  # n = 1000 holds no k x n block through the solve
+    # I - beta A_DD in one buffer, bit for bit: 0 - x off the diagonal (a
+    # product with -beta would write -0.0 there), 1 + (0 - x) on it.
+    mat = beta * A_dd
+    np.subtract(0.0, mat, out=mat)
+    mat.ravel()[::idx.size + 1] += 1.0
     try:
         sol = np.linalg.solve(mat, b)
         resid = np.abs(mat @ sol - b).max()
-        ok = np.all(np.isfinite(sol)) and resid <= 1e-9 * max(1.0, np.abs(b).max())
+        ok = np.isfinite(sol).all() and resid <= 1e-9 * max(1.0, np.abs(b).max())
     except np.linalg.LinAlgError:
         ok = False
     if not ok:
@@ -142,38 +152,41 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     first = apply_first_round(network, shock)
     ae = first.shocked_external_assets
     E0 = network.equity
+    scale = np.maximum(1.0, p_bar)
+    threshold = p_bar - 1e-12 * scale
 
-    def equities(p):
-        return np.maximum(0.0, pi_T @ p + ae - p_bar)
+    payments = [p_bar, p_bar]
+    h_rows = [np.zeros(network.n), first.h1]
 
-    payments = [p_bar.copy(), p_bar.copy()]
-    h_rows = [np.zeros(network.n), first.h1.copy()]
-
-    p = p_bar.copy()
+    p = p_bar
     D = np.zeros(network.n, dtype=bool)
+    n_defaulted = 0
+    resources = pi_T @ p + ae
     for _ in range(network.n + 1):
-        resources = pi_T @ p + ae
-        new_D = D | (resources < p_bar - 1e-12 * np.maximum(1.0, p_bar))
-        if new_D.sum() == D.sum():
+        new_D = D | (resources < threshold)
+        n_new = np.count_nonzero(new_D)
+        if n_new == n_defaulted:
             # No new defaulters; with none at all, converged after the first round.
             break
-        D = new_D
-        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, p)
-        E = equities(p)
+        D, n_defaulted = new_D, n_new
+        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, p)  # a fresh array
+        resources = pi_T @ p + ae
+        E = np.maximum(0.0, resources - p_bar)
         E[D] = 0.0
         h = np.minimum(1.0, (E0 - E) / E0)
-        if (h_rows[-1] - h).max() > 1e-12:  # only a rounding-level decrease is clamped
+        prev = h_rows[-1]
+        if (prev - h).max() > 1e-12:  # only a rounding-level decrease is clamped
             raise NonConvergence("vulnerability decreased between sweeps; internal fault")
-        h = np.maximum(h, h_rows[-1])
-        payments.append(p.copy())
+        np.maximum(h, prev, out=h)
+        payments.append(p)
         h_rows.append(h)
     else:
         raise NonConvergence("fictitious default algorithm exceeded n+1 sweeps")
 
-    h_arr = np.vstack(h_rows)
+    h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
-    pay = np.vstack(payments)
-    if np.any(np.diff(pay, axis=0) > 1e-9 * np.maximum(1.0, p_bar)):
+    pay = np.array(payments)
+    if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
     return Trajectory(model=model, h=h_arr, payments=pay)
 
@@ -199,7 +212,7 @@ def _run_active_set(network, shock, R, active_rule, model):
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     first = apply_first_round(network, shock)
-    h_rows = [np.zeros(network.n), first.h1.copy()]
+    h_rows = [np.zeros(network.n), first.h1]
     propagated = np.zeros(network.n, dtype=bool)
 
     for _ in range(network.n):
@@ -210,7 +223,7 @@ def _run_active_set(network, shock, R, active_rule, model):
         inflow = (1.0 - R) * (lb[:, active] @ h[active])
         h_rows.append(np.minimum(1.0, h + inflow))
         propagated |= active
-    h_arr = np.vstack(h_rows)
+    h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     return Trajectory(model=model, h=h_arr)
 
@@ -229,29 +242,52 @@ def run_acyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
                            lambda h: h > 0.0, ADR)
 
 
+def cdr_round_cap(lb: np.ndarray, recovery_rate: float) -> int:
+    """Most rounds a cDR run on interbank leverage lb may take.
+
+    10 n, raised where the dynamics contract: with rho = rho((1-R) l^b) < 1
+    the change per round shrinks like rho^k, so the cap is at least
+    ceil(log(CDR_TOLERANCE) / log rho) + 10, up to CDR_MAX_ROUNDS.
+    """
+    cap = 10 * lb.shape[0]
+    rho = float(np.abs(np.linalg.eigvals((1.0 - recovery_rate) * lb)).max(initial=0.0))
+    if 0.0 < rho < 1.0:
+        needed = math.ceil(math.log(CDR_TOLERANCE) / math.log(rho)) + 10
+        cap = max(cap, min(needed, CDR_MAX_ROUNDS))
+    return cap
+
+
+def _cdr_rounds(h_rows: list, lb: np.ndarray, R: float, rounds: int) -> bool:
+    """Append up to `rounds` cDR rounds to h_rows; True once converged."""
+    for _ in range(rounds):
+        h_prev, h = h_rows[-2], h_rows[-1]
+        delta = h - h_prev
+        if delta.max(initial=0.0) < CDR_TOLERANCE:
+            return True
+        h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
+    return False
+
+
 def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
                         config: ModelConfig) -> Trajectory:
     """Distress propagated along all walks, including cycles.
 
     h(t+1) = min{1, h(t) + (1-R) l^b [h(t) - h(t-1)]}; stops when the largest
-    componentwise change drops below CDR_TOLERANCE or the 10 n iteration cap
-    fires (flagged, not fatal).
+    componentwise change drops below CDR_TOLERANCE or the round cap of
+    cdr_round_cap fires (flagged, not fatal). The spectral radius that cap
+    needs is computed only by a run still moving after 10 n rounds.
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
-    h_rows = [np.zeros(network.n), first.h1.copy()]
-    cap_hit = False
-    for _ in range(10 * network.n):
-        h_prev, h = h_rows[-2], h_rows[-1]
-        delta = h - h_prev
-        if delta.max(initial=0.0) < CDR_TOLERANCE:
-            break
-        h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
-    else:
-        cap_hit = True
-    h_arr = np.vstack(h_rows)
+    h_rows = [np.zeros(network.n), first.h1]
+    base = 10 * network.n
+    cap_hit = not _cdr_rounds(h_rows, lb, R, base)
+    if cap_hit:
+        extra = cdr_round_cap(lb, R) - base
+        cap_hit = extra <= 0 or not _cdr_rounds(h_rows, lb, R, extra)
+    h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     return Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
 
@@ -270,23 +306,25 @@ def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec) -> Trajec
     nz = p_bar > 0
     ratio[:, nz] = lb[:, nz] / p_bar[nz]
     pay = base.payments
-    h_rows = [np.zeros(network.n), base.h[1].copy()]
+    h_rows = [np.zeros(network.n), base.h[1]]
     for t in range(1, pay.shape[0] - 1):
         drop = pay[t] - pay[t + 1]
         h_rows.append(np.minimum(1.0, h_rows[-1] + ratio @ drop))
-    h_arr = np.vstack(h_rows)
+    h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     return Trajectory(model=EN, h=h_arr, payments=pay)
+
+
+_RUNNERS = {
+    EN: run_eisenberg_noe,
+    RV: run_rogers_veraart,
+    DC: run_default_cascade,
+    ADR: run_acyclic_debtrank,
+    CDR: run_cyclic_debtrank,
+}
 
 
 def run_model(network: LiabilityNetwork, shock: ShockSpec,
               config: ModelConfig) -> Trajectory:
     """Dispatch a run by config.model."""
-    runner = {
-        EN: run_eisenberg_noe,
-        RV: run_rogers_veraart,
-        DC: run_default_cascade,
-        ADR: run_acyclic_debtrank,
-        CDR: run_cyclic_debtrank,
-    }[config.model]
-    return runner(network, shock, config)
+    return _RUNNERS[config.model](network, shock, config)

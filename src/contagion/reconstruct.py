@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import build_network, DEFAULT_ASSET_CLASSES
+from .core import build_network
 from .errors import (
     AllZeroTotals, ContagionError, EnsembleInfeasible, InfeasibleSupport,
     IPFNonConvergence, UnreachableDensity,
@@ -31,7 +31,6 @@ class Aggregates:
     interbank_assets: np.ndarray
     interbank_liabilities: np.ndarray
     external_assets_by_class: np.ndarray   # n x m
-    asset_classes: tuple = DEFAULT_ASSET_CLASSES
 
     @property
     def n(self) -> int:
@@ -295,8 +294,7 @@ def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
         if np.any(le < 0):
             last_error = ContagionError("negative implied outside liabilities")
             continue
-        net = build_network(liabilities, aggregates.equity, ae_cls, le, ab, lb,
-                            asset_classes=aggregates.asset_classes)
+        net = build_network(liabilities, aggregates.equity, ae_cls, le, ab, lb)
         density = adj.sum() / (adj.shape[0] * (adj.shape[0] - 1))
         return net, float(density), None
     return None, None, last_error

@@ -50,7 +50,8 @@ def make_shock(asset_class: str, s: float) -> ShockSpec:
 
 
 def _default_fraction(traj: Trajectory, t: int) -> float:
-    return int(np.count_nonzero(traj.h[t] >= 1.0)) / traj.n
+    row = traj.h[t]
+    return int(np.count_nonzero(row >= 1.0)) / row.size
 
 
 # Per-run statistics a sweep can collect, by name. The lambdas look names up

@@ -9,6 +9,7 @@ from contagion.errors import (
     DimensionMismatch, IdentityViolation, NegativeEntry, NonPositiveEquity,
 )
 from contagion import fixtures as fx
+from contagion.analysis import equity_weights
 
 
 def single_class(L, external_assets, interbank_assets, interbank_liabilities,
@@ -119,8 +120,12 @@ def test_derived_matrices_computed_once_and_read_only():
     lev, rel = leverage_decomposition(net), relative_liabilities(net)
     assert leverage_decomposition(net) is lev
     assert relative_liabilities(net) is rel
+    weights = equity_weights(net)
+    assert equity_weights(net) is weights
+    assert lev.external_leverage_total is lev.external_leverage_total
     arrays = (lev.external_leverage, lev.interbank_leverage, lev.total_leverage,
-              rel.total_obligations, rel.pi_matrix, rel.financial_connectivity)
+              lev.external_leverage_total, rel.total_obligations, rel.pi_matrix,
+              rel.financial_connectivity, weights)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0

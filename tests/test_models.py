@@ -116,6 +116,33 @@ def test_picard_fallback_raises_at_its_cap(monkeypatch):
             np.zeros(2), np.array([10.0, 4.0]))
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="known fault: the Picard fallback can end with payments "
+                          "that rise between sweeps; fixed by an exact greatest "
+                          "clearing vector")
+def test_closed_class_spanning_many_decades_clears():
+    # Three banks with no outside liabilities whose debts span 1e-8 to 7e7. A
+    # full shock makes I - Pi^T_DD exactly singular at beta = 1, so clearing
+    # enters the Picard fallback, which raises "payments increased between
+    # sweeps; internal fault".
+    L = np.zeros((3, 3))
+    L[0, 1] = 3.2096667467347764e-08
+    L[0, 2] = 66491625.683161795
+    L[1, 2] = 1.5520755174409277e-05
+    L[2, 0] = 4.7579293618316154e-08
+    L[2, 1] = 0.013279939309581636
+    net = network_from_vectors(
+        [66496106.175275594, 10589703.90618862, 8.812503742760243e-07], np.zeros(3), L)
+    traj = run_eisenberg_noe(net, ShockSpec.uniform(1.0))
+    np.testing.assert_allclose(traj.payments[-1], greatest_clearing_vector(net, 1.0),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_trajectory_check_rejects_nan():
+    with pytest.raises(NonConvergence, match="left"):
+        models._check_trajectory(np.array([[0.0, 0.0], [np.nan, 0.5]]))
+
+
 @pytest.mark.parametrize("bump, raises", [(1e-13, False), (1e-9, True)])
 def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises):
     # Bank 0 defaults on its debt to bank 1. Bank 2 stands apart, so each sweep

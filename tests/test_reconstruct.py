@@ -301,7 +301,6 @@ def test_concentrated_lender_produces_star_like_columns():
         interbank_assets=ab,
         interbank_liabilities=lb,
         external_assets_by_class=ext[:, None],
-        asset_classes=("external",),
     )
     cfg = ReconstructionConfig(ensemble_size=5, rng_seed=7, target_density=0.7)
     result = generate_ensemble(agg, cfg)
