@@ -6,7 +6,6 @@ propagation, last index = converged state.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ CDR = "CDR"
 MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
-CDR_MAX_ROUNDS = 10_000  # cDR's round cap never exceeds this (or 10 n, if larger)
+CDR_MAX_ROUNDS = 10_000  # cDR's round cap (or 10 n, if larger)
 PICARD_MAX_ITERATIONS = 200_000  # the clearing fallback raises NonConvergence past this
 
 
@@ -242,51 +241,28 @@ def run_acyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
                            lambda h: h > 0.0, ADR)
 
 
-def cdr_round_cap(lb: np.ndarray, recovery_rate: float) -> int:
-    """Most rounds a cDR run on interbank leverage lb may take.
-
-    10 n, raised where the dynamics contract: with rho = rho((1-R) l^b) < 1
-    the change per round shrinks like rho^k, so the cap is at least
-    ceil(log(CDR_TOLERANCE) / log rho) + 10, up to CDR_MAX_ROUNDS.
-    """
-    cap = 10 * lb.shape[0]
-    rho = float(np.abs(np.linalg.eigvals((1.0 - recovery_rate) * lb)).max(initial=0.0))
-    if 0.0 < rho < 1.0:
-        needed = math.ceil(math.log(CDR_TOLERANCE) / math.log(rho)) + 10
-        cap = max(cap, min(needed, CDR_MAX_ROUNDS))
-    return cap
-
-
-def _cdr_rounds(h_rows: list, lb: np.ndarray, R: float, rounds: int) -> bool:
-    """Append up to `rounds` cDR rounds to h_rows; True once converged."""
-    for _ in range(rounds):
-        h_prev, h = h_rows[-2], h_rows[-1]
-        delta = h - h_prev
-        if delta.max(initial=0.0) < CDR_TOLERANCE:
-            return True
-        h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
-    return False
-
-
 def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
                         config: ModelConfig) -> Trajectory:
     """Distress propagated along all walks, including cycles.
 
     h(t+1) = min{1, h(t) + (1-R) l^b [h(t) - h(t-1)]}; stops when the largest
-    componentwise change drops below CDR_TOLERANCE or the round cap of
-    cdr_round_cap fires (flagged, not fatal). The spectral radius that cap
-    needs is computed only by a run still moving after 10 n rounds.
+    componentwise change drops below CDR_TOLERANCE or after
+    max(10 n, CDR_MAX_ROUNDS) rounds (cap_hit: flagged, not fatal).
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
     h_rows = [np.zeros(network.n), first.h1]
-    base = 10 * network.n
-    cap_hit = not _cdr_rounds(h_rows, lb, R, base)
-    if cap_hit:
-        extra = cdr_round_cap(lb, R) - base
-        cap_hit = extra <= 0 or not _cdr_rounds(h_rows, lb, R, extra)
+    for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
+        h_prev, h = h_rows[-2], h_rows[-1]
+        delta = h - h_prev
+        if delta.max(initial=0.0) < CDR_TOLERANCE:
+            cap_hit = False
+            break
+        h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
+    else:
+        cap_hit = True
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     return Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)

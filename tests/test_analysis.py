@@ -16,10 +16,7 @@ from contagion.errors import (
     PreconditionViolated,
 )
 from contagion import fixtures as fx
-from contagion.core import leverage_decomposition
-from contagion.models import (
-    CDR_MAX_ROUNDS, cdr_round_cap, run_acyclic_debtrank, run_cyclic_debtrank,
-)
+from contagion.models import run_acyclic_debtrank, run_cyclic_debtrank
 
 
 def test_global_vulnerability_chain():
@@ -218,13 +215,14 @@ def test_ordering_audit_proved_chain_on_random_networks():
 
 @pytest.mark.parametrize("recovery_rate", [0.0, 0.9])
 def test_firewall_raises_when_cyclic_debtrank_hits_its_cap(recovery_rate):
-    # Two banks lend each other 1.001 of their equity. At R = 0, rho(l_b) =
-    # 1.001 >= 1 leaves the cap at 10 n = 20 rounds, and cDR distress, growing
-    # by 1.001 a round from 0.01, is still moving there; at R = 0.9 the run
-    # converges and only the cDR(R=0) reference hits the cap.
-    L = np.array([[0.0, 1.001], [1.001, 0.0]])
+    # Two banks lend each other 1 - 1e-7 of their equity: rho(l_b) is 1 - 1e-7,
+    # so at R = 0 cDR distress from a 1e-9 shock shrinks its change per round
+    # by only that factor and is still moving at the 10,000-round cap. At
+    # R = 0.9 the run converges and only the cDR(R=0) reference hits the cap.
+    eps = 1.0 - 1e-7
+    L = np.array([[0.0, eps], [eps, 0.0]])
     net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
-    shock = ShockSpec.uniform(0.01)
+    shock = ShockSpec.uniform(1e-9)
     cdr = run_cyclic_debtrank(net, shock, ModelConfig(model="CDR",
                                                       exogenous_recovery_rate=recovery_rate))
     assert cdr.cap_hit == (recovery_rate == 0.0)
@@ -235,16 +233,15 @@ def test_firewall_raises_when_cyclic_debtrank_hits_its_cap(recovery_rate):
 
 
 def test_cyclic_debtrank_runs_past_10n_rounds_when_it_contracts():
-    # Two banks lend each other 0.999 of their equity: rho(l_b) = 0.999 < 1,
-    # so the cap rises above 10 n = 20, and the run saturates after about 107
-    # rounds instead of stopping at its cap.
-    L = np.array([[0.0, 0.999], [0.999, 0.0]])
-    net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
-    lb = leverage_decomposition(net).interbank_leverage
-    assert cdr_round_cap(lb, 0.0) == CDR_MAX_ROUNDS
-    assert cdr_round_cap(lb, 0.9) == 20  # rho 0.0999 needs 10 + 10 rounds
-    cdr = run_cyclic_debtrank(net, ShockSpec.uniform(0.01), ModelConfig(model="CDR"))
-    assert not cdr.cap_hit
-    assert 20 < cdr.converged_at < 200
-    np.testing.assert_array_equal(cdr.h_final, [1.0, 1.0])
-    run_with_firewall(net, ShockSpec.uniform(0.01), MODEL_NAMES, 0.0, 1.0)
+    # Two banks lend each other `share` of their equity. Either way the run
+    # needs more than 10 n = 20 rounds to saturate at h = 1, and the cap of
+    # 10,000 rounds lets it: at 0.999 (rho < 1) after about 107 rounds, at
+    # 1.001 (rho > 1, distress growing by 1.001 a round from 0.01) after 97.
+    for share, rounds in ((0.999, (20, 200)), (1.001, (96, 98))):
+        L = np.array([[0.0, share], [share, 0.0]])
+        net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
+        cdr = run_cyclic_debtrank(net, ShockSpec.uniform(0.01), ModelConfig(model="CDR"))
+        assert not cdr.cap_hit
+        assert rounds[0] < cdr.converged_at < rounds[1]
+        np.testing.assert_array_equal(cdr.h_final, [1.0, 1.0])
+        run_with_firewall(net, ShockSpec.uniform(0.01), MODEL_NAMES, 0.0, 1.0)
