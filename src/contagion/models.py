@@ -99,21 +99,25 @@ def _check_trajectory(h: np.ndarray) -> None:
 def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
-    Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND
-    and falls back to damped fixed-point iteration when the linear system is
-    ill-conditioned (closed defaulting subsystems).
+    Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND;
+    at beta = 0 that is p_D = 0, set without a solve. When the linear system
+    is singular or ill-conditioned (closed defaulting subsystems), falls back
+    to plain Picard iteration of the restricted map from the current payments.
     """
     idx = np.flatnonzero(D)
     if idx.size == 0:
         return p_bar.copy()
     p = p_bar.copy()
+    if beta == 0.0:  # I p_D = +0.0: the solve would return exactly this
+        p[idx] = 0.0
+        return p
     rows = pi_T.take(idx, axis=0)  # pi_T[idx]
     A_dd = rows.take(idx, axis=1)  # pi_T[np.ix_(idx, idx)]
     b = beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx])
     del rows  # n = 1000 holds no k x n block through the solve
-    # I - beta A_DD in one buffer, bit for bit: 0 - x off the diagonal (a
-    # product with -beta would write -0.0 there), 1 + (0 - x) on it.
-    mat = beta * A_dd
+    # I - beta A_DD in A_dd's own buffer, bit for bit: 0 - x off the diagonal
+    # (a product with -beta would write -0.0 there), 1 + (0 - x) on it.
+    mat = np.multiply(beta, A_dd, out=A_dd)
     np.subtract(0.0, mat, out=mat)
     mat.ravel()[::idx.size + 1] += 1.0
     try:
@@ -123,12 +127,14 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current)
     except np.linalg.LinAlgError:
         ok = False
     if not ok:
-        # Picard iteration from the current payments; monotone decreasing to
-        # the greatest fixed point of the restricted map.
+        # Picard iteration from the current payments, monotone decreasing to
+        # the greatest fixed point of the restricted map; mat overwrote A_dd.
+        A_dd = pi_T[np.ix_(idx, idx)]
+        external = beta * shocked_external[idx]
+        inflow = pi_T[idx] @ p - A_dd @ p[idx]
         sol = p_current[idx].copy()
         for _ in range(PICARD_MAX_ITERATIONS):
-            prev, sol = sol, np.clip(beta * shocked_external[idx] + beta * (
-                pi_T[idx] @ p - A_dd @ p[idx] + A_dd @ sol), 0.0, p_bar[idx])
+            prev, sol = sol, np.clip(external + beta * (inflow + A_dd @ sol), 0.0, p_bar[idx])
             if np.abs(sol - prev).max() < 1e-13 * max(1.0, p_bar[idx].max(initial=0.0)):
                 break
         else:

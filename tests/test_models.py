@@ -116,6 +116,33 @@ def test_picard_fallback_raises_at_its_cap(monkeypatch):
             np.zeros(2), np.array([10.0, 4.0]))
 
 
+def test_picard_fallback_matches_the_solve(monkeypatch):
+    # The solve builds I - beta Pi^T_DD in the gathered block's own buffer, so
+    # the fallback must gather Pi^T_DD again; on these well-posed systems it
+    # then reaches the solve's payments.
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(50):
+        net = fx.random_network(rng, int(rng.integers(3, 25)))
+        shock = ShockSpec.uniform(rng.uniform(0.1, 0.6))
+        cases.append((net, shock, [run_eisenberg_noe(net, shock),
+                                   run_rogers_veraart(net, shock, cfg("RV", beta=0.5))]))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    reached = 0  # runs whose unpatched clearing reached the solve
+    for net, shock, (en, rv) in cases:
+        for base, traj in ((en, run_eisenberg_noe(net, shock)),
+                           (rv, run_rogers_veraart(net, shock, cfg("RV", beta=0.5)))):
+            assert traj.payments.shape == base.payments.shape
+            np.testing.assert_allclose(traj.payments, base.payments, rtol=1e-9,
+                                       atol=1e-12 * base.payments[0].max())
+            reached += base.converged_at > 1
+    assert reached >= 50
+
+
 # Both reproducers below fail for one cause: _solve_defaulter_payments forms
 # the defaulters' inflow from non-defaulters as rows @ p - A_dd @ p[idx], a
 # difference that cancels when a defaulter's p_bar dwarfs that inflow. The
@@ -219,6 +246,32 @@ def test_rv_beta_zero_full_writeoff():
     # defaulted bank 1 pays nothing, so bank 2 loses its whole claim (15 of equity 10)
     assert rv.payments[-1][0] == 0.0
     assert rv.h_final[1] == 1.0
+
+
+def test_rv_beta_zero_needs_no_solve(monkeypatch):
+    # At beta = 0 defaulters pay exactly +0.0 and every other bank pays p_bar,
+    # in every round, with no linear solve.
+    def no_solve(a, b):
+        raise AssertionError("solve called at beta = 0")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    rng = np.random.default_rng(21)
+    f = fx.chain_fixture()
+    cases = [(f.network, f.shock)] + [
+        (fx.random_network(rng, int(rng.integers(3, 25))),
+         ShockSpec.uniform(rng.uniform(0.1, 0.6))) for _ in range(20)]
+    defaults = 0
+    for net, shock in cases:
+        rv = run_rogers_veraart(net, shock, cfg("RV", beta=0.0))
+        p_bar = rv.payments[0]
+        defaulted = rv.payments != p_bar
+        assert np.all(rv.payments[defaulted] == 0.0)
+        assert not np.signbit(rv.payments).any()
+        final = defaulted[-1] & (p_bar > 0)
+        assert np.all(rv.endogenous_recovery[final] == 0.0)
+        assert np.all(rv.h_final[final] == 1.0)
+        defaults += np.count_nonzero(final)
+    assert defaults > 0
 
 
 def test_rv_payments_below_en_every_iteration():
