@@ -48,8 +48,11 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _grid(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(","))
+def _grid(value) -> tuple:
+    """A comma-separated grid flag, or a one-value flag as a grid of one."""
+    if isinstance(value, float):
+        return (value,)
+    return tuple(float(p) for p in value.split(","))
 
 
 def _models(text: str) -> tuple:
@@ -109,7 +112,8 @@ def _sweep_spec(args) -> SweepSpec:
         recovery_grid=_grid(args.recovery),
         asset_class=args.asset_class,
         ensemble=_ensemble_config(args),
-        rv_beta=args.rv_beta,
+        # sweep recovery has no --rv-beta: it runs RV at beta = R
+        rv_beta=getattr(args, "rv_beta", SweepSpec.rv_beta),
     )
 
 
@@ -160,7 +164,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit_ordering(args) -> int:
     rng = np.random.default_rng(args.seed)
-    shock = ShockSpec.uniform(_grid(args.shock)[0])
+    shock = ShockSpec.uniform(args.shock)
     reports = []
     for fixture in fx.topology_family():
         rep = ordering_audit(fixture.network, fixture.shock,
@@ -169,7 +173,7 @@ def cmd_audit_ordering(args) -> int:
         reports.append((fixture.name, rep))
     for k in range(args.count):
         net = fx.random_network(rng, int(rng.integers(3, 20)))
-        rep = ordering_audit(net, shock, recovery_rate=_grid(args.recovery)[0],
+        rep = ordering_audit(net, shock, recovery_rate=args.recovery,
                              rv_beta=args.rv_beta)
         reports.append((f"random-{k}", rep))
     chain_ok = sum(1 for _, r in reports if r.empirical_chain_holds)
@@ -214,21 +218,28 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     leaves = []
 
-    def add_common(p):
+    def add_ensemble(p, quarter=True):
+        """The flags of a command that draws ensembles from a panel."""
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--ensemble-size", type=int, default=100)
         p.add_argument("--density", type=float, default=0.20)
+        p.add_argument("--out-dir", default="out")
+        p.add_argument("--panel", help="panel CSV path (default: synthetic)")
+        if quarter:
+            p.add_argument("--quarter", help="quarter label (default: last)")
+        p.add_argument("--synthetic-banks", type=int, default=50)
+        p.add_argument("--synthetic-quarters", type=int, default=4)
+
+    def add_sweep(p, shock, recovery, rv_beta=True):
+        """Model and scenario flags; type float takes one value, type str a
+        comma-separated grid."""
         p.add_argument("--models", default="EN,RV,DC,ADR,CDR")
         p.add_argument("--asset-class", choices=ASSET_CLASS_CHOICES,
                        default="all_external")
-        p.add_argument("--shock", default="0.01")
-        p.add_argument("--recovery", default="0.6")
-        p.add_argument("--rv-beta", type=float, default=0.6)
-        p.add_argument("--out-dir", default="out")
-        p.add_argument("--panel", help="panel CSV path (default: synthetic)")
-        p.add_argument("--quarter", help="quarter label (default: last)")
-        p.add_argument("--synthetic-banks", type=int, default=50)
-        p.add_argument("--synthetic-quarters", type=int, default=4)
+        p.add_argument("--shock", type=shock, default="0.01")
+        p.add_argument("--recovery", type=recovery, default="0.6")
+        if rv_beta:
+            p.add_argument("--rv-beta", type=float, default=0.6)
 
     p = sub.add_parser("ingest", help="panel ingestion utilities")
     ing = p.add_subparsers(dest="subcommand", required=True)
@@ -239,14 +250,15 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     leaves.append(pv)
 
     p = sub.add_parser("reconstruct", help="sample a network ensemble")
-    add_common(p)
+    add_ensemble(p)
     p.set_defaults(func=cmd_reconstruct)
     leaves.append(p)
 
     p = sub.add_parser("run", help="experiment runners")
     runsub = p.add_subparsers(dest="subcommand", required=True)
     pt = runsub.add_parser("timeseries", help="per-quarter ensemble vulnerabilities")
-    add_common(pt)
+    add_ensemble(pt, quarter=False)
+    add_sweep(pt, float, float)
     pt.set_defaults(func=cmd_run_timeseries)
     leaves.append(pt)
 
@@ -254,7 +266,8 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     swsub = p.add_subparsers(dest="subcommand", required=True)
     for name, what in (("shock", "shock"), ("recovery", "recovery-rate")):
         ps = swsub.add_parser(name, help=f"sweep the {what} grid")
-        add_common(ps)
+        add_ensemble(ps)
+        add_sweep(ps, str, float if name == "shock" else str, rv_beta=name == "shock")
         ps.set_defaults(func=cmd_sweep)
         leaves.append(ps)
 
@@ -263,8 +276,8 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     pa = audsub.add_parser("ordering", help="audit cross-model orderings")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--count", type=int, default=20)
-    pa.add_argument("--shock", default="0.05")
-    pa.add_argument("--recovery", default="0.6")
+    pa.add_argument("--shock", type=float, default=0.05)
+    pa.add_argument("--recovery", type=float, default=0.6)
     pa.add_argument("--rv-beta", type=float, default=0.6)
     pa.set_defaults(func=cmd_audit_ordering)
     leaves.append(pa)

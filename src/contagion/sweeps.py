@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import global_vulnerability, run_with_firewall
 from .core import ShockSpec
 from .ingest import Panel, to_aggregates
-from .models import MODEL_NAMES, Trajectory
+from .models import MODEL_NAMES
 from .reconstruct import ReconstructionConfig, generate_ensemble
 
 ASSET_CLASS_CHOICES = ("all_external", "derivatives", "impaired_loans")
@@ -36,6 +36,8 @@ class SweepSpec:
         for v in tuple(self.shock_grid) + tuple(self.recovery_grid):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("grid values must lie in [0, 1]")
+        if not 0.0 <= self.rv_beta <= 1.0:
+            raise ValueError("rv_beta must lie in [0, 1]")
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}")
@@ -49,41 +51,35 @@ def make_shock(asset_class: str, s: float) -> ShockSpec:
     return ShockSpec.on_class(asset_class, s)
 
 
-def _default_fraction(traj: Trajectory, t: int) -> float:
-    row = traj.h[t]
-    return int(np.count_nonzero(row >= 1.0)) / row.size
-
-
-# Per-run statistics a sweep can collect, by name. The lambdas look names up
-# at call time, so a rebinding of global_vulnerability (the bench tracer's)
-# is seen.
-_STATISTICS = {
-    "H1": lambda traj, net: global_vulnerability(traj, net, 1),
-    "H_inf": lambda traj, net: global_vulnerability(traj, net),
-    "df1": lambda traj, net: _default_fraction(traj, 1),
-    "df_inf": lambda traj, net: _default_fraction(traj, -1),
-}
-
-
-def _collect(networks, shock: ShockSpec, models, recovery_rate: float,
-             rv_beta: float, stats) -> dict:
-    """Run every network through the firewall; return model -> statistic ->
-    one value per network, for the named statistics only."""
-    out = {m: {name: [] for name in stats} for m in models}
+def _summarise(networks, shock: ShockSpec, models, recovery_rate: float,
+              rv_beta: float, h1: bool = False, fractions: bool = False) -> dict:
+    """Run every network through the firewall once; return model -> summary
+    columns: the ensemble median of H(1) if ``h1``, median and quartiles of
+    H(inf), and the median first-round and final default fractions if
+    ``fractions``. A statistic not asked for is not computed; 0.0 holds its
+    place."""
+    values = {m: [] for m in models}
     for net in networks:
         trajs = run_with_firewall(net, shock, models, recovery_rate, rv_beta)
         for m in models:
-            for name in stats:
-                out[m][name].append(_STATISTICS[name](trajs[m], net))
+            h = trajs[m].h
+            values[m].append((
+                global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
+                global_vulnerability(trajs[m], net),
+                np.count_nonzero(h[1] >= 1.0) / h.shape[1] if fractions else 0.0,
+                np.count_nonzero(h[-1] >= 1.0) / h.shape[1] if fractions else 0.0))
+    out = {}
+    for m in models:
+        first, final, df1, df_inf = np.array(values[m], dtype=float).T
+        cols = {"H1": float(np.median(first))} if h1 else {}
+        cols.update(H_inf_median=float(np.median(final)),
+                    H_inf_q25=float(np.quantile(final, 0.25)),
+                    H_inf_q75=float(np.quantile(final, 0.75)))
+        if fractions:
+            cols.update(default_fraction_first=float(np.median(df1)),
+                        default_fraction_final=float(np.median(df_inf)))
+        out[m] = cols
     return out
-
-
-def _h_inf_columns(values) -> dict:
-    """Ensemble median and quartiles of H(inf)."""
-    arr = np.asarray(values, dtype=float)
-    return {"H_inf_median": float(np.median(arr)),
-            "H_inf_q25": float(np.quantile(arr, 0.25)),
-            "H_inf_q75": float(np.quantile(arr, 0.75))}
 
 
 def run_shock_sweep(networks, spec: SweepSpec) -> list:
@@ -91,23 +87,15 @@ def run_shock_sweep(networks, spec: SweepSpec) -> list:
 
     Returns long-format rows (dicts) with ensemble median and quartiles.
     """
+    if len(spec.recovery_grid) != 1:
+        raise ValueError("a shock sweep takes one recovery rate")
     R, beta = spec.recovery_grid[0], spec.rv_beta
     rows = []
     for s in spec.shock_grid:
-        per_model = _collect(networks, make_shock(spec.asset_class, s), spec.models,
-                             R, beta, ("H1", "H_inf", "df1", "df_inf"))
-        for m in spec.models:
-            v = per_model[m]
-            rows.append({
-                "shock": s,
-                "model": m,
-                "recovery_rate": R,
-                "rv_beta": beta,
-                "H1": float(np.median(v["H1"])),
-                **_h_inf_columns(v["H_inf"]),
-                "default_fraction_first": float(np.median(v["df1"])),
-                "default_fraction_final": float(np.median(v["df_inf"])),
-            })
+        cols = _summarise(networks, make_shock(spec.asset_class, s), spec.models, R, beta,
+                         h1=True, fractions=True)
+        rows += [{"shock": s, "model": m, "recovery_rate": R, "rv_beta": beta, **cols[m]}
+                 for m in spec.models]
     return rows
 
 
@@ -117,26 +105,22 @@ def run_recovery_sweep(networks, spec: SweepSpec) -> list:
     rows = []
     for R in spec.recovery_grid:
         for s in spec.shock_grid:
-            per_model = _collect(networks, make_shock(spec.asset_class, s), spec.models,
-                                 R, R, ("H_inf",))
-            for m in spec.models:
-                rows.append({"recovery_rate": R, "shock": s, "model": m,
-                             **_h_inf_columns(per_model[m]["H_inf"])})
+            cols = _summarise(networks, make_shock(spec.asset_class, s), spec.models, R, R)
+            rows += [{"recovery_rate": R, "shock": s, "model": m, **cols[m]}
+                     for m in spec.models]
     return rows
 
 
 def run_timeseries(panel: Panel, spec: SweepSpec) -> list:
     """Per quarter: shared H(1) and ensemble-median H(inf) per model."""
+    if len(spec.shock_grid) != 1 or len(spec.recovery_grid) != 1:
+        raise ValueError("a time series takes one shock and one recovery rate")
     shock = make_shock(spec.asset_class, spec.shock_grid[0])
     rows = []
     for qi, quarter in enumerate(panel.quarters):
         agg, _ = to_aggregates(panel, quarter)
         cfg = replace(spec.ensemble, rng_seed=spec.ensemble.rng_seed + qi)
-        per_model = _collect(generate_ensemble(agg, cfg).networks, shock, spec.models,
-                             spec.recovery_grid[0], spec.rv_beta, ("H1", "H_inf"))
-        for m in spec.models:
-            v = per_model[m]
-            rows.append({"quarter": quarter, "model": m,
-                         "H1": float(np.median(v["H1"])),
-                         **_h_inf_columns(v["H_inf"])})
+        cols = _summarise(generate_ensemble(agg, cfg).networks, shock, spec.models,
+                         spec.recovery_grid[0], spec.rv_beta, h1=True)
+        rows += [{"quarter": quarter, "model": m, **cols[m]} for m in spec.models]
     return rows

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -87,6 +88,8 @@ def test_sweep_recovery_smoke(capsys, tmp_path):
                      "--recovery", "0.0,0.5,1.0", "--out-dir", str(out_dir))
     assert code == 0
     assert (out_dir / "recovery_sweep.csv").exists()
+    # RV runs at beta = R, so the manifest records no beta of its own
+    assert "rv_beta" not in json.loads((out_dir / "manifest.json").read_text())
 
 
 def test_run_timeseries_smoke(capsys, tmp_path):
@@ -162,6 +165,69 @@ def test_invalid_model_name(capsys, tmp_path, monkeypatch):
                            "--models", "XX", "--out-dir", str(tmp_path / "x"))
         assert code == 2
         assert "unknown models ['XX']" in err
+
+
+def test_invalid_rv_beta(capsys, tmp_path, monkeypatch):
+    forbid_ensembles(monkeypatch)
+    for command in (["sweep", "shock"], ["run", "timeseries"]):
+        code, _, err = run(capsys, *command, *SWEEP_ARGS,
+                           "--rv-beta", "1.5", "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "rv_beta must lie in [0, 1]" in err
+
+
+ENSEMBLE_FLAGS = {"--seed", "--ensemble-size", "--density", "--out-dir", "--panel",
+                  "--synthetic-banks", "--synthetic-quarters"}
+SWEEP_FLAGS = {"--models", "--asset-class", "--shock", "--recovery"}
+LEAF_FLAGS = {
+    "ingest validate": {"--quarter"},
+    "reconstruct": ENSEMBLE_FLAGS | {"--quarter"},
+    "run timeseries": ENSEMBLE_FLAGS | SWEEP_FLAGS | {"--rv-beta"},
+    "sweep shock": ENSEMBLE_FLAGS | SWEEP_FLAGS | {"--quarter", "--rv-beta"},
+    "sweep recovery": ENSEMBLE_FLAGS | SWEEP_FLAGS | {"--quarter"},
+    "audit ordering": {"--seed", "--count", "--shock", "--recovery", "--rv-beta"},
+    "fixtures run": set(),
+}
+
+
+def leaf_flags(parser, path=()):
+    """(command, its option flags but --help) for every leaf of the parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_flags(sub, path + (name,))
+            return
+    yield " ".join(path), {flag for a in parser._actions for flag in a.option_strings
+                           if flag not in ("-h", "--help")}
+
+
+def test_each_command_defines_only_the_flags_it_reads():
+    assert dict(leaf_flags(cli.build_parser())) == LEAF_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--shock", "0.1"],
+    ["reconstruct", "--models", "XX", "--shock", "0.7", "--rv-beta", "0.3"],
+    ["run", "timeseries", "--quarter", "2010-Q1"],
+    ["sweep", "recovery", "--rv-beta", "0.3"],
+    ["sweep", "shock", "--recovery", "0.3,0.9"],
+    ["run", "timeseries", "--shock", "0.3,0.9"],
+    ["run", "timeseries", "--recovery", "0.3,0.9"],
+    ["audit", "ordering", "--shock", "0.3,0.9"],
+    ["audit", "ordering", "--recovery", "0.3,0.9"],
+], ids=lambda argv: " ".join(argv))
+def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, argv):
+    """A removed flag, or a grid given to a one-value flag, exits 2 before
+    any ensemble is drawn or any audit runs."""
+    def audit(*args, **kwargs):
+        raise AssertionError("ordering_audit called")
+    forbid_ensembles(monkeypatch)
+    monkeypatch.setattr(cli, "ordering_audit", audit)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_values_parse_like_flags(capsys, tmp_path):
