@@ -6,11 +6,14 @@ propagation, last index = converged state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
+from .core import _freeze_arrays
 from .errors import NonConvergence
 
 EN = "EN"
@@ -96,6 +99,27 @@ def _check_trajectory(h: np.ndarray) -> None:
         raise NonConvergence("vulnerability decreased over time; internal fault")
 
 
+_RUN_TABLE: ContextVar[dict | None] = ContextVar("run_table", default=None)
+
+
+@contextmanager
+def run_table():
+    """Compute each distinct clearing and cDR run once within the block; a
+    repeat returns the stored run, read-only. The table ends with the block."""
+    token = _RUN_TABLE.set({})
+    try:
+        yield
+    finally:
+        _RUN_TABLE.reset(token)
+
+
+def _keep(table: dict, key, network, trajectory: Trajectory) -> Trajectory:
+    """Store a run read-only; the entry holds the network so its id stays its own."""
+    _freeze_arrays(trajectory)
+    table[key] = (network, trajectory)
+    return trajectory
+
+
 def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
@@ -156,6 +180,10 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     pi_T = rel.pi_matrix.T
     first = apply_first_round(network, shock)
     ae = first.shocked_external_assets
+    if (table := _RUN_TABLE.get()) is not None:  # no model in the key: EN is RV(1)
+        key = (id(network), "clearing", beta, ae.tobytes(), first.h1.tobytes())
+        if key in table:
+            return replace(table[key][1], model=model)
     E0 = network.equity
     scale = np.maximum(1.0, p_bar)
     threshold = p_bar - 1e-12 * scale
@@ -193,7 +221,8 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     pay = np.array(payments)
     if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
-    return Trajectory(model=model, h=h_arr, payments=pay)
+    trajectory = Trajectory(model=model, h=h_arr, payments=pay)
+    return trajectory if table is None else _keep(table, key, network, trajectory)
 
 
 def run_eisenberg_noe(network: LiabilityNetwork, shock: ShockSpec,
@@ -259,6 +288,10 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     lb = lev.interbank_leverage
     R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
+    if (table := _RUN_TABLE.get()) is not None:
+        key = (id(network), CDR, R, first.h1.tobytes())
+        if key in table:
+            return table[key][1]
     h_rows = [np.zeros(network.n), first.h1]
     for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
         h_prev, h = h_rows[-2], h_rows[-1]
@@ -271,7 +304,8 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
         cap_hit = True
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
-    return Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
+    trajectory = Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
+    return trajectory if table is None else _keep(table, key, network, trajectory)
 
 
 def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec) -> Trajectory:

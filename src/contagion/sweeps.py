@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import global_vulnerability, run_with_firewall
 from .core import ShockSpec
 from .ingest import Panel, to_aggregates
-from .models import MODEL_NAMES
+from .models import MODEL_NAMES, run_table
 from .reconstruct import ReconstructionConfig, generate_ensemble
 
 ASSET_CLASS_CHOICES = ("all_external", "derivatives", "impaired_loans")
@@ -100,15 +100,18 @@ def run_shock_sweep(networks, spec: SweepSpec) -> list:
 
 
 def run_recovery_sweep(networks, spec: SweepSpec) -> list:
-    """Per (recovery rate, shock): final H per model, with the discounted
-    clearing model run at beta equal to the recovery rate."""
-    rows = []
-    for R in spec.recovery_grid:
-        for s in spec.shock_grid:
-            cols = _summarise(networks, make_shock(spec.asset_class, s), spec.models, R, R)
-            rows += [{"recovery_rate": R, "shock": s, "model": m, **cols[m]}
-                     for m in spec.models]
-    return rows
+    """Per (recovery rate, shock): final H per model, RV at beta = R. Each
+    distinct clearing and cDR(R = 0) run is computed once (run_table)."""
+    if spec.rv_beta != SweepSpec.rv_beta:
+        raise ValueError("a recovery sweep runs RV at beta = R and takes no rv_beta")
+    cols = {}
+    for s in spec.shock_grid:
+        shock = make_shock(spec.asset_class, s)
+        with run_table():  # a run can repeat only under the same shock
+            for R in spec.recovery_grid:
+                cols[R, s] = _summarise(networks, shock, spec.models, R, R)
+    return [{"recovery_rate": R, "shock": s, "model": m, **cols[R, s][m]}
+            for R in spec.recovery_grid for s in spec.shock_grid for m in spec.models]
 
 
 def run_timeseries(panel: Panel, spec: SweepSpec) -> list:
