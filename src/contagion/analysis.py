@@ -36,17 +36,29 @@ def global_vulnerability(trajectory: Trajectory, network: LiabilityNetwork,
     return float(equity_weights(network) @ trajectory.h[-1 if t is None else t])
 
 
-def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
-    """Banks whose first-round loss meets or exceeds their equity.
+def _first_round(network: LiabilityNetwork, shock: ShockSpec):
+    """(s, A^e s, D(1) mask, boundary flag). D(1) holds the banks whose
+    first-round loss meets or exceeds their equity; the flag marks a loss
+    equal to equity, which the tie rule places inside D(1)."""
+    s = shock.effective_per_bank(network)
+    ratio = apply_first_round(network, shock).loss_ratio
+    return (s, network.external_assets * s, ratio >= 1.0 - BOUNDARY_TOL,
+            bool(np.any(np.abs(ratio - 1.0) <= BOUNDARY_TOL)))
 
-    Returns (index set, boundary flag); the boundary flag marks instances
-    where some bank's loss equals its equity exactly, which the tie rule
-    places inside the default set.
-    """
-    unclipped = apply_first_round(network, shock).loss_ratio
-    members = np.flatnonzero(unclipped >= 1.0 - BOUNDARY_TOL)
-    boundary = bool(np.any(np.abs(unclipped - 1.0) <= BOUNDARY_TOL))
-    return frozenset(members.tolist()), boundary
+
+def _leak(network: LiabilityNetwork, en_trajectory: Trajectory) -> float:
+    """Payment shortfalls that leave the network: (1 - beta) . (p_bar - p(inf))."""
+    if en_trajectory.payments is None:
+        raise ModelMismatch("trajectory carries no payment vectors; need a clearing run")
+    rel = relative_liabilities(network)
+    shortfall = rel.total_obligations - en_trajectory.payments[-1]
+    return (1.0 - rel.financial_connectivity) @ shortfall
+
+
+def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
+    """Banks in D(1) as (index set, boundary flag); see _first_round."""
+    _, _, d1, boundary = _first_round(network, shock)
+    return frozenset(np.flatnonzero(d1).tolist()), boundary
 
 
 @dataclass(frozen=True)
@@ -93,37 +105,24 @@ def vulnerability_report(trajectory: Trajectory, network: LiabilityNetwork,
     )
 
 
-def _require_payments(trajectory: Trajectory):
-    if trajectory.payments is None:
-        raise ModelMismatch("trajectory carries no payment vectors; need a clearing run")
-
-
 def en_closed_form_H(network: LiabilityNetwork, shock: ShockSpec,
                      en_trajectory: Trajectory) -> float:
     """Final global vulnerability from first-round losses and payment shortfalls.
 
     H(inf) = (1/sum E) sum_i [A^e_i s_i - (1 - beta_i)(p_bar_i - p_i(inf))].
     """
-    _require_payments(en_trajectory)
-    rel = relative_liabilities(network)
+    leak = _leak(network, en_trajectory)
     s = shock.effective_per_bank(network)
-    shortfall = rel.total_obligations - en_trajectory.payments[-1]
-    total = network.external_assets @ s - (1.0 - rel.financial_connectivity) @ shortfall
-    return float(total / network.equity.sum())
+    return float((network.external_assets @ s - leak) / network.equity.sum())
 
 
 def en_second_round_exact(network: LiabilityNetwork, shock: ShockSpec,
                           en_trajectory: Trajectory) -> float:
     """Exact second-round loss: first-round excess over equity of defaulters,
     net of the share of payment shortfalls externalized outside the network."""
-    _require_payments(en_trajectory)
-    rel = relative_liabilities(network)
-    s = shock.effective_per_bank(network)
-    d1, _ = first_round_default_set(network, shock)
-    idx = sorted(d1)
-    excess = network.external_assets[idx] * s[idx] - network.equity[idx]
-    shortfall = rel.total_obligations - en_trajectory.payments[-1]
-    leak = (1.0 - rel.financial_connectivity) @ shortfall
+    leak = _leak(network, en_trajectory)
+    _, loss, d1, _ = _first_round(network, shock)
+    excess = loss[d1] - network.equity[d1]
     return float((excess.sum() - leak) / network.equity.sum())
 
 
@@ -134,17 +133,13 @@ def en_second_round_bound(network: LiabilityNetwork, shock: ShockSpec) -> float:
     weighted form sum beta_i w_i (l^e_i s_i - 1) is checked internally and
     raises EquivalentFormsDisagree when it differs.
     """
-    rel = relative_liabilities(network)
-    s = shock.effective_per_bank(network)
-    d1, _ = first_round_default_set(network, shock)
-    idx = sorted(d1)
-    beta = rel.financial_connectivity[idx]
-    excess = network.external_assets[idx] * s[idx] - network.equity[idx]
-    bound = float((beta @ excess) / network.equity.sum())
+    s, loss, d1, _ = _first_round(network, shock)
+    beta = relative_liabilities(network).financial_connectivity[d1]
+    bound = float((beta @ (loss[d1] - network.equity[d1])) / network.equity.sum())
 
-    w = equity_weights(network)[idx]
-    lev = leverage_decomposition(network).external_leverage_total[idx]
-    alt = float(np.sum(beta * w * (lev * s[idx] - 1.0)))
+    w = equity_weights(network)[d1]
+    lev = leverage_decomposition(network).external_leverage_total[d1]
+    alt = float(np.sum(beta * w * (lev * s[d1] - 1.0)))
     if abs(alt - bound) > 1e-12 * max(1.0, abs(bound)):
         raise EquivalentFormsDisagree(
             f"second-round bound {bound!r} != weighted form {alt!r}; internal fault")
@@ -154,17 +149,14 @@ def en_second_round_bound(network: LiabilityNetwork, shock: ShockSpec) -> float:
 def conservation_check(network: LiabilityNetwork, shock: ShockSpec,
                        en_trajectory: Trajectory) -> float:
     """Aggregate equity loss must equal the external-asset loss when no
-    liabilities leave the network (connectivity 1 for every bank)."""
-    _require_payments(en_trajectory)
-    rel = relative_liabilities(network)
+    liabilities leave the network (connectivity 1 for every bank); returns
+    the residual |E . h(inf) - A^e . s|."""
+    if en_trajectory.payments is None:
+        raise ModelMismatch("trajectory carries no payment vectors; need a clearing run")
     if np.any(network.external_liabilities > 1e-12):
         raise PreconditionViolated("conservation requires zero outside liabilities")
-    s = shock.effective_per_bank(network)
-    E0 = network.equity
-    h_inf = en_trajectory.h[-1]
-    final_equity = E0 * (1.0 - h_inf)
-    residual = abs(E0.sum() - final_equity.sum() - float(s @ network.external_assets))
-    return residual
+    loss = network.external_assets @ shock.effective_per_bank(network)
+    return abs(float(network.equity @ en_trajectory.h[-1] - loss))
 
 
 @dataclass(frozen=True)
@@ -175,27 +167,22 @@ class TopologyInvarianceReport:
     passed: bool
 
 
-def _first_round_signature(network, shock):
-    s = shock.effective_per_bank(network)
-    d1, _ = first_round_default_set(network, shock)
-    beta = relative_liabilities(network).financial_connectivity
-    idx = sorted(d1)
-    return (network.equity, network.external_assets * s,
-            idx, beta[idx])
-
-
 def topology_invariance_check(networks, shock: ShockSpec) -> TopologyInvarianceReport:
     """Final clearing H must agree across networks whose aggregates match.
 
-    Networks must share equities, first-round monetary losses, and the
-    connectivity of first-round defaulters — the ingredients of the exact
-    second-round expression.
-    """
-    ref = _first_round_signature(networks[0], shock)
+    Networks must share size, D(1), equities, first-round monetary losses and
+    the connectivity of first-round defaulters (the ingredients of the exact
+    second-round expression), or AggregateMismatch is raised."""
+    def signature(net):
+        _, loss, d1, _ = _first_round(net, shock)
+        return d1, net.equity, loss, relative_liabilities(net).financial_connectivity[d1]
+
+    ref = signature(networks[0])
     for net in networks[1:]:
-        sig = _first_round_signature(net, shock)
-        if (not np.allclose(sig[0], ref[0]) or not np.allclose(sig[1], ref[1])
-                or sig[2] != ref[2] or not np.allclose(sig[3], ref[3])):
+        sig = signature(net)
+        # equal D(1) masks have equal sizes, so the closeness checks broadcast
+        if not (np.array_equal(sig[0], ref[0])
+                and all(np.allclose(a, b) for a, b in zip(sig[1:], ref[1:]))):
             raise AggregateMismatch("networks do not share the aggregates that pin H")
     H_vals = []
     finals = []

@@ -80,6 +80,13 @@ def _write_outputs(args, rows, name, **extra) -> None:
     print(f"wrote {path}")
 
 
+def _require_records(panel):
+    """The panel itself; ValueError when no bank is left in it."""
+    if not panel.records:
+        raise ValueError("the panel has no usable records")
+    return panel
+
+
 def _load_panel(args):
     """Panel file or seeded synthetic panel, with gaps interpolated."""
     if args.panel:
@@ -87,7 +94,7 @@ def _load_panel(args):
     else:
         panel = synthesize_panel(args.synthetic_banks, args.synthetic_quarters,
                                  seed=args.seed)
-    return interpolate_missing(panel, drop_failures=True)[0]
+    return _require_records(interpolate_missing(panel, drop_failures=True)[0])
 
 
 def _load_aggregates(args):
@@ -126,7 +133,7 @@ def cmd_ingest_validate(args) -> int:
     for bank, err in dropped:
         print(f"  {bank}: {err}")
     print(f"boundary-extrapolated cells: {len(filled.extrapolated)}")
-    quarter = args.quarter or filled.quarters[-1]
+    quarter = args.quarter or _require_records(filled).quarters[-1]
     agg, issues = to_aggregates(filled, quarter)
     print(f"quarter {quarter}: {agg.n} banks usable, {len(issues)} dropped")
     for bank, err in issues:

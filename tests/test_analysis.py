@@ -16,7 +16,9 @@ from contagion.errors import (
     PreconditionViolated,
 )
 from contagion import fixtures as fx
+from contagion.ingest import interpolate_missing, synthesize_panel, to_aggregates
 from contagion.models import run_acyclic_debtrank, run_cyclic_debtrank
+from contagion.reconstruct import ReconstructionConfig, generate_ensemble
 
 
 def test_global_vulnerability_chain():
@@ -122,6 +124,32 @@ def test_bound_dominates_exact_on_random_networks():
         assert bound >= exact - 1e-9
 
 
+def test_closed_forms_under_per_class_shocks():
+    # Reconstructed members hold three asset classes, so a class shock hits
+    # each bank by its own share of that class.
+    panel, _ = interpolate_missing(synthesize_panel(30, 4, seed=2024))
+    agg, _ = to_aggregates(panel, panel.quarters[-1])
+    networks = generate_ensemble(agg, ReconstructionConfig(
+        ensemble_size=4, rng_seed=11, target_density=0.20)).networks
+    with_defaults = 0
+    for net in networks:
+        for name in ("derivatives", "impaired_loans"):
+            for s in (0.2, 0.6, 1.0):
+                shock = ShockSpec.on_class(name, s)
+                assert np.ptp(shock.effective_per_bank(net)) > 0
+                traj = run_eisenberg_noe(net, shock)
+                H1 = global_vulnerability(traj, net, 1)
+                H_inf = global_vulnerability(traj, net)
+                assert en_closed_form_H(net, shock, traj) == pytest.approx(H_inf, abs=1e-9)
+                exact = en_second_round_exact(net, shock, traj)
+                assert en_second_round_bound(net, shock) >= exact - 1e-12
+                d1, boundary = first_round_default_set(net, shock)
+                if not boundary:
+                    assert exact == pytest.approx(H_inf - H1, abs=1e-9)
+                with_defaults += bool(d1)
+    assert with_defaults > 0
+
+
 def test_conservation_on_ring():
     net = fx.conservation_ring(5, seed=2)
     shock = ShockSpec.on_bank(0, 0.2, 5)
@@ -165,6 +193,12 @@ def test_topology_invariance_rejects_mismatched_aggregates():
     nets = [fx.chain_fixture().network, fx.wheel_fixture(4).network]
     with pytest.raises(AggregateMismatch):
         topology_invariance_check(nets, fx.chain_fixture().shock)
+
+
+def test_topology_invariance_rejects_networks_of_different_sizes():
+    nets = [fx.chain_fixture().network, fx.wheel_fixture(5).network]
+    with pytest.raises(AggregateMismatch):
+        topology_invariance_check(nets, ShockSpec.uniform(0.1))
 
 
 def test_first_round_default_set_boundary():

@@ -50,6 +50,26 @@ def test_ingest_validate_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+PANEL_HEADER = ("bank_id,quarter,total_equity,total_assets,interbank_assets,"
+                "interbank_liabilities,total_loans,impaired_loans,derivatives\n")
+
+
+@pytest.mark.parametrize("rows", ["", "A,2020-Q1,,200,20,30,80,8,12\n"
+                                      "A,2020-Q2,,210,20,31,81,8.5,12.5\n"],
+                         ids=["header_only", "every_bank_dropped"])
+@pytest.mark.parametrize("command", [["ingest", "validate"], ["reconstruct"],
+                                     ["sweep", "shock"], ["sweep", "recovery"],
+                                     ["run", "timeseries"]], ids=" ".join)
+def test_panel_without_usable_records_exits_2(capsys, tmp_path, rows, command):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_HEADER + rows)
+    args = [str(path)] if command[0] == "ingest" else [
+        "--panel", str(path), "--out-dir", str(tmp_path / "out")]
+    code, _, err = run(capsys, *command, *args)
+    assert code == 2
+    assert err == "error: the panel has no usable records\n"
+
+
 def test_reconstruct_writes_ensemble(capsys, tmp_path):
     out_dir = tmp_path / "ens"
     code, out, _ = run(capsys, "reconstruct", *SWEEP_ARGS,
