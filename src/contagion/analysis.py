@@ -210,9 +210,6 @@ def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
 class OrderingReport:
     H_final: dict                      # model -> H(inf)
     empirical_chain_holds: bool
-    dc_exceeds_adr: bool
-    en_exceeds_adr: bool
-    leading_eigenvalue: float
     recovery_rate: float
     rv_beta: float
 
@@ -275,14 +272,5 @@ def ordering_audit(network: LiabilityNetwork, shock: ShockSpec,
     H = {name: global_vulnerability(t, network) for name, t in trajectories.items()}
     chain = (H[EN] <= H[DC] + 1e-12 and H[DC] <= H[RV] + 1e-12
              and H[RV] <= H[ADR] + 1e-12 and H[ADR] <= H[CDR] + 1e-12)
-    lb = leverage_decomposition(network).interbank_leverage
-    lead = float(np.max(np.abs(np.linalg.eigvals(lb))))
-    return OrderingReport(
-        H_final=H,
-        empirical_chain_holds=bool(chain),
-        dc_exceeds_adr=bool(H[DC] > H[ADR] + 1e-12),
-        en_exceeds_adr=bool(H[EN] > H[ADR] + 1e-12),
-        leading_eigenvalue=lead,
-        recovery_rate=recovery_rate,
-        rv_beta=rv_beta,
-    )
+    return OrderingReport(H_final=H, empirical_chain_holds=bool(chain),
+                          recovery_rate=recovery_rate, rv_beta=rv_beta)

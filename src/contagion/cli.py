@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     except ProvedOrderingViolated as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ContagionError, ValueError, KeyError, OSError) as exc:
+    except (ContagionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -128,3 +128,7 @@ class NegativeDerived(ContagionError):
         self.bank = bank
         self.field = field
         super().__init__(f"bank {bank}: derived quantity {field} is negative")
+
+
+class UnknownQuarter(ContagionError):
+    """The panel holds no records for the requested quarter."""

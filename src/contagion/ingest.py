@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError, SchemaMismatch,
+    UnknownQuarter,
 )
 from .reconstruct import Aggregates
 
@@ -207,7 +208,7 @@ def to_aggregates(panel: Panel, quarter: str):
     """
     rows = [r for r in panel.records if r.quarter == quarter]
     if not rows:
-        raise KeyError(f"no records for quarter {quarter}")
+        raise UnknownQuarter(f"no records for quarter {quarter}")
     vals = np.array([_cells(r) for r in rows], dtype=float)  # None -> nan
     bad = np.argwhere(~np.isfinite(vals))
     if bad.size:

@@ -99,24 +99,31 @@ def _check_trajectory(h: np.ndarray) -> None:
         raise NonConvergence("vulnerability decreased over time; internal fault")
 
 
-_RUN_TABLE: ContextVar[dict | None] = ContextVar("run_table", default=None)
+_RUN_TABLE: ContextVar[tuple | None] = ContextVar("run_table", default=None)
 
 
 @contextmanager
-def run_table():
-    """Compute each distinct clearing and cDR run once within the block; a
-    repeat returns the stored run, read-only. The table ends with the block."""
-    token = _RUN_TABLE.set({})
+def run_table(network: LiabilityNetwork, shock: ShockSpec):
+    """Within the block, compute each distinct clearing and cDR run of this
+    network under this shock once; a repeat returns the stored run, read-only.
+    Runs of any other network or shock bypass the table, which ends with the block."""
+    token = _RUN_TABLE.set((network, shock, {}))
     try:
         yield
     finally:
         _RUN_TABLE.reset(token)
 
 
-def _keep(table: dict, key, network, trajectory: Trajectory) -> Trajectory:
-    """Store a run read-only; the entry holds the network so its id stays its own."""
+def _table(network, shock) -> dict | None:
+    """The open run table, if it is bound to this network and shock."""
+    bound = _RUN_TABLE.get()
+    return bound[2] if bound and bound[0] is network and bound[1] is shock else None
+
+
+def _keep(table: dict, key, trajectory: Trajectory) -> Trajectory:
+    """Store a run read-only; return it."""
     _freeze_arrays(trajectory)
-    table[key] = (network, trajectory)
+    table[key] = trajectory
     return trajectory
 
 
@@ -180,10 +187,9 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     pi_T = rel.pi_matrix.T
     first = apply_first_round(network, shock)
     ae = first.shocked_external_assets
-    if (table := _RUN_TABLE.get()) is not None:  # no model in the key: EN is RV(1)
-        key = (id(network), "clearing", beta, ae.tobytes(), first.h1.tobytes())
-        if key in table:
-            return replace(table[key][1], model=model)
+    table = _table(network, shock)
+    if table and ("clearing", beta) in table:  # no model in the key: EN is RV(1)
+        return replace(table["clearing", beta], model=model)
     E0 = network.equity
     scale = np.maximum(1.0, p_bar)
     threshold = p_bar - 1e-12 * scale
@@ -222,7 +228,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
     trajectory = Trajectory(model=model, h=h_arr, payments=pay)
-    return trajectory if table is None else _keep(table, key, network, trajectory)
+    return trajectory if table is None else _keep(table, ("clearing", beta), trajectory)
 
 
 def run_eisenberg_noe(network: LiabilityNetwork, shock: ShockSpec,
@@ -288,10 +294,9 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     lb = lev.interbank_leverage
     R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
-    if (table := _RUN_TABLE.get()) is not None:
-        key = (id(network), CDR, R, first.h1.tobytes())
-        if key in table:
-            return table[key][1]
+    table = _table(network, shock)
+    if table and (CDR, R) in table:
+        return table[CDR, R]
     h_rows = [np.zeros(network.n), first.h1]
     for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
         h_prev, h = h_rows[-2], h_rows[-1]
@@ -305,7 +310,7 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     trajectory = Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
-    return trajectory if table is None else _keep(table, key, network, trajectory)
+    return trajectory if table is None else _keep(table, (CDR, R), trajectory)
 
 
 def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec) -> Trajectory:

@@ -8,6 +8,8 @@ cascade. A violation signals an implementation bug and aborts the run.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,26 +53,31 @@ def make_shock(asset_class: str, s: float) -> ShockSpec:
     return ShockSpec.on_class(asset_class, s)
 
 
-def _summarise(networks, shock: ShockSpec, models, recovery_rate: float,
-              rv_beta: float, h1: bool = False, fractions: bool = False) -> dict:
-    """Run every network through the firewall once; return model -> summary
-    columns: the ensemble median of H(1) if ``h1``, median and quartiles of
-    H(inf), and the median first-round and final default fractions if
-    ``fractions``. A statistic not asked for is not computed; 0.0 holds its
-    place."""
-    values = {m: [] for m in models}
+def _sweep(networks, shocks, points, models, h1: bool = False, fractions: bool = False) -> dict:
+    """Run each network under each shock through the firewall at each point
+    (R, rv_beta); return (shock index, point index, model) -> the median H(1)
+    if ``h1``, median and quartiles of H(inf), and the median first-round and
+    final default fractions if ``fractions`` (0.0 stands in for a statistic not
+    asked for). With several points, a run table bound to the network and shock
+    computes each repeated run once."""
+    if not networks:
+        raise ValueError("a sweep needs at least one network")
+    values = defaultdict(list)  # each key's values in network order
     for net in networks:
-        trajs = run_with_firewall(net, shock, models, recovery_rate, rv_beta)
-        for m in models:
-            h = trajs[m].h
-            values[m].append((
-                global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
-                global_vulnerability(trajs[m], net),
-                np.count_nonzero(h[1] >= 1.0) / h.shape[1] if fractions else 0.0,
-                np.count_nonzero(h[-1] >= 1.0) / h.shape[1] if fractions else 0.0))
+        for si, shock in enumerate(shocks):
+            with run_table(net, shock) if len(points) > 1 else nullcontext():
+                for pi, (R, beta) in enumerate(points):
+                    trajs = run_with_firewall(net, shock, models, R, beta)
+                    for m in models:
+                        h = trajs[m].h
+                        values[si, pi, m].append((
+                            global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
+                            global_vulnerability(trajs[m], net),
+                            np.count_nonzero(h[1] >= 1.0) / h.shape[1] if fractions else 0.0,
+                            np.count_nonzero(h[-1] >= 1.0) / h.shape[1] if fractions else 0.0))
     out = {}
-    for m in models:
-        first, final, df1, df_inf = np.array(values[m], dtype=float).T
+    for key, rows in values.items():
+        first, final, df1, df_inf = np.array(rows, dtype=float).T
         cols = {"H1": float(np.median(first))} if h1 else {}
         cols.update(H_inf_median=float(np.median(final)),
                     H_inf_q25=float(np.quantile(final, 0.25)),
@@ -78,40 +85,32 @@ def _summarise(networks, shock: ShockSpec, models, recovery_rate: float,
         if fractions:
             cols.update(default_fraction_first=float(np.median(df1)),
                         default_fraction_final=float(np.median(df_inf)))
-        out[m] = cols
+        out[key] = cols
     return out
 
 
 def run_shock_sweep(networks, spec: SweepSpec) -> list:
-    """Per shock level and model: H(1), H(inf), default fractions.
-
-    Returns long-format rows (dicts) with ensemble median and quartiles.
-    """
+    """Per shock level and model: long-format rows (dicts) of the ensemble
+    median H(1), median and quartiles of H(inf), and median default fractions."""
     if len(spec.recovery_grid) != 1:
         raise ValueError("a shock sweep takes one recovery rate")
     R, beta = spec.recovery_grid[0], spec.rv_beta
-    rows = []
-    for s in spec.shock_grid:
-        cols = _summarise(networks, make_shock(spec.asset_class, s), spec.models, R, beta,
-                         h1=True, fractions=True)
-        rows += [{"shock": s, "model": m, "recovery_rate": R, "rv_beta": beta, **cols[m]}
-                 for m in spec.models]
-    return rows
+    cols = _sweep(networks, [make_shock(spec.asset_class, s) for s in spec.shock_grid],
+                  [(R, beta)], spec.models, h1=True, fractions=True)
+    return [{"shock": s, "model": m, "recovery_rate": R, "rv_beta": beta, **cols[si, 0, m]}
+            for si, s in enumerate(spec.shock_grid) for m in spec.models]
 
 
 def run_recovery_sweep(networks, spec: SweepSpec) -> list:
-    """Per (recovery rate, shock): final H per model, RV at beta = R. Each
-    distinct clearing and cDR(R = 0) run is computed once (run_table)."""
+    """Per (recovery rate, shock): final H per model, RV at beta = R. Each distinct
+    clearing and cDR(R = 0) run of a network under a shock is computed once."""
     if spec.rv_beta != SweepSpec.rv_beta:
         raise ValueError("a recovery sweep runs RV at beta = R and takes no rv_beta")
-    cols = {}
-    for s in spec.shock_grid:
-        shock = make_shock(spec.asset_class, s)
-        with run_table():  # a run can repeat only under the same shock
-            for R in spec.recovery_grid:
-                cols[R, s] = _summarise(networks, shock, spec.models, R, R)
-    return [{"recovery_rate": R, "shock": s, "model": m, **cols[R, s][m]}
-            for R in spec.recovery_grid for s in spec.shock_grid for m in spec.models]
+    cols = _sweep(networks, [make_shock(spec.asset_class, s) for s in spec.shock_grid],
+                  [(R, R) for R in spec.recovery_grid], spec.models)
+    return [{"recovery_rate": R, "shock": s, "model": m, **cols[si, pi, m]}
+            for pi, R in enumerate(spec.recovery_grid)
+            for si, s in enumerate(spec.shock_grid) for m in spec.models]
 
 
 def run_timeseries(panel: Panel, spec: SweepSpec) -> list:
@@ -123,7 +122,7 @@ def run_timeseries(panel: Panel, spec: SweepSpec) -> list:
     for qi, quarter in enumerate(panel.quarters):
         agg, _ = to_aggregates(panel, quarter)
         cfg = replace(spec.ensemble, rng_seed=spec.ensemble.rng_seed + qi)
-        cols = _summarise(generate_ensemble(agg, cfg).networks, shock, spec.models,
-                         spec.recovery_grid[0], spec.rv_beta, h1=True)
-        rows += [{"quarter": quarter, "model": m, **cols[m]} for m in spec.models]
+        cols = _sweep(generate_ensemble(agg, cfg).networks, [shock],
+                      [(spec.recovery_grid[0], spec.rv_beta)], spec.models, h1=True)
+        rows += [{"quarter": quarter, "model": m, **cols[0, 0, m]} for m in spec.models]
     return rows

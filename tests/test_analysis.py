@@ -229,10 +229,10 @@ def test_vulnerability_report_roundtrip():
 def test_ordering_audit_flags_counterexamples():
     dc_ce = fx.dc_vs_adr_fixture()
     rep = ordering_audit(dc_ce.network, dc_ce.shock, recovery_rate=0.0)
-    assert rep.dc_exceeds_adr
+    assert rep.H_final["DC"] > rep.H_final["ADR"] + 1e-12
     en_ce = fx.en_vs_adr_fixture()
     rep = ordering_audit(en_ce.network, en_ce.shock, recovery_rate=0.0)
-    assert rep.en_exceeds_adr
+    assert rep.H_final["EN"] > rep.H_final["ADR"] + 1e-12
     assert not rep.empirical_chain_holds
 
 
@@ -243,7 +243,6 @@ def test_ordering_audit_proved_chain_on_random_networks():
         rep = ordering_audit(net, ShockSpec.uniform(rng.uniform(0, 0.5)),
                              recovery_rate=rng.uniform(0, 1),
                              rv_beta=rng.uniform(0, 1))
-        assert rep.leading_eigenvalue >= 0
         json.loads(rep.to_json())  # serializable
 
 

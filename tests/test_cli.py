@@ -70,6 +70,19 @@ def test_panel_without_usable_records_exits_2(capsys, tmp_path, rows, command):
     assert err == "error: the panel has no usable records\n"
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "ingest validate"])
+def test_unknown_quarter_exits_2_with_a_plain_message(capsys, tmp_path, command):
+    # The message is printed as raised, with no repr quotes around it.
+    panel = tmp_path / "panel.csv"
+    panel.write_text(PANEL_HEADER + "A,2020-Q1,10,200,20,30,80,8,12\n")
+    argv = (["ingest", "validate", str(panel)] if command == "ingest validate"
+            else ["reconstruct", *SWEEP_ARGS, "--out-dir", str(tmp_path / "out")])
+    code, _, err = run(capsys, *argv, "--quarter", "2031-Q1")
+    assert code == 2
+    assert err == "error: no records for quarter 2031-Q1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_writes_ensemble(capsys, tmp_path):
     out_dir = tmp_path / "ens"
     code, out, _ = run(capsys, "reconstruct", *SWEEP_ARGS,

@@ -6,7 +6,7 @@ import pytest
 
 from contagion.errors import (
     GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
-    SchemaMismatch,
+    SchemaMismatch, UnknownQuarter,
 )
 from contagion.ingest import (
     SCHEMA, VALUE_FIELDS, Panel, PanelRecord, interpolate_missing, load_panel,
@@ -314,7 +314,7 @@ def test_to_aggregates_values():
 
 def test_to_aggregates_unknown_quarter():
     panel = Panel(records=(full_record("A", "2020-Q1"),))
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownQuarter, match="^no records for quarter 2021-Q1$"):
         to_aggregates(panel, "2021-Q1")
 
 

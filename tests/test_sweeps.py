@@ -1,11 +1,10 @@
-import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from contagion import fixtures as fx
-from contagion import models, sweeps
+from contagion import analysis, models, sweeps
 from contagion.core import ShockSpec
 from contagion.ingest import interpolate_missing, synthesize_panel
 from contagion.models import CDR, EN, MODEL_NAMES, RV, ModelConfig, run_model
@@ -64,19 +63,29 @@ def random_networks(seed, k):
     return [fx.random_network(rng, int(rng.integers(3, 20))) for _ in range(k)]
 
 
+def forbid_tables(monkeypatch):
+    """Make any run table opened by a sweep fail the test."""
+    def call(*args, **kwargs):
+        raise AssertionError("run table opened")
+    monkeypatch.setattr(sweeps, "run_table", call)
+
+
 @pytest.mark.parametrize("case", ["random", "golden"])
-def test_recovery_sweep_rows_match_per_point_runs(case):
+def test_recovery_sweep_rows_match_per_point_runs(monkeypatch, case):
     networks = (random_networks(3, 6) if case == "random"
                 else [f.network for f in fx.golden()])
     networks.append(networks[0])  # one network twice in an ensemble
-    spec = SweepSpec(shock_grid=SHOCK_GRID, recovery_grid=RECOVERY_GRID)
+    got = run_recovery_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID,
+                                                 recovery_grid=RECOVERY_GRID))
+    forbid_tables(monkeypatch)  # a sweep at one (R, beta) point opens none
     expected = []
     for R in RECOVERY_GRID:
-        for s in SHOCK_GRID:
-            cols = sweeps._summarise(networks, ShockSpec.uniform(s), MODEL_NAMES, R, R)
-            expected += [{"recovery_rate": R, "shock": s, "model": m, **cols[m]}
-                         for m in MODEL_NAMES]
-    assert repr(run_recovery_sweep(networks, spec)) == repr(expected)
+        rows = run_shock_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID,
+                                                   recovery_grid=(R,), rv_beta=R))
+        expected += [{"recovery_rate": R, "shock": row["shock"], "model": row["model"],
+                      **{k: v for k, v in row.items() if k.startswith("H_inf_")}}
+                     for row in rows]
+    assert repr(got) == repr(expected)
 
 
 def test_recovery_sweep_solves_each_distinct_clearing_once(monkeypatch):
@@ -92,20 +101,53 @@ def test_recovery_sweep_solves_each_distinct_clearing_once(monkeypatch):
     assert sizes and sorted(in_sweep) == sorted(sizes)
 
 
-def test_recovery_sweep_holds_the_runs_of_one_shock_at_a_time(monkeypatch):
-    # A run can repeat only under the same shock, so a table never spans two.
-    sizes, run_table = [], models.run_table
+def test_each_run_table_serves_one_network_and_one_shock(monkeypatch):
+    # A run can repeat only for one network under one shock, so a sweep opens
+    # a table per (network, shock) and every run inside it is of that pair.
+    opened, served, run_table, run = [], [], models.run_table, analysis.run_model
 
-    @contextlib.contextmanager
-    def recording():
-        with run_table():
-            yield
-            sizes.append(len(models._RUN_TABLE.get()))
-    monkeypatch.setattr(sweeps, "run_table", recording)
+    def opening(network, shock):
+        opened.append((network, shock))
+        return run_table(network, shock)
+
+    def serving(network, shock, config):
+        served.append((models._RUN_TABLE.get(), network, shock))
+        return run(network, shock, config)
+    monkeypatch.setattr(sweeps, "run_table", opening)
+    monkeypatch.setattr(analysis, "run_model", serving)
     networks = random_networks(7, 3)
     run_recovery_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID, recovery_grid=RECOVERY_GRID))
-    # per network: clearing at beta in {0, 0.5, 1} and cDR at R in {0, 0.5, 1}
-    assert sizes == [6 * len(networks)] * len(SHOCK_GRID)
+    assert len(opened) == len(networks) * len(SHOCK_GRID)
+    assert {id(net) for net, _ in opened} == {id(net) for net in networks}
+    tables = {id(table): table for table, _, _ in served}
+    assert len(tables) == len(opened)
+    for table, network, shock in served:
+        assert table is not None and table[0] is network and table[1] is shock
+    # per table: clearing at beta in {0, 0.5, 1} and cDR at R in {0, 0.5, 1}
+    for _, _, runs in tables.values():
+        assert set(runs) == {(kind, v) for kind in ("clearing", CDR) for v in RECOVERY_GRID}
+
+
+@pytest.mark.parametrize("runner", [run_shock_sweep, run_recovery_sweep])
+def test_a_repeated_grid_value_repeats_its_rows(runner):
+    # Rows are collected per grid position, so a repeated value gets its own rows.
+    shocks = (0.1, 0.4, 0.1)
+    recovery = (0.0, 0.5, 0.0) if runner is run_recovery_sweep else (0.5,)
+    rows = runner(random_networks(5, 3), SweepSpec(shock_grid=shocks, recovery_grid=recovery))
+    grid = [(R, s) for R in recovery for s in shocks]  # the row order of both runners
+    k = len(MODEL_NAMES)
+    blocks = [rows[i:i + k] for i in range(0, len(rows), k)]
+    assert len(blocks) == len(grid)
+    for point, block in zip(grid, blocks):
+        assert all((row["recovery_rate"], row["shock"]) == point for row in block)
+        assert block == blocks[grid.index(point)]
+
+
+@pytest.mark.parametrize("runner", [run_shock_sweep, run_recovery_sweep])
+def test_sweep_of_no_networks_raises(monkeypatch, runner):
+    forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match="at least one network"):
+        runner([], SweepSpec())
 
 
 def test_recovery_sweep_keeps_no_runs_after_it_returns(monkeypatch):
@@ -117,7 +159,7 @@ def test_recovery_sweep_keeps_no_runs_after_it_returns(monkeypatch):
     assert models._RUN_TABLE.get() is None
     assert run_recovery_sweep(networks, spec) == first
     assert n_first > 0 and len(sizes) == 2 * n_first
-    with pytest.raises(RuntimeError), models.run_table():
+    with pytest.raises(RuntimeError), models.run_table(networks[0], ShockSpec.uniform(0.1)):
         raise RuntimeError  # a sweep that fails keeps none either
     assert models._RUN_TABLE.get() is None
 
@@ -125,34 +167,43 @@ def test_recovery_sweep_keeps_no_runs_after_it_returns(monkeypatch):
 def test_networks_with_equal_arrays_share_no_run(monkeypatch):
     sizes = count_solves(monkeypatch)
     net = random_networks(11, 1)[0]
-    twin = replace(net)
+    twin = replace(net)  # equal arrays, another network
     shock = ShockSpec.uniform(0.4)
-    with models.run_table():
+    with models.run_table(net, shock):
         a = models.run_eisenberg_noe(net, shock)
         n_one = len(sizes)
         b = models.run_eisenberg_noe(twin, shock)
-    assert n_one > 0 and len(sizes) == 2 * n_one
-    assert a.h is not b.h and np.array_equal(a.h, b.h)
+        assert len(sizes) == 2 * n_one
+        assert models.run_eisenberg_noe(net, shock).h is a.h
+        assert models.run_eisenberg_noe(twin, shock).h is not b.h
+    assert n_one > 0 and len(sizes) == 3 * n_one
+    assert not a.h.flags.writeable and b.h.flags.writeable  # b was not stored
+    assert np.array_equal(a.h, b.h)
 
 
 def test_runs_under_other_shocks_share_no_run():
-    # A sweep's table sees one shock; a table used directly may see several.
     net = random_networks(11, 1)[0]
-    requests = [(ShockSpec.uniform(s), ModelConfig(model=m)) for s in (0.4, 0.1) for m in (EN, CDR)]
-    expected = [run_model(net, shock, config) for shock, config in requests]
-    with models.run_table():
-        got = [run_model(net, shock, config) for shock, config in requests]
+    shock = ShockSpec.uniform(0.4)
+    requests = [(s, ModelConfig(model=m)) for s in (shock, ShockSpec.uniform(0.1),
+                                                     ShockSpec.uniform(0.4)) for m in (EN, CDR)]
+    expected = [run_model(net, s, config) for s, config in requests]
+    with models.run_table(net, shock):
+        got = [run_model(net, s, config) for s, config in requests]
+        runs = models._RUN_TABLE.get()[2]
     assert not np.array_equal(expected[0].h, expected[2].h)
     for e, g in zip(expected, got):
         assert np.array_equal(e.h, g.h)
         assert e.payments is None or np.array_equal(e.payments, g.payments)
+    # only the bound shock object's runs are stored; an equal shock is another
+    assert set(runs) == {("clearing", 1.0), (CDR, 0.0)}
+    assert [g.h.flags.writeable for g in got] == [False, False, True, True, True, True]
 
 
 def test_a_stored_run_is_read_only_and_carries_the_requested_model():
     net = random_networks(11, 1)[0]
     shock = ShockSpec.uniform(0.4)
     assert models.run_eisenberg_noe(net, shock).h.flags.writeable  # outside the table
-    with models.run_table():
+    with models.run_table(net, shock):
         en = run_model(net, shock, ModelConfig(model=EN))
         rv = run_model(net, shock, ModelConfig(model=RV, rv_beta=1.0))
         cdr = [run_model(net, shock, ModelConfig(model=CDR)) for _ in range(2)]
