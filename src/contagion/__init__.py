@@ -11,15 +11,13 @@ from .core import (
 )
 from .models import (
     ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory,
-    en_vulnerability_form, run_acyclic_debtrank, run_cyclic_debtrank,
-    run_default_cascade, run_eisenberg_noe, run_model, run_rogers_veraart,
+    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
+    run_eisenberg_noe, run_model, run_rogers_veraart,
 )
 from .analysis import (
-    OrderingReport, TopologyInvarianceReport, VulnerabilityReport,
-    conservation_check, en_closed_form_H, en_second_round_bound,
-    en_second_round_exact, first_round_default_set, global_vulnerability,
-    ordering_audit, run_with_firewall, topology_invariance_check,
-    vulnerability_report,
+    OrderingReport, conservation_check, en_closed_form_H,
+    en_second_round_bound, en_second_round_exact, first_round_default_set,
+    global_vulnerability, ordering_audit, run_with_firewall,
 )
 from .reconstruct import (
     Aggregates, EnsembleResult, ReconstructionConfig, calibrate_z,

@@ -1,8 +1,7 @@
 """Global vulnerability, clearing-model closed forms, and model-order audits."""
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,17 +10,15 @@ from .core import (
     relative_liabilities,
 )
 from .errors import (
-    AggregateMismatch, EquivalentFormsDisagree, ModelMismatch, NonConvergence,
-    PreconditionViolated, ProvedOrderingViolated,
+    EquivalentFormsDisagree, ModelMismatch, NonConvergence, PreconditionViolated,
+    ProvedOrderingViolated,
 )
 from .models import (
-    ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory,
-    run_eisenberg_noe, run_model,
+    ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory, run_model,
 )
 
 BOUNDARY_TOL = 1e-12
 ORDERING_TOL = 1e-9  # slack of the componentwise proved-ordering check
-INVARIANCE_TOL = 1e-9  # largest H spread a topology-invariance check passes
 
 
 def equity_weights(network: LiabilityNetwork) -> np.ndarray:
@@ -48,8 +45,8 @@ def _first_round(network: LiabilityNetwork, shock: ShockSpec):
 
 def _leak(network: LiabilityNetwork, en_trajectory: Trajectory) -> float:
     """Payment shortfalls that leave the network: (1 - beta) . (p_bar - p(inf))."""
-    if en_trajectory.payments is None:
-        raise ModelMismatch("trajectory carries no payment vectors; need a clearing run")
+    if en_trajectory.model != EN:
+        raise ModelMismatch(f"need an EN clearing run, not {en_trajectory.model}")
     rel = relative_liabilities(network)
     shortfall = rel.total_obligations - en_trajectory.payments[-1]
     return (1.0 - rel.financial_connectivity) @ shortfall
@@ -59,50 +56,6 @@ def first_round_default_set(network: LiabilityNetwork, shock: ShockSpec):
     """Banks in D(1) as (index set, boundary flag); see _first_round."""
     _, _, d1, boundary = _first_round(network, shock)
     return frozenset(np.flatnonzero(d1).tolist()), boundary
-
-
-@dataclass(frozen=True)
-class VulnerabilityReport:
-    model: str
-    H1: float
-    H_inf: float
-    second_round: float
-    equity_weights: np.ndarray
-    defaulted_first_round: frozenset
-    defaulted_final: frozenset
-    boundary_default: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "H1": self.H1,
-            "H_inf": self.H_inf,
-            "second_round": self.second_round,
-            "equity_weights": self.equity_weights.tolist(),
-            "defaulted_first_round": sorted(self.defaulted_first_round),
-            "defaulted_final": sorted(self.defaulted_final),
-            "boundary_default": self.boundary_default,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def vulnerability_report(trajectory: Trajectory, network: LiabilityNetwork,
-                         shock: ShockSpec) -> VulnerabilityReport:
-    H1 = global_vulnerability(trajectory, network, 1)
-    H_inf = global_vulnerability(trajectory, network)
-    d1, boundary = first_round_default_set(network, shock)
-    return VulnerabilityReport(
-        model=trajectory.model,
-        H1=H1,
-        H_inf=H_inf,
-        second_round=H_inf - H1,
-        equity_weights=equity_weights(network),
-        defaulted_first_round=d1,
-        defaulted_final=trajectory.default_sets[-1],
-        boundary_default=boundary,
-    )
 
 
 def en_closed_form_H(network: LiabilityNetwork, shock: ShockSpec,
@@ -151,53 +104,12 @@ def conservation_check(network: LiabilityNetwork, shock: ShockSpec,
     """Aggregate equity loss must equal the external-asset loss when no
     liabilities leave the network (connectivity 1 for every bank); returns
     the residual |E . h(inf) - A^e . s|."""
-    if en_trajectory.payments is None:
-        raise ModelMismatch("trajectory carries no payment vectors; need a clearing run")
+    if en_trajectory.model != EN:
+        raise ModelMismatch(f"need an EN clearing run, not {en_trajectory.model}")
     if np.any(network.external_liabilities > 1e-12):
         raise PreconditionViolated("conservation requires zero outside liabilities")
     loss = network.external_assets @ shock.effective_per_bank(network)
     return abs(float(network.equity @ en_trajectory.h[-1] - loss))
-
-
-@dataclass(frozen=True)
-class TopologyInvarianceReport:
-    H_values: list
-    max_spread: float
-    h_dispersion: np.ndarray  # per-bank std of final h across networks
-    passed: bool
-
-
-def topology_invariance_check(networks, shock: ShockSpec) -> TopologyInvarianceReport:
-    """Final clearing H must agree across networks whose aggregates match.
-
-    Networks must share size, D(1), equities, first-round monetary losses and
-    the connectivity of first-round defaulters (the ingredients of the exact
-    second-round expression), or AggregateMismatch is raised."""
-    def signature(net):
-        _, loss, d1, _ = _first_round(net, shock)
-        return d1, net.equity, loss, relative_liabilities(net).financial_connectivity[d1]
-
-    ref = signature(networks[0])
-    for net in networks[1:]:
-        sig = signature(net)
-        # equal D(1) masks have equal sizes, so the closeness checks broadcast
-        if not (np.array_equal(sig[0], ref[0])
-                and all(np.allclose(a, b) for a, b in zip(sig[1:], ref[1:]))):
-            raise AggregateMismatch("networks do not share the aggregates that pin H")
-    H_vals = []
-    finals = []
-    for net in networks:
-        traj = run_eisenberg_noe(net, shock)
-        H_vals.append(global_vulnerability(traj, net))
-        finals.append(traj.h[-1])
-    spread = max(H_vals) - min(H_vals)
-    finals = np.vstack(finals)
-    return TopologyInvarianceReport(
-        H_values=H_vals,
-        max_spread=float(spread),
-        h_dispersion=finals.std(axis=0),
-        passed=bool(spread <= INVARIANCE_TOL),
-    )
 
 
 def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
@@ -212,12 +124,6 @@ class OrderingReport:
     empirical_chain_holds: bool
     recovery_rate: float
     rv_beta: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str) -> None:

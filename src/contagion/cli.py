@@ -170,6 +170,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit_ordering(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be at least 0, got {args.count}")
     rng = np.random.default_rng(args.seed)
     shock = ShockSpec.uniform(args.shock)
     reports = []

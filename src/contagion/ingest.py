@@ -70,14 +70,6 @@ class Panel:
     def bank_ids(self) -> list:
         return sorted({r.bank_id for r in self.records})
 
-    def by_bank(self) -> dict:
-        out = {}
-        for r in self.records:
-            out.setdefault(r.bank_id, []).append(r)
-        for recs in out.values():
-            recs.sort(key=lambda r: r.quarter)
-        return out
-
 
 def load_panel(path: str) -> Panel:
     """Parse a panel CSV; missing cells stay missing, never zero-filled.
@@ -90,11 +82,15 @@ def load_panel(path: str) -> Panel:
             header = next(reader)
         except StopIteration:
             raise SchemaMismatch("empty file") from None
-        if tuple(h.strip() for h in header) != SCHEMA:
-            missing = set(SCHEMA) - {h.strip() for h in header}
-            extra = {h.strip() for h in header} - set(SCHEMA)
-            raise SchemaMismatch(
-                f"missing {sorted(missing)}, unexpected {sorted(extra)}")
+        names = tuple(h.strip() for h in header)
+        if names != SCHEMA:
+            missing, extra = set(SCHEMA) - set(names), set(names) - set(SCHEMA)
+            if missing or extra:
+                fault = f"missing {sorted(missing)}, unexpected {sorted(extra)}"
+            else:  # the right names, so either shuffled or one of them twice
+                fault = ("columns out of order" if len(names) == len(SCHEMA)
+                         else "a column is repeated")
+            raise SchemaMismatch(f"{fault}; expected {','.join(SCHEMA)}")
         records = []
         seen = set()
         for lineno, row in enumerate(reader, start=2):

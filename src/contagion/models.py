@@ -313,29 +313,6 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     return trajectory if table is None else _keep(table, (CDR, R), trajectory)
 
 
-def en_vulnerability_form(network: LiabilityNetwork, shock: ShockSpec) -> Trajectory:
-    """Clearing dynamics re-expressed through leverages and payment shortfalls.
-
-    h_i(t+1) = min{1, h_i(t) + sum_j l^b_ij (p_j(t) - p_j(t+1)) / p_bar_j};
-    an independent arithmetic path that must agree with run_eisenberg_noe.
-    """
-    base = run_eisenberg_noe(network, shock)
-    rel = relative_liabilities(network)
-    p_bar = rel.total_obligations
-    lb = leverage_decomposition(network).interbank_leverage
-    ratio = np.zeros_like(lb)
-    nz = p_bar > 0
-    ratio[:, nz] = lb[:, nz] / p_bar[nz]
-    pay = base.payments
-    h_rows = [np.zeros(network.n), base.h[1]]
-    for t in range(1, pay.shape[0] - 1):
-        drop = pay[t] - pay[t + 1]
-        h_rows.append(np.minimum(1.0, h_rows[-1] + ratio @ drop))
-    h_arr = np.array(h_rows)
-    _check_trajectory(h_arr)
-    return Trajectory(model=EN, h=h_arr, payments=pay)
-
-
 _RUNNERS = {
     EN: run_eisenberg_noe,
     RV: run_rogers_veraart,

@@ -1,0 +1,58 @@
+"""Cross-check references that only the tests call.
+
+Each reaches a result of the package by a second route, so a fault in either
+route shows as a disagreement. They are safety code, not package API.
+"""
+import numpy as np
+
+from contagion import (
+    EN, Trajectory, global_vulnerability, leverage_decomposition,
+    relative_liabilities, run_eisenberg_noe,
+)
+from contagion.analysis import _first_round
+from contagion.errors import AggregateMismatch
+from contagion.models import _check_trajectory
+
+
+def en_vulnerability_form(network, shock) -> Trajectory:
+    """Clearing dynamics re-expressed through leverages and payment shortfalls.
+
+    h_i(t+1) = min{1, h_i(t) + sum_j l^b_ij (p_j(t) - p_j(t+1)) / p_bar_j};
+    an independent arithmetic path that must agree with run_eisenberg_noe.
+    """
+    base = run_eisenberg_noe(network, shock)
+    p_bar = relative_liabilities(network).total_obligations
+    lb = leverage_decomposition(network).interbank_leverage
+    ratio = np.zeros_like(lb)
+    nz = p_bar > 0
+    ratio[:, nz] = lb[:, nz] / p_bar[nz]
+    pay = base.payments
+    h_rows = [np.zeros(network.n), base.h[1]]
+    for t in range(1, pay.shape[0] - 1):
+        h_rows.append(np.minimum(1.0, h_rows[-1] + ratio @ (pay[t] - pay[t + 1])))
+    h_arr = np.array(h_rows)
+    _check_trajectory(h_arr)
+    return Trajectory(model=EN, h=h_arr, payments=pay)
+
+
+def topology_invariance_check(networks, shock):
+    """(final clearing H per network, stacked final h rows), for the caller
+    to check that H agrees across networks whose aggregates match.
+
+    Networks must share size, D(1), equities, first-round monetary losses and
+    the connectivity of first-round defaulters (the ingredients of the exact
+    second-round expression), or AggregateMismatch is raised."""
+    def signature(net):
+        _, loss, d1, _ = _first_round(net, shock)
+        return d1, net.equity, loss, relative_liabilities(net).financial_connectivity[d1]
+
+    ref = signature(networks[0])
+    for net in networks[1:]:
+        sig = signature(net)
+        # equal D(1) masks have equal sizes, so the closeness checks broadcast
+        if not (np.array_equal(sig[0], ref[0])
+                and all(np.allclose(a, b) for a, b in zip(sig[1:], ref[1:]))):
+            raise AggregateMismatch("networks do not share the aggregates that pin H")
+    runs = [run_eisenberg_noe(net, shock) for net in networks]
+    return ([global_vulnerability(t, net) for t, net in zip(runs, networks)],
+            np.vstack([t.h[-1] for t in runs]))

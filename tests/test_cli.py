@@ -263,6 +263,22 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_audit_count_exits_2(capsys, tmp_path, monkeypatch, source):
+    """A negative count would audit no random network and still exit 0."""
+    def audit(*args, **kwargs):
+        raise AssertionError("ordering_audit called")
+    monkeypatch.setattr(cli, "ordering_audit", audit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("count = -3\n")
+    argv = (["audit", "ordering", "--count", "-3"] if source == "flag"
+            else ["--config", str(cfg), "audit", "ordering"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: count must be at least 0, got -3\n"
+
+
 def test_config_values_parse_like_flags(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\nensemble_size = 5\nsynthetic_banks = 40\n"

@@ -244,3 +244,29 @@ def test_per_class_shock_values():
     assert first.h1[0] == pytest.approx(0.1, abs=1e-12)
     # shocked external total drops by the class loss
     assert first.shocked_external_assets[0] == pytest.approx(19.0, abs=1e-12)
+
+
+PUBLIC_API = [
+    "ADR", "Aggregates", "CDR", "DC", "EN", "EnsembleResult", "FirstRound",
+    "LeverageDecomposition", "LiabilityNetwork", "MODEL_NAMES", "ModelConfig",
+    "OrderingReport", "Panel", "PanelRecord", "RV", "ReconstructionConfig",
+    "RelativeLiabilities", "ShockSpec", "SweepSpec", "Trajectory", "analysis",
+    "apply_first_round", "build_network", "calibrate_z", "conservation_check",
+    "core", "en_closed_form_H", "en_second_round_bound", "en_second_round_exact",
+    "errors", "first_round_default_set", "fitness_scores", "fixtures",
+    "generate_ensemble", "global_vulnerability", "ingest", "interpolate_missing",
+    "ipf_weights", "leverage_decomposition", "load_panel", "make_shock", "models",
+    "network_from_vectors", "ordering_audit", "rebalance_totals", "reconstruct",
+    "relative_liabilities", "run_acyclic_debtrank", "run_cyclic_debtrank",
+    "run_default_cascade", "run_eisenberg_noe", "run_model", "run_recovery_sweep",
+    "run_rogers_veraart", "run_shock_sweep", "run_timeseries", "run_with_firewall",
+    "sample_adjacency", "sweeps", "synthesize_panel", "to_aggregates",
+    "write_ensemble",
+]
+
+
+def test_public_api_is_pinned():
+    # A name added to or dropped from the package's API shows up here first;
+    # test-only references live in tests/oracles.py, not in the package.
+    import contagion
+    assert sorted(contagion.__all__) == PUBLIC_API

@@ -43,7 +43,7 @@ def test_load_panel_roundtrip(tmp_path):
     panel = load_panel(path)
     assert panel.bank_ids == ["A", "B"]
     assert panel.quarters == ["2020-Q1", "2020-Q2"]
-    a_q2 = panel.by_bank()["A"][1]
+    a_q2 = [r for r in panel.records if r.bank_id == "A"][1]
     assert a_q2.interbank_assets is None  # empty cell stays missing
     assert a_q2.total_equity == 11.0
 
@@ -53,6 +53,18 @@ def test_load_panel_bad_header(tmp_path):
                      header=HEADER.replace("derivatives", "derivs"))
     with pytest.raises(SchemaMismatch):
         load_panel(path)
+
+
+@pytest.mark.parametrize("header, fault", [
+    (",".join((SCHEMA[1], SCHEMA[0]) + SCHEMA[2:]), "columns out of order"),
+    (HEADER + ",derivatives", "a column is repeated"),
+], ids=["swapped", "repeated"])
+def test_load_panel_names_a_header_with_the_right_names_but_wrong_layout(
+        tmp_path, header, fault):
+    path = write_csv(tmp_path, ["A,2020-Q1,1,2,3,4,5,6,7"], header=header)
+    with pytest.raises(SchemaMismatch) as exc:
+        load_panel(path)
+    assert str(exc.value) == f"CSV schema mismatch: {fault}; expected {HEADER}"
 
 
 def test_load_panel_bad_quarter(tmp_path):
@@ -111,7 +123,7 @@ def test_direct_interpolation_midpoint():
         full_record("A", q3, equity=14.0),
     ))
     out, _ = interpolate_missing(panel)
-    assert out.by_bank()["A"][1].total_equity == pytest.approx(12.0)
+    assert out.records[1].total_equity == pytest.approx(12.0)
     assert out.extrapolated == ()
 
 
@@ -126,7 +138,7 @@ def test_ratio_interpolation_tracks_equity():
         full_record("A", q3, equity=10.0, ib_a=30.0),
     ))
     out, _ = interpolate_missing(panel)
-    assert out.by_bank()["A"][1].interbank_assets == pytest.approx(25.0)
+    assert out.records[1].interbank_assets == pytest.approx(25.0)
 
 
 def test_boundary_extrapolation_flagged():
@@ -137,7 +149,7 @@ def test_boundary_extrapolation_flagged():
         full_record("A", q3, loans=90.0),
     ))
     out, _ = interpolate_missing(panel)
-    assert out.by_bank()["A"][0].total_loans == pytest.approx(80.0)
+    assert out.records[0].total_loans == pytest.approx(80.0)
     assert ("A", q1, "total_loans") in out.extrapolated
 
 
@@ -156,7 +168,7 @@ def test_gap_of_three_is_filled():
     recs[0] = full_record("A", qs[0], loans=80.0)
     recs[-1] = full_record("A", qs[-1], loans=100.0)
     out, _ = interpolate_missing(Panel(records=tuple(recs)))
-    loans = [r.total_loans for r in out.by_bank()["A"]]
+    loans = [r.total_loans for r in out.records]
     assert loans == pytest.approx([80.0, 85.0, 90.0, 95.0, 100.0])
 
 
@@ -184,14 +196,13 @@ def test_drop_failures_collects_issues():
 def test_observed_cells_never_modified():
     panel = synthesize_panel(n_banks=8, n_quarters=8, seed=1, missingness=0.3)
     out, _ = interpolate_missing(panel)
-    by_bank_in = panel.by_bank()
-    by_bank_out = out.by_bank()
-    for bank in panel.bank_ids:
-        for r_in, r_out in zip(by_bank_in[bank], by_bank_out[bank]):
-            for name in SCHEMA[2:]:
-                v = getattr(r_in, name)
-                if v is not None:
-                    assert getattr(r_out, name) == v
+    # both panels hold one record per (bank, quarter), sorted by that pair
+    for r_in, r_out in zip(panel.records, out.records, strict=True):
+        assert (r_in.bank_id, r_in.quarter) == (r_out.bank_id, r_out.quarter)
+        for name in SCHEMA[2:]:
+            v = getattr(r_in, name)
+            if v is not None:
+                assert getattr(r_out, name) == v
 
 
 def test_interpolation_idempotent():
@@ -403,7 +414,8 @@ def test_synthesize_deterministic():
 def test_synthesize_endpoints_observed():
     panel = synthesize_panel(n_banks=10, n_quarters=8, seed=5, missingness=0.5)
     quarters = panel.quarters
-    for bank, recs in panel.by_bank().items():
+    for bank in panel.bank_ids:
+        recs = [r for r in panel.records if r.bank_id == bank]
         for r in (recs[0], recs[-1]):
             assert all(getattr(r, name) is not None for name in SCHEMA[2:])
         assert [r.quarter for r in recs] == quarters
@@ -423,7 +435,8 @@ def test_synthesize_connectivity_in_unit_interval():
 
 def test_synthesize_missing_runs_capped():
     panel = synthesize_panel(n_banks=15, n_quarters=12, seed=11, missingness=0.6)
-    for bank, recs in panel.by_bank().items():
+    for bank in panel.bank_ids:
+        recs = [r for r in panel.records if r.bank_id == bank]
         for name in SCHEMA[2:]:
             run = 0
             for r in recs:

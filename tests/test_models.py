@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from contagion import (
-    ModelConfig, ShockSpec, en_vulnerability_form, leverage_decomposition,
-    network_from_vectors,
+    ModelConfig, ShockSpec, leverage_decomposition, network_from_vectors,
     run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
     run_eisenberg_noe, run_rogers_veraart,
 )
 from contagion import fixtures as fx
 from contagion import models
 from contagion.errors import NonConvergence
+from oracles import en_vulnerability_form
 
 
 def cfg(model="EN", R=0.0, beta=1.0):
