@@ -122,8 +122,6 @@ def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
 class OrderingReport:
     H_final: dict                      # model -> H(inf)
     empirical_chain_holds: bool
-    recovery_rate: float
-    rv_beta: float
 
 
 def assert_proved_ordering(lo: Trajectory, hi: Trajectory, pair: str) -> None:
@@ -178,5 +176,4 @@ def ordering_audit(network: LiabilityNetwork, shock: ShockSpec,
     H = {name: global_vulnerability(t, network) for name, t in trajectories.items()}
     chain = (H[EN] <= H[DC] + 1e-12 and H[DC] <= H[RV] + 1e-12
              and H[RV] <= H[ADR] + 1e-12 and H[ADR] <= H[CDR] + 1e-12)
-    return OrderingReport(H_final=H, empirical_chain_holds=bool(chain),
-                          recovery_rate=recovery_rate, rv_beta=rv_beta)
+    return OrderingReport(H_final=H, empirical_chain_holds=bool(chain))

@@ -19,7 +19,7 @@ from .analysis import global_vulnerability, ordering_audit
 from .core import ShockSpec
 from .errors import ContagionError, ProvedOrderingViolated
 from .ingest import interpolate_missing, load_panel, synthesize_panel, to_aggregates
-from .models import ModelConfig, run_model
+from .models import MODEL_NAMES, ModelConfig, run_model
 from .reconstruct import ReconstructionConfig, generate_ensemble, write_ensemble
 from .sweeps import (
     ASSET_CLASS_CHOICES, SweepSpec, run_recovery_sweep, run_shock_sweep,
@@ -242,13 +242,13 @@ def build_parser(overrides=None) -> argparse.ArgumentParser:
     def add_sweep(p, shock, recovery, rv_beta=True):
         """Model and scenario flags; type float takes one value, type str a
         comma-separated grid."""
-        p.add_argument("--models", default="EN,RV,DC,ADR,CDR")
+        p.add_argument("--models", default=",".join(MODEL_NAMES))
         p.add_argument("--asset-class", choices=ASSET_CLASS_CHOICES,
                        default="all_external")
         p.add_argument("--shock", type=shock, default="0.01")
         p.add_argument("--recovery", type=recovery, default="0.6")
         if rv_beta:
-            p.add_argument("--rv-beta", type=float, default=0.6)
+            p.add_argument("--rv-beta", type=float, default=SweepSpec.rv_beta)
 
     p = sub.add_parser("ingest", help="panel ingestion utilities")
     ing = p.add_subparsers(dest="subcommand", required=True)

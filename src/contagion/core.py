@@ -59,23 +59,14 @@ class LiabilityNetwork:
     def n(self) -> int:
         return self.liabilities.shape[0]
 
-    @property
-    def asset_matrix(self) -> np.ndarray:
-        """Interbank asset matrix: entry (i, j) is bank i's claim on bank j."""
-        return self.liabilities.T
-
     @cached_property
     def _leverages(self) -> LeverageDecomposition:
         E = self.equity
         ext = self.external_assets_by_class / E[:, None]
-        inter = self.asset_matrix / E[:, None]
-        total = ext.sum(axis=1) + inter.sum(axis=1)
-        l_sys = float(self.external_assets.sum() / E.sum())
         return LeverageDecomposition(
             external_leverage=ext,
-            interbank_leverage=inter,
-            total_leverage=total,
-            system_external_leverage=l_sys,
+            external_leverage_total=ext.sum(axis=1),
+            interbank_leverage=self.liabilities.T / E[:, None],
         )
 
     @cached_property
@@ -98,19 +89,12 @@ class LiabilityNetwork:
 
 @dataclass(frozen=True)
 class LeverageDecomposition:
-    external_leverage: np.ndarray     # n x m, per asset class
-    interbank_leverage: np.ndarray    # n x n, claim of i on j over E_i
-    total_leverage: np.ndarray
-    system_external_leverage: float
+    external_leverage: np.ndarray        # n x m, per asset class
+    external_leverage_total: np.ndarray  # n, its row sums
+    interbank_leverage: np.ndarray       # n x n, claim of i on j over E_i
 
     def __post_init__(self):
         _freeze_arrays(self)
-
-    @cached_property
-    def external_leverage_total(self) -> np.ndarray:
-        total = self.external_leverage.sum(axis=1)
-        total.setflags(write=False)
-        return total
 
 
 @dataclass(frozen=True)
@@ -128,7 +112,7 @@ class ShockSpec:
     """Relative write-downs on external assets at t=1.
 
     Exactly one of per_class_shock / per_bank_shock must be given; components
-    lie in [0, 1].
+    lie in [0, 1]. The given vector is stored as a read-only float copy.
     """
 
     per_class_shock: np.ndarray | None = None
@@ -137,10 +121,12 @@ class ShockSpec:
     def __post_init__(self):
         if (self.per_class_shock is None) == (self.per_bank_shock is None):
             raise ValueError("give exactly one of per_class_shock or per_bank_shock")
-        vec = self.per_class_shock if self.per_class_shock is not None else self.per_bank_shock
-        vec = np.asarray(vec, dtype=float)
+        name = "per_class_shock" if self.per_class_shock is not None else "per_bank_shock"
+        vec = np.array(getattr(self, name), dtype=float)
         if not np.all((vec >= 0) & (vec <= 1)):  # NaN fails too
             raise ValueError("shock components must lie in [0, 1]")
+        vec.setflags(write=False)
+        object.__setattr__(self, name, vec)
 
     @staticmethod
     def uniform(s: float) -> "ShockSpec":
@@ -161,13 +147,13 @@ class ShockSpec:
     def effective_per_bank(self, network: LiabilityNetwork) -> np.ndarray:
         """Relative shock on each bank's total external assets."""
         if self.per_bank_shock is not None:
-            s = np.asarray(self.per_bank_shock, dtype=float)
+            s = self.per_bank_shock
             if s.size == 1:
                 return np.full(network.n, s.item())
             if s.size != network.n:
                 raise DimensionMismatch(f"per-bank shock has size {s.size}, expected {network.n}")
             return s.copy()
-        s_k = np.asarray(self.per_class_shock, dtype=float)
+        s_k = self.per_class_shock
         by_class = network.external_assets_by_class
         if s_k.size != by_class.shape[1]:
             raise DimensionMismatch(
@@ -266,7 +252,7 @@ def network_from_vectors(external_assets, external_liabilities, liability_matrix
 
 
 def leverage_decomposition(network: LiabilityNetwork) -> LeverageDecomposition:
-    """External, interbank and total leverages; computed once per network."""
+    """External and interbank leverages; computed once per network."""
     return network._leverages
 
 
@@ -285,7 +271,7 @@ def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound
     ae = network.external_assets
     lev = leverage_decomposition(network)
     if shock.per_class_shock is not None:
-        raw = lev.external_leverage @ np.asarray(shock.per_class_shock, dtype=float)
+        raw = lev.external_leverage @ shock.per_class_shock
     else:
         raw = lev.external_leverage_total * s
     return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=np.minimum(1.0, raw),

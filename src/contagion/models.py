@@ -46,11 +46,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One run: the vulnerability path h(t), plus p(t) for the clearing models.
-
-    Everything else (round count, default sets, endogenous recovery) is
-    derived from these on read.
-    """
+    """One run: the vulnerability path h(t), plus p(t) for the clearing models."""
 
     model: str
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros
@@ -58,36 +54,12 @@ class Trajectory:
     cap_hit: bool = False
 
     @property
-    def n(self) -> int:
-        return self.h.shape[1]
-
-    @property
     def h_final(self) -> np.ndarray:
         return self.h[-1]
 
     @property
-    def h1(self) -> np.ndarray:
-        return self.h[1]
-
-    @property
     def converged_at(self) -> int:
         return self.h.shape[0] - 1
-
-    @property
-    def default_sets(self) -> tuple:
-        """frozenset per t: {i : h_i(t) = 1}."""
-        return tuple(frozenset(np.flatnonzero(row >= 1.0).tolist()) for row in self.h)
-
-    @property
-    def endogenous_recovery(self) -> np.ndarray | None:
-        """p(inf) / p_bar per bank, 1 where p_bar = 0; None without payments."""
-        if self.payments is None:
-            return None
-        p_bar = self.payments[0]
-        recovery = np.ones(self.n)
-        nz = p_bar > 0
-        recovery[nz] = self.payments[-1, nz] / p_bar[nz]
-        return recovery
 
 
 def _check_trajectory(h: np.ndarray) -> None:

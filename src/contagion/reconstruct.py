@@ -36,10 +36,6 @@ class Aggregates:
     def n(self) -> int:
         return len(self.bank_ids)
 
-    @property
-    def external_assets(self) -> np.ndarray:
-        return self.external_assets_by_class.sum(axis=1)
-
 
 IPF_MARGINAL_TOLERANCE = 0.01  # absolute and relative marginal deviation
 IPF_MAX_SWEEPS = 10_000

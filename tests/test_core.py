@@ -122,8 +122,7 @@ def test_derived_matrices_computed_once_and_read_only():
     assert relative_liabilities(net) is rel
     weights = equity_weights(net)
     assert equity_weights(net) is weights
-    assert lev.external_leverage_total is lev.external_leverage_total
-    arrays = (lev.external_leverage, lev.interbank_leverage, lev.total_leverage,
+    arrays = (lev.external_leverage, lev.interbank_leverage,
               lev.external_leverage_total, rel.total_obligations, rel.pi_matrix,
               rel.financial_connectivity, weights)
     for arr in arrays:
@@ -155,12 +154,16 @@ def test_zero_external_assets_row():
 
 
 def test_leverage_additivity():
+    # External plus interbank leverage is total assets over equity.
     rng = np.random.default_rng(7)
     for _ in range(25):
         net = fx.random_network(rng, int(rng.integers(3, 25)))
         lev = leverage_decomposition(net)
-        recon = lev.external_leverage.sum(axis=1) + lev.interbank_leverage.sum(axis=1)
-        assert np.allclose(recon, lev.total_leverage, rtol=1e-9, atol=0)
+        total = lev.external_leverage_total + lev.interbank_leverage.sum(axis=1)
+        assets = net.external_assets + net.interbank_assets
+        assert np.allclose(total, assets / net.equity, rtol=1e-9, atol=0)
+        assert np.array_equal(lev.external_leverage_total,
+                              lev.external_leverage.sum(axis=1))
 
 
 def test_pi_rows_equal_beta_exactly():
@@ -174,13 +177,6 @@ def test_pi_rows_equal_beta_exactly():
         assert np.all(rel.financial_connectivity <= 1 + 1e-12)
 
 
-def test_system_external_leverage():
-    net = fx.chain_fixture().network
-    lev = leverage_decomposition(net)
-    assert lev.system_external_leverage == pytest.approx(
-        net.external_assets.sum() / net.equity.sum())
-
-
 def test_shock_spec_validation():
     with pytest.raises(ValueError):
         ShockSpec()  # neither given
@@ -192,6 +188,21 @@ def test_shock_spec_validation():
         ShockSpec(per_bank_shock=np.array([np.nan]))
     with pytest.raises(ValueError):
         ShockSpec(per_class_shock=np.array([0.1, np.nan, 0.0]))
+
+
+def test_shock_spec_keeps_a_read_only_copy():
+    # A change to the caller's vector after validation must not reach the
+    # shock: 7.0 would drive the shocked external assets negative.
+    net = fx.chain_fixture().network
+    for field, v in (("per_bank_shock", np.array([0.1, 0, 0, 0])),
+                     ("per_class_shock", [0.1])):
+        shock = ShockSpec(**{field: v})
+        v[0] = 7.0
+        stored = getattr(shock, field)
+        assert stored.dtype == float and stored[0] == 0.1
+        with pytest.raises(ValueError):
+            stored[0] = 7.0
+        assert np.all(apply_first_round(net, shock).shocked_external_assets >= 0.0)
 
 
 def test_first_round_zero_shock_is_identity():

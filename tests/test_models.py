@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion import (
     ModelConfig, ShockSpec, leverage_decomposition, network_from_vectors,
@@ -11,6 +13,7 @@ from contagion import (
 from contagion import fixtures as fx
 from contagion import models
 from contagion.errors import NonConvergence
+from exact import clearing_payments
 from oracles import en_vulnerability_form
 
 
@@ -44,7 +47,7 @@ def test_zero_shock_full_payments():
     p_bar = f.network.liabilities.sum(axis=1) + f.network.external_liabilities
     assert np.allclose(traj.payments[-1], p_bar)
     assert np.all(traj.h_final == 0.0)
-    assert traj.default_sets[-1] == frozenset()
+    assert np.flatnonzero(traj.h[-1] >= 1.0).size == 0  # no bank defaults
 
 
 def clearing_map(net, s):
@@ -191,6 +194,81 @@ def test_boundary_bank_is_not_pushed_into_default():
                                rtol=1e-12, atol=0.0)
 
 
+def test_picard_fallback_returns_the_exact_greatest_vector(monkeypatch):
+    # A closed 3-bank class at full shock whose debts span 3.5 to 8e7. A
+    # defaulters' system I - Pi^T_DD comes out exactly singular in floating
+    # point, so the solve raises and the Picard fallback clears instead; it
+    # reaches the exact greatest clearing vector.
+    L = np.zeros((3, 3))
+    L[0, 2] = 59914.65431814832
+    L[1, 0] = 3.5352713396421995
+    L[2, 0] = 30479769.065234996
+    L[2, 1] = 79335595.6194303
+    net = network_from_vectors(
+        [12.591747426060273, 520191.8200193307, 109755467.5944895], np.zeros(3), L)
+    shock = ShockSpec.uniform(1.0)
+    solve, singular = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.copy())
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    traj = run_eisenberg_noe(net, shock)
+    assert singular
+    p, tol = traj.payments[-1], 1e-12 * traj.payments[0].max()
+    assert np.abs(p - [4.893479508042813, 3.5352713396421995, 4.893479508042813]).max() <= tol
+    assert np.abs(p - np.array(clearing_payments(net, shock), dtype=float)).max() <= tol
+
+
+# --- exact-rational oracle ------------------------------------------------
+
+def closed_class(rng, scale):
+    """A closed 2-6-bank class, (network, full shock): no outside liabilities,
+    a cycle through every bank, debts and external assets 10^U(0, scale)."""
+    n = int(rng.integers(2, 7))
+    order = rng.permutation(n)
+    support = rng.random((n, n)) < 0.3
+    support[order, np.roll(order, -1)] = True
+    np.fill_diagonal(support, False)
+    L = np.where(support, 10.0 ** rng.uniform(0.0, scale, (n, n)), 0.0)
+    ae = np.maximum(0.0, L.sum(axis=1) - L.sum(axis=0)) + 10.0 ** rng.uniform(0.0, scale, n)
+    return network_from_vectors(ae, np.zeros(n), L), ShockSpec.uniform(1.0)
+
+
+def assert_clears_exactly(net, shock):
+    """EN and RV payments within 1e-12 of max p_bar of exact arithmetic."""
+    for beta in (1.0, 0.6, 0.3):
+        traj = (run_eisenberg_noe(net, shock) if beta == 1.0
+                else run_rogers_veraart(net, shock, cfg("RV", beta=beta)))
+        exact = np.array(clearing_payments(net, shock, beta), dtype=float)
+        assert np.abs(traj.payments[-1] - exact).max() <= 1e-12 * traj.payments[0].max()
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_clearing_is_exact_on_closed_classes(seed, scale):
+    assert_clears_exactly(*closed_class(np.random.default_rng(seed), scale))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_clearing_is_exact_on_random_networks(seed):
+    rng = np.random.default_rng(seed)
+    net = fx.random_network(rng, int(rng.integers(2, 7)))
+    assert_clears_exactly(net, ShockSpec(per_bank_shock=rng.uniform(0.0, 1.0, net.n)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=CANCELLATION)
+def test_clearing_is_exact_on_closed_classes_across_many_decades():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        assert_clears_exactly(*closed_class(rng, rng.uniform(4.0, 8.0)))
+
+
 def test_trajectory_check_rejects_nan():
     with pytest.raises(NonConvergence, match="left"):
         models._check_trajectory(np.array([[0.0, 0.0], [np.nan, 0.5]]))
@@ -222,9 +300,10 @@ def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises
 def test_endogenous_recovery_recorded():
     f = fx.chain_fixture()
     traj = run_eisenberg_noe(f.network, f.shock)
+    recovery = traj.payments[-1] / traj.payments[0]
     # bank 1 pays 72 of 75
-    assert traj.endogenous_recovery[0] == pytest.approx(72.0 / 75.0, abs=1e-12)
-    assert np.allclose(traj.endogenous_recovery[1:], 1.0)
+    assert recovery[0] == pytest.approx(72.0 / 75.0, abs=1e-12)
+    assert np.allclose(recovery[1:], 1.0)
 
 
 # --- discounted clearing --------------------------------------------------
@@ -268,7 +347,7 @@ def test_rv_beta_zero_needs_no_solve(monkeypatch):
         assert np.all(rv.payments[defaulted] == 0.0)
         assert not np.signbit(rv.payments).any()
         final = defaulted[-1] & (p_bar > 0)
-        assert np.all(rv.endogenous_recovery[final] == 0.0)
+        assert np.all(rv.payments[-1, final] / p_bar[final] == 0.0)
         assert np.all(rv.h_final[final] == 1.0)
         defaults += np.count_nonzero(final)
     assert defaults > 0
@@ -328,7 +407,7 @@ def test_single_propagation_invariant():
             meets = rule(traj.h[1:])
             first = np.argmax(meets, axis=0) + 1
             v = np.where(meets.any(axis=0), traj.h[first, np.arange(net.n)], 0.0)
-            expected = np.minimum(1.0, traj.h1 + (1.0 - R) * (lb @ v))
+            expected = np.minimum(1.0, traj.h[1] + (1.0 - R) * (lb @ v))
             assert np.abs(traj.h_final - expected).max() <= 1e-12
 
 
@@ -442,8 +521,8 @@ def test_monotone_bounded_trajectories():
         for traj in runs:
             assert np.all(traj.h >= 0) and np.all(traj.h <= 1)
             assert np.all(np.diff(traj.h, axis=0) >= -1e-12)
-            for a, b in zip(traj.default_sets, traj.default_sets[1:]):
-                assert a <= b
+            defaulted = traj.h >= 1.0  # no bank leaves the default set
+            assert np.all(defaulted[:-1] <= defaulted[1:])
             if traj.payments is not None:
                 assert np.all(np.diff(traj.payments, axis=0) <= 1e-9)
 
