@@ -27,6 +27,7 @@ MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
 CDR_MAX_ROUNDS = 10_000  # cDR's round cap (or 10 n, if larger)
 PICARD_MAX_ITERATIONS = 200_000  # the clearing fallback raises NonConvergence past this
+SHORTFALL_TOL = 1e-12  # clearing: a shortfall up to this x max(1, p_bar) is rounding, not default
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,8 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     """Fictitious default algorithm shared by the EN and RV models.
 
     A bank defaults when its nominal resources Pi^T p + A^e(1-s) fall short
-    of total obligations; defaulters pay beta (A^e' + Pi^T p), others pay
+    of total obligations by more than SHORTFALL_TOL x max(1, p_bar), so that
+    rounding in Pi^T p defaults no balanced bank; defaulters pay beta (A^e' + Pi^T p), others pay
     in full. EN is the beta = 1 special case.
     """
     rel = relative_liabilities(network)
@@ -164,7 +166,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
         return replace(table["clearing", beta], model=model)
     E0 = network.equity
     scale = np.maximum(1.0, p_bar)
-    threshold = p_bar - 1e-12 * scale
+    threshold = p_bar - SHORTFALL_TOL * scale
 
     payments = [p_bar, p_bar]
     h_rows = [np.zeros(network.n), first.h1]

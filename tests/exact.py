@@ -28,11 +28,12 @@ def solve(a, b):
     return x
 
 
-def clearing_payments(network, shock, beta=1.0) -> list:
+def clearing_payments(network, shock, beta=1.0, shortfall_tol=0.0) -> list:
     """Exact p(inf) of the fictitious default algorithm (Eisenberg & Noe 2001).
 
-    A bank defaults when its resources Pi^T p + A^e (1 - s) fall strictly
-    short of its obligations p_bar; defaulters pay beta (A^e (1 - s) + Pi^T p),
+    A bank defaults when its resources Pi^T p + A^e (1 - s) fall short of its
+    obligations p_bar by more than shortfall_tol x max(1, p_bar); the default
+    0 makes any shortfall a default. Defaulters pay beta (A^e (1 - s) + Pi^T p),
     the others p_bar. beta = 1 is EN, beta < 1 the RV discount. Raises
     ValueError if a defaulters' system I - beta Pi^T_DD is singular.
     """
@@ -46,10 +47,11 @@ def clearing_payments(network, shock, beta=1.0) -> list:
     ae = [Fraction(a) * (1 - Fraction(s)) for a, s in
           zip(network.external_assets.tolist(), shock.effective_per_bank(network).tolist())]
     beta = Fraction(beta)
+    threshold = [pb - Fraction(shortfall_tol) * max(Fraction(1), pb) for pb in p_bar]
     p, D = list(p_bar), set()
     while True:
         short = {i for i in range(n)
-                 if sum(pi_T[i][j] * p[j] for j in range(n)) + ae[i] < p_bar[i]}
+                 if sum(pi_T[i][j] * p[j] for j in range(n)) + ae[i] < threshold[i]}
         if short <= D:
             return p
         D |= short
