@@ -45,9 +45,10 @@ class ModelConfig:
             raise ValueError("rv_beta must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One run: the vulnerability path h(t), plus p(t) for the clearing models."""
+    """One run: the vulnerability path h(t), plus p(t) for the clearing models.
+    Trajectories compare by identity."""
 
     model: str
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros

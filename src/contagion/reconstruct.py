@@ -282,15 +282,13 @@ def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
         # pi_hat rows are lender shares: entry (i, j) is i's claim on j.
         claims = pi_hat * volume
         liabilities = claims.T
-        ab = claims.sum(axis=1)
-        lb = liabilities.sum(axis=1)
         ae_cls = aggregates.external_assets_by_class
-        ae = ae_cls.sum(axis=1)
-        le = ae + ab - lb - aggregates.equity
+        le = (ae_cls.sum(axis=1) + claims.sum(axis=1) - liabilities.sum(axis=1)
+              - aggregates.equity)
         if np.any(le < 0):
             last_error = ContagionError("negative implied outside liabilities")
             continue
-        net = build_network(liabilities, aggregates.equity, ae_cls, le, ab, lb)
+        net = build_network(liabilities, aggregates.equity, ae_cls, le)
         density = adj.sum() / (adj.shape[0] * (adj.shape[0] - 1))
         return net, float(density), None
     return None, None, last_error

@@ -43,6 +43,8 @@ class SweepSpec:
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}")
+        if not self.models or len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must be non-empty, without repeats: {list(self.models)}")
         if self.asset_class not in ASSET_CLASS_CHOICES:
             raise ValueError(f"asset_class must be one of {ASSET_CLASS_CHOICES}")
 

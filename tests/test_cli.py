@@ -200,6 +200,15 @@ def test_invalid_model_name(capsys, tmp_path, monkeypatch):
         assert "unknown models ['XX']" in err
 
 
+def test_repeated_model_name(capsys, tmp_path, monkeypatch):
+    forbid_ensembles(monkeypatch)
+    for command in (["sweep", "shock"], ["sweep", "recovery"], ["run", "timeseries"]):
+        code, _, err = run(capsys, *command, *SWEEP_ARGS,
+                           "--models", "EN,en", "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "models must be non-empty, without repeats: ['EN', 'EN']" in err
+
+
 def test_invalid_rv_beta(capsys, tmp_path, monkeypatch):
     forbid_ensembles(monkeypatch)
     for command in (["sweep", "shock"], ["run", "timeseries"]):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contagion import (
     ShockSpec, apply_first_round, build_network, leverage_decomposition,
-    network_from_vectors, relative_liabilities,
+    network_from_vectors, relative_liabilities, run_eisenberg_noe,
 )
 from contagion.errors import (
     DimensionMismatch, IdentityViolation, NegativeEntry, NonPositiveEquity,
@@ -12,12 +14,11 @@ from contagion import fixtures as fx
 from contagion.analysis import equity_weights
 
 
-def single_class(L, external_assets, interbank_assets, interbank_liabilities,
-                 external_liabilities, equity):
+def single_class(L, external_assets, external_liabilities, equity):
     """build_network with one external asset class; each argument after L is
     an n-vector."""
     return build_network(L, equity, np.array(external_assets, dtype=float)[:, None],
-                         external_liabilities, interbank_assets, interbank_liabilities)
+                         external_liabilities)
 
 
 def test_build_network_accepts_three_bank_cycle():
@@ -30,7 +31,7 @@ def test_build_network_accepts_three_bank_cycle():
 
 def test_zero_equity_rejected():
     with pytest.raises(NonPositiveEquity):
-        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [10, 5], [0.0, 5.0])
+        single_class(np.zeros((2, 2)), [10, 10], [10, 5], [0.0, 5.0])
     with pytest.raises(NonPositiveEquity) as info:  # NaN equity is not positive
         network_from_vectors([10.0, np.nan], [0, 0], np.zeros((2, 2)),
                              equity=[10.0, np.nan])
@@ -41,62 +42,73 @@ def test_self_loop_rejected():
     L = np.zeros((2, 2))
     L[0, 0] = 1.0
     with pytest.raises(NegativeEntry):
-        single_class(L, [10, 10], [0, 1], [1, 0], [4, 6], [5.0, 5.0])
+        single_class(L, [10, 10], [4, 6], [5.0, 5.0])
 
 
 def test_negative_entry_rejected():
     L = np.zeros((2, 2))
     L[0, 1] = -1.0
-    with pytest.raises(NegativeEntry):
-        single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
-    L[0, 1] = np.nan
-    with pytest.raises(NegativeEntry):
-        single_class(L, [10] * 2, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
-    L[0, 1] = np.inf
-    with pytest.raises(NegativeEntry):
-        single_class(L, [10] * 2, [0, np.inf], [np.inf, 0], [5] * 2, [5.0] * 2)
+    for value in (-1.0, np.nan, np.inf):
+        L[0, 1] = value
+        with pytest.raises(NegativeEntry):
+            single_class(L, [10] * 2, [5] * 2, [5.0] * 2)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        single_class(np.zeros((2, 2)), [10] * 3, [0] * 3, [0] * 3, [5] * 3, [5.0] * 3)
+        single_class(np.zeros((2, 2)), [10] * 3, [5] * 3, [5.0] * 3)
     with pytest.raises(DimensionMismatch):  # vectors disagree with each other
-        single_class(np.zeros((2, 2)), [10] * 3, [0] * 2, [0] * 2, [5] * 2, [5.0] * 2)
+        single_class(np.zeros((2, 2)), [10] * 3, [5] * 2, [5.0] * 2)
 
 
 def test_identity_violation():
     with pytest.raises(IdentityViolation):  # bank 0 has residual 4
-        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [1, 5], [5.0, 5.0])
+        single_class(np.zeros((2, 2)), [10, 10], [1, 5], [5.0, 5.0])
     with pytest.raises(IdentityViolation) as info:  # bank 1 has residual NaN
-        single_class(np.zeros((2, 2)), [10, 10], [0, 0], [0, 0], [5, np.nan], [5.0, 5.0])
+        single_class(np.zeros((2, 2)), [10, 10], [5, np.nan], [5.0, 5.0])
     assert info.value.bank == 1
     # An infinite total would make the identity tolerance infinite.
     with pytest.raises(IdentityViolation) as info:
         network_from_vectors([np.inf, 10.0], [0, 0], np.zeros((2, 2)),
                              equity=[10.0, 10.0])
     assert info.value.bank == 0
-    with pytest.raises(IdentityViolation) as info:  # bank 1 has no links
-        single_class(np.zeros((2, 2)), [10, 10], [0, np.inf], [0, 0], [5, 5], [5.0, 5.0])
+    # So would finite claims whose sum overflows: bank 1's interbank assets.
+    L = np.zeros((3, 3))
+    L[0, 1] = L[2, 1] = 1e308
+    with (pytest.warns(RuntimeWarning, match="overflow"),
+          pytest.raises(IdentityViolation) as info):
+        single_class(L, [1.5e308, 10, 1.5e308], [0, 0, 0], [5e307, 10, 5e307])
     assert info.value.bank == 1
 
 
-def test_margin_mismatch_rejected():
-    L = np.zeros((2, 2))
-    L[0, 1] = 7.0  # bank 0 claims total 5 but matrix says 7
-    with pytest.raises(IdentityViolation):
-        single_class(L, [10, 10], [0, 5], [5, 0], [0, 10], [5.0, 5.0])
+def test_network_totals_are_the_matrix_margins():
+    nets = [fx.random_network(np.random.default_rng(3), 12), *(f.network for f in fx.golden())]
+    for net in nets:
+        assert np.array_equal(net.interbank_assets, net.liabilities.sum(axis=0))
+        assert np.array_equal(net.interbank_liabilities, net.liabilities.sum(axis=1))
+        assert np.array_equal(net.external_assets, net.external_assets_by_class.sum(axis=1))
+        for arr in (net.external_assets, net.interbank_assets, net.interbank_liabilities):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    # A copy with another matrix derives its own totals.
+    net = nets[0]
+    other = replace(net, liabilities=2.0 * net.liabilities)
+    assert np.array_equal(other.interbank_assets, 2.0 * net.liabilities.sum(axis=0))
+    assert np.array_equal(other.interbank_liabilities, 2.0 * net.liabilities.sum(axis=1))
+    assert other.external_assets is not net.external_assets
+    assert not other.interbank_assets.flags.writeable
 
 
 @pytest.mark.parametrize("equity, external_liabilities, L01, error", [
     ([5.0, 0.0], [1, 5], 0.0, IdentityViolation),   # bank 0 identity, bank 1 equity
     ([0.0, 5.0], [10, 1], 0.0, NonPositiveEquity),  # bank 0 equity, bank 1 identity
-    ([5.0, 5.0], [5, 5], 1.0, IdentityViolation),   # margins of both banks
+    ([5.0, 5.0], [5, 5], 1.0, IdentityViolation),   # identity of both, via the margins
 ])
 def test_error_names_lowest_faulty_bank(equity, external_liabilities, L01, error):
     L = np.zeros((2, 2))
     L[0, 1] = L01
     with pytest.raises(error) as info:
-        single_class(L, [10, 10], [0, 0], [0, 0], external_liabilities, equity)
+        single_class(L, [10, 10], external_liabilities, equity)
     assert info.value.bank == 0
 
 
@@ -104,7 +116,7 @@ def test_network_arrays_are_read_only():
     L = np.zeros((2, 2))
     L[0, 1] = 5.0
     equity = np.array([5.0, 15.0])
-    net = single_class(L, [10, 10], [0, 5], [5, 0], [0, 0], equity)
+    net = single_class(L, [10, 10], [0, 0], equity)
     arrays = (net.liabilities, net.equity, net.external_assets_by_class,
               net.external_assets, net.external_liabilities, net.interbank_assets,
               net.interbank_liabilities)
@@ -113,6 +125,15 @@ def test_network_arrays_are_read_only():
             arr[0] = 1.0
     equity[0] = 1.0  # the network holds a copy, not the caller's array
     assert net.equity[0] == 5.0
+
+
+def test_records_compare_by_identity_and_can_key_a_dict():
+    net = fx.dc_vs_adr_fixture().network
+    shocks = [ShockSpec(per_bank_shock=np.array([0.1, 0.2, 0.3])) for _ in range(2)]
+    runs = [run_eisenberg_noe(net, shocks[0]) for _ in range(2)]
+    for a, b in ((net, replace(net)), shocks, runs):  # equal values, two objects
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a"
 
 
 def test_derived_matrices_computed_once_and_read_only():
@@ -236,8 +257,7 @@ def test_per_class_shock_aggregation():
     L[0, 1] = 5.0
     net = build_network(L, equity=[10.0, 10.0],
                         external_assets_by_class=[[30.0, 10.0, 60.0], [20.0, 0.0, 30.0]],
-                        external_liabilities=[85.0, 45.0], interbank_assets=[0.0, 5.0],
-                        interbank_liabilities=[5.0, 0.0])
+                        external_liabilities=[85.0, 45.0])
     shock = ShockSpec.on_class("derivatives", 0.5)
     first = apply_first_round(net, shock)
     # bank 0: loss 15 on equity 10 -> clipped at 1; bank 1: loss 10 on equity 10
@@ -249,8 +269,7 @@ def test_per_class_shock_aggregation():
 def test_per_class_shock_values():
     net = build_network(np.zeros((1, 1)), equity=[10.0],
                         external_assets_by_class=[[4.0, 2.0, 14.0]],
-                        external_liabilities=[10.0], interbank_assets=[0.0],
-                        interbank_liabilities=[0.0])
+                        external_liabilities=[10.0])
     first = apply_first_round(net, ShockSpec.on_class("impaired_loans", 0.5))
     assert first.h1[0] == pytest.approx(0.1, abs=1e-12)
     # shocked external total drops by the class loss

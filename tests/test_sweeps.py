@@ -43,6 +43,13 @@ def test_timeseries_rejects_shock_or_recovery_grid(monkeypatch, grids):
         run_timeseries(panel, SweepSpec(**grids))
 
 
+@pytest.mark.parametrize("models_", [(), (EN, EN), (EN, RV, EN)])
+def test_spec_rejects_an_empty_or_repeated_model_list(models_):
+    # A repeated model would count each network twice in its statistics.
+    with pytest.raises(ValueError, match="non-empty, without repeats"):
+        SweepSpec(models=models_)
+
+
 RECOVERY_GRID = (0.0, 0.5, 1.0)
 SHOCK_GRID = (0.1, 0.4)
 
