@@ -57,9 +57,12 @@ class LiabilityNetwork:
 
     def __post_init__(self):
         L = self.liabilities
-        object.__setattr__(self, "external_assets", self.external_assets_by_class.sum(axis=1))
-        object.__setattr__(self, "interbank_assets", L.sum(axis=0))
-        object.__setattr__(self, "interbank_liabilities", L.sum(axis=1))
+        # Finite entries can sum past the largest float; the sum is then inf,
+        # which build_network reports as an IdentityViolation.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "external_assets", self.external_assets_by_class.sum(axis=1))
+            object.__setattr__(self, "interbank_assets", L.sum(axis=0))
+            object.__setattr__(self, "interbank_liabilities", L.sum(axis=1))
         _freeze_arrays(self)
 
     @property
@@ -216,9 +219,11 @@ def build_network(liability_matrix, equity, external_assets_by_class,
 
     net = LiabilityNetwork(liabilities=L, equity=E, external_assets_by_class=ae_by_class,
                            external_liabilities=le)
-    total_assets = net.external_assets + net.interbank_assets
     lb = net.interbank_liabilities
-    resid = E - (total_assets - le - lb)
+    # An overflowing sum gives inf, and inf - inf gives NaN; both fail the checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_assets = net.external_assets + net.interbank_assets
+        resid = E - (total_assets - le - lb)
     finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
     bad_sheet = (~(E > 0) | ~finite
                  | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -89,17 +90,24 @@ def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
     return p
 
 
-def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
-    """Mean link density as a function of z, with the z-free matrices built once.
-
-    Each evaluation fills two preallocated n x n buffers with the floats of
-    _link_probabilities(x, z) and reduces them in the same order.
-    """
+def _fitness_products(x: np.ndarray) -> tuple:
+    """(outer(x, x), mask of the ordered pairs i != j with a positive product)."""
     xx = np.outer(x, x)
     mask = xx > 0
     np.fill_diagonal(mask, False)
     if not mask.any():
         raise UnreachableDensity("all fitness products vanish")
+    return xx, mask
+
+
+def _density_function(x: np.ndarray, row_needed=None, col_needed=None, products=None):
+    """Mean link density as a function of z, with the z-free matrices built once.
+
+    Each evaluation fills two preallocated n x n buffers with the floats of
+    _link_probabilities(x, z) and reduces them in the same order. products is
+    _fitness_products(x), built here when not given.
+    """
+    xx, mask = _fitness_products(x) if products is None else products
     pairs = mask.sum()
     p, q = np.empty_like(xx), np.empty_like(xx)
 
@@ -121,6 +129,90 @@ def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
     return density
 
 
+DENSITY_BLOCK_ROWS = 64
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of a sum or
+    product of k + 1 floats, in any order."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _density_bound(x: np.ndarray, row_needed=None, col_needed=None, products=None):
+    """A cheap evaluation of _density_function(x, ...)(z) with an error bound.
+
+    Returns bound(z) -> (d, err) with |d - density(z)| <= err, where density(z)
+    is the float the exact evaluation returns; err is inf where no bound is
+    proved (fitnesses that are negative, NaN or not float64, or z * x_i * x_j
+    overflowing). One pass per block of DENSITY_BLOCK_ROWS rows of xx into
+    one small buffer:
+
+    - a = fl(z xx) and b = fl(1 + a) are the exact evaluation's floats, so
+      its p = fl(a / b) and c = fl(1 / b) satisfy |p + c - 1| <= 2u/(1 - u),
+      as (a + 1) / b = 1 / (1 + delta) (u is the unit roundoff). Outside the
+      mask xx = 0 gives c = 1 exactly, and the diagonal is set to 1, so the
+      expected links are n^2 - sum(c).
+    - The support-repair terms are c's column products: np.outer(x, x) is
+      exactly symmetric, so they are its row products too. Each of their
+      n - 1 off-diagonal factors differs from the exact evaluation's
+      fl(1 - p) by at most 3u/(1 - u); with every factor in [0, 1], the
+      products differ by at most that times n - 1, and each product's
+      rounding adds at most u per multiplication, in any order.
+    - A row or column is reachable when z times its largest off-diagonal
+      product is positive: p > 0 exactly when fl(z xx) > 0, and rounding is
+      monotone, so this is the exact evaluation's p.max(axis) > 0.
+    - Sums of k nonnegative floats are off by at most gamma_k times their
+      size in any order, and each later addition or division by at most u
+      of its result.
+
+    err is twice the sum of these terms, which covers the underflow of
+    every operation (at most 2^-1075 each) and the rounding of err itself.
+    It depends on n, the number of masks and the number of pairs, not on z.
+    """
+    xx, mask = _fitness_products(x) if products is None else products
+    x = np.ravel(x)  # as np.outer reads it
+    n, pairs = x.size, int(mask.sum())
+    needed = [m for m in (row_needed, col_needed) if m is not None]
+    top = int(np.argmax(x))
+    peers = np.full(n, x[top])
+    peers[top] = np.delete(x, top).max()
+    row_max = x * peers  # largest off-diagonal entry of each row of xx
+    xx_max = float(x[top] * x[top])
+    buf = np.empty((min(DENSITY_BLOCK_ROWS, n), n))
+
+    N, V = float(n * n), float(n * n + 2 * n)  # V bounds every links total
+    pair_err = 2.0 * _U / (1.0 - _U)
+    repair_err = (n - 1) * (pair_err + 3.0 * _U)
+    links_err = (pairs * pair_err + _gamma(pairs) * pairs + _gamma(N) * N + _U * N
+                 + len(needed) * n * (repair_err + 2.0 * _gamma(n)) + 4.0 * _U * V)
+    err = 2.0 * (links_err + 2.0 * _U * V) / pairs
+    proved = x.dtype == np.float64 and bool(np.all(x >= 0))
+
+    def bound(z: float) -> tuple:
+        if not (proved and math.isfinite(z * xx_max)):
+            return math.nan, math.inf
+        total = 0.0
+        col_prod = np.ones(n)
+        for r0 in range(0, n, DENSITY_BLOCK_ROWS):
+            c = buf[:min(DENSITY_BLOCK_ROWS, n - r0)]
+            np.multiply(z, xx[r0:r0 + len(c)], out=c)
+            c += 1.0
+            np.divide(1.0, c, out=c)
+            c.ravel()[r0::n + 1] = 1.0  # the diagonal entries of these rows
+            total += float(c.sum())
+            if needed:
+                col_prod *= c.prod(axis=0)
+        links = N - total
+        if needed:
+            reachable = z * row_max > 0
+            for m in needed:
+                links += float(col_prod[m & reachable].sum())
+        return links / pairs, err
+
+    return bound
+
+
 def calibrate_z(fitnesses: np.ndarray, target_density: float,
                 tol: float = 1e-6, row_needed=None, col_needed=None) -> float:
     """Solve for the scale z giving the target mean link probability.
@@ -133,17 +225,45 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
     bracketed by the first decade where the density drops below it. Raises
     UnreachableDensity when no decade of z reaches the target, or when 200
     bisection steps do not bring the density within tol of it.
+
+    z depends only on the outcomes of the comparisons below. Each is taken
+    from _density_bound when its interval settles it, else from the exact
+    _density_function, so z is bit for bit the one exact densities give.
     """
     if target_density >= 1.0:
         raise UnreachableDensity("mean link probability is strictly below 1")
     if target_density <= 0.0:
         return 0.0
-    density = _density_function(fitnesses, row_needed, col_needed)
+    products = _fitness_products(fitnesses)
+    bound = _density_bound(fitnesses, row_needed, col_needed, products)
+    exact_density = None  # built on the first comparison the bound cannot settle
+
+    def exact(z: float) -> float:
+        nonlocal exact_density
+        if exact_density is None:
+            exact_density = _density_function(fitnesses, row_needed, col_needed, products)
+        return exact_density(z)
+
+    def density(z: float) -> float:
+        """A float every comparison below takes as it takes the exact density.
+
+        [lo, hi] is d -/+ err, each rounded outward. Both comparisons are
+        constant on it when they agree at its ends: d < target is monotone in
+        d, and so is fl(d - target), which makes the set where
+        |d - target| <= tol an interval. On finite floats d >= target is
+        the negation of d < target.
+        """
+        d, err = bound(z)
+        ends = [(abs(e - target_density) <= tol, e < target_density)
+                for e in (math.nextafter(d - err, -math.inf), math.nextafter(d + err, math.inf))]
+        return d if math.isfinite(d + err) and ends[0] == ends[1] else exact(z)
+
     lo, hi = 0.0, 1.0  # density(lo) < target <= density(hi), once bracketed
     grid = [10.0 ** e for e in range(-30, 31)]
     if density(grid[0]) >= target_density:
         seen = np.array([density(z) for z in grid])
         if not np.any(seen < target_density):
+            seen = np.array([exact(z) for z in grid])
             raise UnreachableDensity(f"no z reaches density {target_density}; "
                                      f"the smallest density seen is {seen.min()}")
         k = int(np.argmax(seen < target_density))
@@ -234,27 +354,29 @@ class EnsembleResult:
     z: float
 
 
-def _repair_support(adj: np.ndarray, probs: np.ndarray, row_needed: np.ndarray,
+def _repair_links(x: np.ndarray, z: float) -> np.ndarray:
+    """For each bank, the other end of its most probable link, or -1 where
+    every link probability is 0. The probabilities are symmetric, as
+    np.outer(x, x) is exactly, so this serves rows and columns alike."""
+    probs = _link_probabilities(x, z)
+    return np.where(probs.max(axis=1) > 0, probs.argmax(axis=1), -1)
+
+
+def _repair_support(adj: np.ndarray, link: np.ndarray, row_needed: np.ndarray,
                     col_needed: np.ndarray) -> int:
     """Force the most probable link for banks whose marginal needs one.
 
     Heavy-tailed fitness makes empty rows/columns for the smallest banks a
     routine sampling outcome; a deterministic minimal repair keeps the draw
-    usable without meaningfully moving the density. Returns the number of
-    forced links.
+    usable without meaningfully moving the density. Rows are repaired first,
+    then the columns still empty; link is _repair_links(x, z). Returns the
+    number of forced links.
     """
-    forced = 0
-    for i in np.flatnonzero(row_needed & ~adj.any(axis=1)):
-        j = int(np.argmax(probs[i]))
-        if probs[i, j] > 0:
-            adj[i, j] = True
-            forced += 1
-    for j in np.flatnonzero(col_needed & ~adj.any(axis=0)):
-        i = int(np.argmax(probs[:, j]))
-        if probs[i, j] > 0:
-            adj[i, j] = True
-            forced += 1
-    return forced
+    rows = np.flatnonzero(row_needed & ~adj.any(axis=1) & (link >= 0))
+    adj[rows, link[rows]] = True
+    cols = np.flatnonzero(col_needed & ~adj.any(axis=0) & (link >= 0))
+    adj[link[cols], cols] = True
+    return len(rows) + len(cols)
 
 
 def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
@@ -262,7 +384,20 @@ def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
+@dataclass(frozen=True, eq=False)
+class _MemberInputs:
+    """What every member of one ensemble is built from besides x and z.
+
+    np.outer(x, x), the IPF start, is rebuilt per attempt: held for the whole
+    ensemble it would add an n x n array to the peak memory of set-up.
+    """
+
+    aggregates: Aggregates  # rebalanced
+    link: np.ndarray        # _repair_links(x, z)
+
+
+def _build_member(inputs: _MemberInputs, x, z, config, index) -> tuple:
+    aggregates = inputs.aggregates
     volume = aggregates.interbank_assets.sum()
     row_t = aggregates.interbank_assets / volume       # lending shares
     col_t = aggregates.interbank_liabilities / volume  # borrowing shares
@@ -270,7 +405,7 @@ def _build_member(aggregates: Aggregates, x, z, config, index) -> tuple:
     for attempt in (0, 1):
         rng = _member_rng(config.rng_seed, index, attempt)
         adj = sample_adjacency(x, z, rng)
-        _repair_support(adj, _link_probabilities(x, z), row_t > 0, col_t > 0)
+        _repair_support(adj, inputs.link, row_t > 0, col_t > 0)
         if not adj.any():
             last_error = ContagionError("empty adjacency draw")
             continue
@@ -308,9 +443,10 @@ def generate_ensemble(aggregates: Aggregates,
     z = calibrate_z(x, config.target_density,
                     row_needed=agg.interbank_assets > 0,
                     col_needed=agg.interbank_liabilities > 0)
+    inputs = _MemberInputs(agg, _repair_links(x, z))
     networks, skipped, densities = [], [], []
     for idx in range(config.ensemble_size):
-        net, density, err = _build_member(agg, x, z, config, idx)
+        net, density, err = _build_member(inputs, x, z, config, idx)
         if net is None:
             skipped.append((idx, str(err)))
         else:

@@ -1,11 +1,14 @@
 import csv
+import math
 import os
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from contagion import ingest, reconstruct
 from contagion.errors import (
     AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
 )
@@ -13,7 +16,8 @@ from contagion.reconstruct import (
     IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, LIABILITY_CELL, Aggregates,
     ReconstructionConfig, calibrate_z, fitness_scores,
     generate_ensemble, ipf_weights, rebalance_totals, sample_adjacency,
-    write_ensemble, _density_function, _link_probabilities,
+    write_ensemble, _density_bound, _density_function, _link_probabilities,
+    _repair_links, _repair_support,
 )
 
 
@@ -173,6 +177,87 @@ def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
         calibrate_z(x, 0.03, row_needed=needed, col_needed=needed)
 
 
+def test_density_bound_holds():
+    # Heavy-tailed fitness shares with some zeros, random or absent needed
+    # masks, and z over the whole range calibrate_z searches.
+    rng = np.random.default_rng(20)
+    checked = 0
+    while checked < 600:
+        n = int(rng.integers(2, 301))
+        x = rng.lognormal(0.0, 3.0, size=n) * (rng.random(n) > rng.uniform(0.0, 0.5))
+        if np.count_nonzero(x) < 2:
+            continue
+        x /= x.sum()
+        masks = [rng.random(n) < rng.random() if rng.random() < 0.7 else None
+                 for _ in range(2)]
+        exact, bound = _density_function(x, *masks), _density_bound(x, *masks)
+        for z in 10.0 ** rng.uniform(-30.0, 30.0, size=6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                d, err = bound(z)
+                d_ref = exact(z)
+            assert err < 1e-8, (n, z)
+            assert abs(d - d_ref) <= err, (n, z, d, d_ref, err)
+            checked += 1
+    # No bound is claimed for fitnesses that are negative or not float64, or
+    # where z * x_i * x_j overflows; calibrate_z then takes the exact density.
+    x = np.array([0.5, 0.3, 0.2])
+    for fitnesses, z in ((x.astype(np.float32), 1.0), (x - 0.25, 1.0), (x * 1e150, 1e10)):
+        assert _density_bound(fitnesses)(z)[1] == math.inf
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the evaluations of calibrate_z's exact density."""
+    calls = []
+    build = reconstruct._density_function
+
+    def counted(*args, **kwargs):
+        density = build(*args, **kwargs)
+        return lambda z: calls.append(z) or density(z)
+
+    monkeypatch.setattr(reconstruct, "_density_function", counted)
+    return calls
+
+
+def bench_like_case():
+    """Fitnesses and needed masks of 1000 synthetic banks, as generate_ensemble sets them."""
+    panel, _ = ingest.interpolate_missing(ingest.synthesize_panel(1000, 4, seed=0),
+                                          drop_failures=True)
+    agg = rebalance_totals(ingest.to_aggregates(panel, panel.quarters[-1])[0])
+    return fitness_scores(agg), agg.interbank_assets > 0, agg.interbank_liabilities > 0
+
+
+def test_calibrate_z_through_the_exact_path_repeats_its_bits(monkeypatch, exact_calls):
+    cases = [(x, density, {"row_needed": rows, "col_needed": cols} if needed else {})
+             for x, rows, cols in (calibration_case(50), calibration_case(1000))
+             for density in (0.05, 0.2, 0.5) for needed in (False, True)]
+    x, rows, cols = bench_like_case()
+    cases.append((x, 0.2, {"row_needed": rows, "col_needed": cols}))
+    default = [calibrate_z(x, density, **masks).hex() for x, density, masks in cases]
+    bounded = len(exact_calls)
+    build = reconstruct._density_bound
+
+    def unbounded(*args, **kwargs):
+        bound = build(*args, **kwargs)
+        return lambda z: (bound(z)[0], math.inf)
+
+    monkeypatch.setattr(reconstruct, "_density_bound", unbounded)
+    assert [calibrate_z(x, density, **masks).hex() for x, density, masks in cases] == default
+    assert bounded < len(exact_calls) - bounded  # the second pass ran on exact densities
+
+
+def test_calibrate_z_at_zero_tolerance_takes_the_exact_density(exact_calls):
+    # Only the exact density can equal the target, so the bound cannot settle
+    # the returning comparison.
+    for (n, needed), (k, density) in EXACT_DENSITY.items():
+        x, row_needed, col_needed = calibration_case(n)
+        masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
+        del exact_calls[:]
+        assert calibrate_z(x, float.fromhex(density), tol=0.0, **masks) == 0.75 * 10.0 ** k
+        assert 0.75 * 10.0 ** k in exact_calls
+
+
 def test_probability_monotone_in_z():
     x = np.array([0.5, 0.3, 0.2])
     p1 = _link_probabilities(x, 1.0)
@@ -205,6 +290,33 @@ def test_sample_adjacency_density_monte_carlo():
     mean = np.mean(densities)
     se = np.std(densities) / np.sqrt(len(densities))
     assert abs(mean - 0.2) < 3 * se + 1e-5
+
+
+def test_repair_support_forces_the_most_probable_link():
+    def reference(adj, probs, row_needed, col_needed):
+        """The per-bank loop over the probability matrix."""
+        for i in np.flatnonzero(row_needed & ~adj.any(axis=1)):
+            j = int(np.argmax(probs[i]))
+            if probs[i, j] > 0:
+                adj[i, j] = True
+        for j in np.flatnonzero(col_needed & ~adj.any(axis=0)):
+            i = int(np.argmax(probs[:, j]))
+            if probs[i, j] > 0:
+                adj[i, j] = True
+
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        x = rng.choice([0.0, 0.1, 0.3, 0.3, 1.0], size=n)  # zeros and ties
+        z = 10.0 ** rng.uniform(-2.0, 3.0)
+        probs = _link_probabilities(x, z)
+        adj = rng.random((n, n)) < 0.3 * probs
+        needed = rng.random(n) < 0.9, rng.random(n) < 0.9
+        expected, drawn = adj.copy(), np.count_nonzero(adj)
+        reference(expected, probs, *needed)
+        forced = _repair_support(adj, _repair_links(x, z), *needed)
+        assert np.array_equal(adj, expected)
+        assert forced == np.count_nonzero(adj) - drawn
 
 
 def test_ipf_uniform_targets_complete_support():
