@@ -38,7 +38,8 @@ MAX_GAP = 3
 # The derived quantities to_aggregates requires non-negative (equity: positive),
 # in the order a bank's first failure is reported.
 DERIVED_CHECKS = ("equity", "external_assets", "external_liabilities", "other",
-                  "derivatives", "impaired_loans")
+                  "derivatives", "impaired_loans", "interbank_assets",
+                  "interbank_liabilities")
 
 _QUARTER_RE = re.compile(r"^\d{4}-Q[1-4]$")
 _cells = attrgetter(*VALUE_FIELDS)  # a record's VALUE_FIELDS, in order
@@ -143,7 +144,8 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
     Returns (panel, issues): issues is a list of (bank_id, error) pairs and is
     only populated when drop_failures is set; otherwise the first failure
     raises. A bank's reported failure is that of its first failing field,
-    direct fields first, then RATIO_FIELDS in order. Cells filled by boundary
+    direct fields first, then RATIO_FIELDS in order: a gap, else a cell that
+    fills to a non-finite value (NonFiniteField). Cells filled by boundary
     extrapolation are listed in panel.extrapolated. Observed values are never
     modified.
     """
@@ -161,16 +163,20 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
     seen = np.pad(observed.cumsum(axis=1), ((0, 0), (1, 0), (0, 0)))
     too_long = (seen[:, MAX_GAP + 1:] == seen[:, :-MAX_GAP - 1]).any(axis=1)
     check_order = direct + ratio_of
-    failing = (~anchored | too_long)[:, check_order]
     issues = []
-    for b in np.flatnonzero(failing.any(axis=1)):
-        k = check_order[failing[b].argmax()]
-        error = (GapTooLong if anchored[b, k] else InsufficientAnchors)(
-            banks[b], VALUE_FIELDS[k])
-        if not drop_failures:
-            raise error
-        issues.append((banks[b], error))
-    kept = ~failing.any(axis=1)
+
+    def fail(failing, error_of) -> np.ndarray:
+        """Report each bank with a failing field, naming its first in
+        check_order; the mask of the other banks."""
+        for b in np.flatnonzero(failing.any(axis=1)):
+            error = error_of(b, check_order[failing[b].argmax()])
+            if not drop_failures:
+                raise error
+            issues.append((banks[b], error))
+        return ~failing.any(axis=1)
+
+    kept = fail((~anchored | too_long)[:, check_order], lambda b, k: (
+        GapTooLong if anchored[b, k] else InsufficientAnchors)(banks[b], VALUE_FIELDS[k]))
     banks, vals, observed = [banks[b] for b in np.flatnonzero(kept)], vals[kept], observed[kept]
 
     filled, boundary = np.empty_like(vals), np.empty_like(observed)
@@ -182,10 +188,14 @@ def interpolate_missing(panel: Panel, drop_failures: bool = False):
     equity, assets, loans = (series[..., k] for k in range(len(DIRECT_FIELDS)))
     den = np.stack([equity, assets - equity, loans, assets], axis=-1)
     num, num_obs = vals[..., ratio_of], observed[..., ratio_of]
-    ratio = np.divide(num, np.where(den > 0, den, 1.0), out=np.full_like(num, np.nan),
-                      where=num_obs)
-    boundary[..., ratio_of] = _interpolate(ratio)
-    filled[..., ratio_of] = np.where(num_obs, num, ratio * np.where(den > 0, den, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fill fails below
+        ratio = np.divide(num, np.where(den > 0, den, 1.0), out=np.full_like(num, np.nan),
+                          where=num_obs)
+        boundary[..., ratio_of] = _interpolate(ratio)
+        filled[..., ratio_of] = np.where(num_obs, num, ratio * np.where(den > 0, den, 0.0))
+    kept = fail(~np.isfinite(filled).all(axis=1)[:, check_order],
+                lambda b, k: NonFiniteField(banks[b], VALUE_FIELDS[k]))
+    banks, filled, boundary = [banks[b] for b in np.flatnonzero(kept)], filled[kept], boundary[kept]
 
     records = tuple(PanelRecord(bank, q, *row)
                     for bank, rows in zip(banks, filled.tolist())
@@ -220,6 +230,8 @@ def to_aggregates(panel: Panel, quarter: str):
         other < 0,
         derivatives < 0,
         impaired < 0,
+        ib_assets < 0,
+        ib_liabilities < 0,
     ])
     issues = [(rows[b].bank_id,
                NegativeDerived(rows[b].bank_id, DERIVED_CHECKS[negative[b].argmax()]))

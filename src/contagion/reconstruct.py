@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -90,108 +89,34 @@ def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
     return p
 
 
-def _fitness_products(x: np.ndarray) -> tuple:
-    """(outer(x, x), mask of the ordered pairs i != j with a positive product)."""
-    xx = np.outer(x, x)
-    mask = xx > 0
-    np.fill_diagonal(mask, False)
-    if not mask.any():
-        raise UnreachableDensity("all fitness products vanish")
-    return xx, mask
-
-
-def _density_function(x: np.ndarray, row_needed=None, col_needed=None, products=None):
-    """Mean link density as a function of z, with the z-free matrices built once.
-
-    Each evaluation fills two preallocated n x n buffers with the floats of
-    _link_probabilities(x, z) and reduces them in the same order. products is
-    _fitness_products(x), built here when not given.
-    """
-    xx, mask = _fitness_products(x) if products is None else products
-    pairs = mask.sum()
-    p, q = np.empty_like(xx), np.empty_like(xx)
-
-    def density(z: float) -> float:
-        np.multiply(z, xx, out=p)
-        np.divide(p, np.add(1.0, p, out=q), out=p)
-        np.fill_diagonal(p, 0.0)
-        expected_links = p[mask].sum()
-        # Support repair forces one link for any needed-but-empty row or column;
-        # include its expected contribution so the calibrated mean density is
-        # that of the full sampling procedure, not just the Bernoulli stage.
-        np.subtract(1.0, p, out=q)
-        for axis, needed in ((1, row_needed), (0, col_needed)):
-            if needed is not None:
-                reachable = p.max(axis=axis) > 0
-                expected_links += np.prod(q, axis=axis)[needed & reachable].sum()
-        return float(expected_links / pairs)
-
-    return density
-
-
 DENSITY_BLOCK_ROWS = 64
-_U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u): the relative error of a sum or
-    product of k + 1 floats, in any order."""
-    return k * _U / (1.0 - k * _U)
+def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
+    """Mean link density as a function of z, with the z-free arrays built once.
 
-
-def _density_bound(x: np.ndarray, row_needed=None, col_needed=None, products=None):
-    """A cheap evaluation of _density_function(x, ...)(z) with an error bound.
-
-    Returns bound(z) -> (d, err) with |d - density(z)| <= err, where density(z)
-    is the float the exact evaluation returns; err is inf where no bound is
-    proved (fitnesses that are negative, NaN or not float64, or z * x_i * x_j
-    overflowing). One pass per block of DENSITY_BLOCK_ROWS rows of xx into
-    one small buffer:
-
-    - a = fl(z xx) and b = fl(1 + a) are the exact evaluation's floats, so
-      its p = fl(a / b) and c = fl(1 / b) satisfy |p + c - 1| <= 2u/(1 - u),
-      as (a + 1) / b = 1 / (1 + delta) (u is the unit roundoff). Outside the
-      mask xx = 0 gives c = 1 exactly, and the diagonal is set to 1, so the
-      expected links are n^2 - sum(c).
-    - The support-repair terms are c's column products: np.outer(x, x) is
-      exactly symmetric, so they are its row products too. Each of their
-      n - 1 off-diagonal factors differs from the exact evaluation's
-      fl(1 - p) by at most 3u/(1 - u); with every factor in [0, 1], the
-      products differ by at most that times n - 1, and each product's
-      rounding adds at most u per multiplication, in any order.
-    - A row or column is reachable when z times its largest off-diagonal
-      product is positive: p > 0 exactly when fl(z xx) > 0, and rounding is
-      monotone, so this is the exact evaluation's p.max(axis) > 0.
-    - Sums of k nonnegative floats are off by at most gamma_k times their
-      size in any order, and each later addition or division by at most u
-      of its result.
-
-    err is twice the sum of these terms, which covers the underflow of
-    every operation (at most 2^-1075 each) and the rounding of err itself.
-    It depends on n, the number of masks and the number of pairs, not on z.
+    x is finite and nonnegative, as calibrate_z requires. An evaluation makes
+    one pass per DENSITY_BLOCK_ROWS rows of np.outer(x, x) into one small
+    buffer: c = 1 / (1 + z x_i x_j) is the chance of no link, its limit 0 where
+    z x_i x_j overflows, and is set to 1 on the diagonal. Off the mask it is 1
+    exactly, so the expected links are n^2 - sum(c).
     """
-    xx, mask = _fitness_products(x) if products is None else products
-    x = np.ravel(x)  # as np.outer reads it
-    n, pairs = x.size, int(mask.sum())
+    with np.errstate(over="ignore"):
+        xx = np.outer(x, x)
+        mask = xx > 0
+        np.fill_diagonal(mask, False)
+        if not mask.any():
+            raise UnreachableDensity("all fitness products vanish")
+        n, pairs = x.size, int(mask.sum())
+        top = int(np.argmax(x))
+        peers = np.full(n, x[top])
+        peers[top] = np.delete(x, top).max()
+        row_max = x * peers  # largest off-diagonal entry of each row of xx
     needed = [m for m in (row_needed, col_needed) if m is not None]
-    top = int(np.argmax(x))
-    peers = np.full(n, x[top])
-    peers[top] = np.delete(x, top).max()
-    row_max = x * peers  # largest off-diagonal entry of each row of xx
-    xx_max = float(x[top] * x[top])
     buf = np.empty((min(DENSITY_BLOCK_ROWS, n), n))
 
-    N, V = float(n * n), float(n * n + 2 * n)  # V bounds every links total
-    pair_err = 2.0 * _U / (1.0 - _U)
-    repair_err = (n - 1) * (pair_err + 3.0 * _U)
-    links_err = (pairs * pair_err + _gamma(pairs) * pairs + _gamma(N) * N + _U * N
-                 + len(needed) * n * (repair_err + 2.0 * _gamma(n)) + 4.0 * _U * V)
-    err = 2.0 * (links_err + 2.0 * _U * V) / pairs
-    proved = x.dtype == np.float64 and bool(np.all(x >= 0))
-
-    def bound(z: float) -> tuple:
-        if not (proved and math.isfinite(z * xx_max)):
-            return math.nan, math.inf
+    @np.errstate(over="ignore")
+    def density(z: float) -> float:
         total = 0.0
         col_prod = np.ones(n)
         for r0 in range(0, n, DENSITY_BLOCK_ROWS):
@@ -203,14 +128,18 @@ def _density_bound(x: np.ndarray, row_needed=None, col_needed=None, products=Non
             total += float(c.sum())
             if needed:
                 col_prod *= c.prod(axis=0)
-        links = N - total
+        links = n * n - total
+        # Support repair forces one link for each needed-but-empty row or column
+        # that can link (z times its largest product is positive). Its expected
+        # count, c's column products (its row products too: np.outer(x, x) is
+        # exactly symmetric), is part of the calibrated density.
         if needed:
             reachable = z * row_max > 0
             for m in needed:
                 links += float(col_prod[m & reachable].sum())
-        return links / pairs, err
+        return links / pairs
 
-    return bound
+    return density
 
 
 def calibrate_z(fitnesses: np.ndarray, target_density: float,
@@ -224,46 +153,22 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
     from its z -> 0 limit before it rises: a target below that limit is
     bracketed by the first decade where the density drops below it. Raises
     UnreachableDensity when no decade of z reaches the target, or when 200
-    bisection steps do not bring the density within tol of it.
-
-    z depends only on the outcomes of the comparisons below. Each is taken
-    from _density_bound when its interval settles it, else from the exact
-    _density_function, so z is bit for bit the one exact densities give.
+    bisection steps do not bring the density within tol of it, and ValueError
+    for a negative or non-finite fitness.
     """
+    x = np.asarray(fitnesses, dtype=np.float64)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("fitnesses must be finite and nonnegative")
     if target_density >= 1.0:
         raise UnreachableDensity("mean link probability is strictly below 1")
     if target_density <= 0.0:
         return 0.0
-    products = _fitness_products(fitnesses)
-    bound = _density_bound(fitnesses, row_needed, col_needed, products)
-    exact_density = None  # built on the first comparison the bound cannot settle
-
-    def exact(z: float) -> float:
-        nonlocal exact_density
-        if exact_density is None:
-            exact_density = _density_function(fitnesses, row_needed, col_needed, products)
-        return exact_density(z)
-
-    def density(z: float) -> float:
-        """A float every comparison below takes as it takes the exact density.
-
-        [lo, hi] is d -/+ err, each rounded outward. Both comparisons are
-        constant on it when they agree at its ends: d < target is monotone in
-        d, and so is fl(d - target), which makes the set where
-        |d - target| <= tol an interval. On finite floats d >= target is
-        the negation of d < target.
-        """
-        d, err = bound(z)
-        ends = [(abs(e - target_density) <= tol, e < target_density)
-                for e in (math.nextafter(d - err, -math.inf), math.nextafter(d + err, math.inf))]
-        return d if math.isfinite(d + err) and ends[0] == ends[1] else exact(z)
-
+    density = _density_function(x, row_needed, col_needed)
     lo, hi = 0.0, 1.0  # density(lo) < target <= density(hi), once bracketed
     grid = [10.0 ** e for e in range(-30, 31)]
     if density(grid[0]) >= target_density:
         seen = np.array([density(z) for z in grid])
         if not np.any(seen < target_density):
-            seen = np.array([exact(z) for z in grid])
             raise UnreachableDensity(f"no z reaches density {target_density}; "
                                      f"the smallest density seen is {seen.min()}")
         k = int(np.argmax(seen < target_density))

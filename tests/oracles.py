@@ -12,6 +12,7 @@ from contagion import (
 from contagion.analysis import _first_round
 from contagion.errors import AggregateMismatch
 from contagion.models import _check_trajectory
+from contagion.reconstruct import _link_probabilities
 
 
 def en_vulnerability_form(network, shock) -> Trajectory:
@@ -33,6 +34,29 @@ def en_vulnerability_form(network, shock) -> Trajectory:
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
     return Trajectory(model=EN, h=h_arr, payments=pay)
+
+
+def reference_density(x, row_needed=None, col_needed=None):
+    """Mean link density as a function of z, from the full n x n matrix of link
+    probabilities: reconstruct._density_function by a second route.
+
+    Sums p over the ordered pairs with a positive fitness product, then adds
+    the links support repair forces: for each needed bank that can link, the
+    chance that its row (or column) of 1 - p draws none.
+    """
+    mask = np.outer(x, x) > 0
+    np.fill_diagonal(mask, False)
+
+    def density(z):
+        p = _link_probabilities(x, z)
+        links = p[mask].sum()
+        for axis, needed in ((1, row_needed), (0, col_needed)):
+            if needed is not None:
+                reachable = p.max(axis=axis) > 0
+                links += np.prod(1.0 - p, axis=axis)[needed & reachable].sum()
+        return float(links / mask.sum())
+
+    return density
 
 
 def topology_invariance_check(networks, shock):

@@ -1,10 +1,12 @@
 import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
 from contagion import cli, sweeps
 from contagion.cli import main
+from contagion.ingest import SCHEMA, synthesize_panel
 
 SWEEP_ARGS = ["--synthetic-banks", "40", "--synthetic-quarters", "4",
               "--ensemble-size", "5", "--seed", "3"]
@@ -81,6 +83,41 @@ def test_unknown_quarter_exits_2_with_a_plain_message(capsys, tmp_path, command)
     assert code == 2
     assert err == "error: no records for quarter 2031-Q1\n"
     assert not (tmp_path / "out").exists()
+
+
+def negate_last_quarter(field):
+    return lambda r: replace(r, **{field: -getattr(r, field)}) if r.quarter == "2010-Q3" else r
+
+
+def overflow_the_fill(r):
+    # interbank_assets is filled on its ratio to equity, which is 1344 / 5e-324
+    # in 2010-Q1, so the fill in 2010-Q2 overflows.
+    return {"2010-Q1": replace(r, total_equity=5e-324),
+            "2010-Q2": replace(r, interbank_assets=None)}.get(r.quarter, r)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (negate_last_quarter("interbank_assets"), "derived quantity interbank_assets is negative"),
+    (negate_last_quarter("interbank_liabilities"),
+     "derived quantity interbank_liabilities is negative"),
+    (overflow_the_fill, "field interbank_assets is not a finite number"),
+], ids=["negative_interbank_assets", "negative_interbank_liabilities", "overflowing_fill"])
+def test_a_bank_with_an_impossible_interbank_cell_is_dropped(capsys, tmp_path, edit, reason):
+    # B000 of a synthetic panel gets the edit; it is dropped, with the reason,
+    # and the other 29 banks reconstruct.
+    path = tmp_path / "panel.csv"
+    records = [edit(r) if r.bank_id == "B000" else r
+               for r in synthesize_panel(30, 3, seed=0).records]
+    path.write_text(PANEL_HEADER + "".join(
+        ",".join("" if v is None else str(v) for v in (getattr(r, k) for k in SCHEMA)) + "\n"
+        for r in records))
+    code, out, _ = run(capsys, "ingest", "validate", str(path))
+    assert code == 0 and f"  B000: bank B000: {reason}\n" in out
+    code, out, _ = run(capsys, "reconstruct", "--panel", str(path), "--ensemble-size", "5",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 0, out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert len(manifest["bank_ids"]) == 29 and "B000" not in manifest["bank_ids"]
 
 
 def test_reconstruct_writes_ensemble(capsys, tmp_path):

@@ -193,6 +193,24 @@ def test_drop_failures_collects_issues():
     assert len(issues) == 1 and issues[0][0] == "A"
 
 
+def test_a_fill_that_overflows_fails_its_bank():
+    # interbank_assets is filled on its ratio to equity, 20 / 5e-324 in 2020-Q1.
+    panel = Panel(records=(
+        full_record("A", "2020-Q1", equity=5e-324),
+        full_record("A", "2020-Q2", ib_a=None),
+        full_record("A", "2020-Q3"),
+        full_record("B", "2020-Q1"),
+        full_record("B", "2020-Q2"),
+        full_record("B", "2020-Q3"),
+    ))
+    with pytest.raises(NonFiniteField, match="bank A: field interbank_assets"):
+        interpolate_missing(panel)
+    out, issues = interpolate_missing(panel, drop_failures=True)
+    assert out.bank_ids == ["B"]
+    assert [(bank, type(err), err.field) for bank, err in issues] == [
+        ("A", NonFiniteField, "interbank_assets")]
+
+
 def test_observed_cells_never_modified():
     panel = synthesize_panel(n_banks=8, n_quarters=8, seed=1, missingness=0.3)
     out, _ = interpolate_missing(panel)
@@ -355,7 +373,9 @@ def test_to_aggregates_matches_per_record_loop():
     records = list(panel.records)
     for k, (name, scale) in enumerate([("total_equity", -1.0), ("total_assets", 0.05),
                                        ("total_equity", 20.0), ("derivatives", 50.0),
-                                       ("derivatives", -1.0), ("impaired_loans", -1.0)]):
+                                       ("derivatives", -1.0), ("impaired_loans", -1.0),
+                                       ("interbank_assets", -1.0),
+                                       ("interbank_liabilities", -1.0)]):
         r = records[4 * k + 1]
         records[4 * k + 1] = replace(r, **{name: getattr(r, name) * scale})
     panel = Panel(records=tuple(records))
@@ -368,7 +388,9 @@ def test_to_aggregates_matches_per_record_loop():
                   ("external_liabilities",
                    r.total_assets - r.total_equity - r.interbank_liabilities < 0),
                   ("other", other < 0), ("derivatives", r.derivatives < 0),
-                  ("impaired_loans", r.impaired_loans < 0))
+                  ("impaired_loans", r.impaired_loans < 0),
+                  ("interbank_assets", r.interbank_assets < 0),
+                  ("interbank_liabilities", r.interbank_liabilities < 0))
         bad = next((name for name, failed in checks if failed), None)
         if bad is None:
             kept.append((r.bank_id, r.total_equity, r.interbank_assets,
@@ -379,7 +401,7 @@ def test_to_aggregates_matches_per_record_loop():
     assert [(bank, err.field) for bank, err in issues] == expected_issues
     assert {name for _, name in expected_issues} == {
         "equity", "external_assets", "external_liabilities", "other", "derivatives",
-        "impaired_loans"}
+        "impaired_loans", "interbank_assets", "interbank_liabilities"}
     ids, equity, ib_a, ib_l, by_class = zip(*kept)
     assert agg.bank_ids == ids
     for got, want in ((agg.equity, equity), (agg.interbank_assets, ib_a),

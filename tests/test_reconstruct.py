@@ -1,5 +1,4 @@
 import csv
-import math
 import os
 import time
 import warnings
@@ -8,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contagion import ingest, reconstruct
+from contagion import ingest
 from contagion.errors import (
     AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
 )
@@ -16,9 +15,10 @@ from contagion.reconstruct import (
     IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, LIABILITY_CELL, Aggregates,
     ReconstructionConfig, calibrate_z, fitness_scores,
     generate_ensemble, ipf_weights, rebalance_totals, sample_adjacency,
-    write_ensemble, _density_bound, _density_function, _link_probabilities,
+    write_ensemble, _density_function, _link_probabilities,
     _repair_links, _repair_support,
 )
+from oracles import reference_density
 
 
 def make_aggregates(n=10, seed=0, sigma=0.5):
@@ -120,9 +120,18 @@ def calibration_case(n):
     return x, rng.random(n) < 0.8, rng.random(n) < 0.8
 
 
+def bench_like_case():
+    """Fitnesses and needed masks of 1000 synthetic banks, as generate_ensemble sets them."""
+    panel, _ = ingest.interpolate_missing(ingest.synthesize_panel(1000, 4, seed=0),
+                                          drop_failures=True)
+    agg = rebalance_totals(ingest.to_aggregates(panel, panel.quarters[-1])[0])
+    return fitness_scores(agg), agg.interbank_assets > 0, agg.interbank_liabilities > 0
+
+
 # calibrate_z(...).hex() at the default tolerance, recorded from the density
-# evaluation that rebuilt its matrices on each call. The bisection depends
-# only on comparison outcomes, so equal density bits give equal z bits.
+# evaluation that rebuilt its matrices on each call, and the "panel" case from
+# the one that summed the full n x n matrix. The bisection depends only on
+# comparison outcomes, so z keeps its bits while no comparison changes.
 PINNED_Z = {
     (50, 0.05, False): "0x1.7b41d80000000p+8",
     (50, 0.05, True): "0x1.c71bd00000000p+7",
@@ -136,25 +145,26 @@ PINNED_Z = {
     (1000, 0.2, True): "0x1.ba7b872800000p+19",
     (1000, 0.5, False): "0x1.1052c8dd00000p+23",
     (1000, 0.5, True): "0x1.1052c8dd00000p+23",
+    (1000, 0.2, "panel"): "0x1.1104e22000000p+19",  # bench_like_case, with its masks
 }
 
 
-@pytest.mark.parametrize("n, density, needed", sorted(PINNED_Z))
+@pytest.mark.parametrize("n, density, needed", list(PINNED_Z))
 def test_calibrate_z_pinned_bits(n, density, needed):
-    x, row_needed, col_needed = calibration_case(n)
+    x, row_needed, col_needed = bench_like_case() if needed == "panel" else calibration_case(n)
     masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
     assert calibrate_z(x, density, **masks).hex() == PINNED_Z[n, density, needed]
 
 
-# (k, density) with the density recorded, bit for bit, from the same
+# (k, density) with the density recorded, bit for bit, from the blocked
 # evaluation at z = 0.75 * 10**k, where 10**k brackets density 0.2. With
 # tol=0 the bisection returns that z at its second midpoint only when the
 # density there repeats these bits; a sum in another order misses it.
 EXACT_DENSITY = {
-    (50, False): (4, "0x1.fabd7e5cd4d93p-3"),
-    (50, True): (4, "0x1.fd1152eeafaa9p-3"),
-    (1000, False): (6, "0x1.7362c3fb6572dp-3"),
-    (1000, True): (6, "0x1.736359e8fa736p-3"),
+    (50, False): (4, "0x1.fabd7e5cd4d8fp-3"),
+    (50, True): (4, "0x1.fd1152eeafaa5p-3"),
+    (1000, False): (6, "0x1.7362c3fb6572bp-3"),
+    (1000, True): (6, "0x1.736359e8fa734p-3"),
 }
 
 
@@ -177,7 +187,7 @@ def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
         calibrate_z(x, 0.03, row_needed=needed, col_needed=needed)
 
 
-def test_density_bound_holds():
+def test_density_function_matches_the_reference():
     # Heavy-tailed fitness shares with some zeros, random or absent needed
     # masks, and z over the whole range calibrate_z searches.
     rng = np.random.default_rng(20)
@@ -190,72 +200,35 @@ def test_density_bound_holds():
         x /= x.sum()
         masks = [rng.random(n) < rng.random() if rng.random() < 0.7 else None
                  for _ in range(2)]
-        exact, bound = _density_function(x, *masks), _density_bound(x, *masks)
+        density, reference = _density_function(x, *masks), reference_density(x, *masks)
         for z in 10.0 ** rng.uniform(-30.0, 30.0, size=6):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                d, err = bound(z)
-                d_ref = exact(z)
-            assert err < 1e-8, (n, z)
-            assert abs(d - d_ref) <= err, (n, z, d, d_ref, err)
+                d, d_ref = density(z), reference(z)
+            assert abs(d - d_ref) <= 1e-12, (n, z, d, d_ref)
             checked += 1
-    # No bound is claimed for fitnesses that are negative or not float64, or
-    # where z * x_i * x_j overflows; calibrate_z then takes the exact density.
-    x = np.array([0.5, 0.3, 0.2])
-    for fitnesses, z in ((x.astype(np.float32), 1.0), (x - 0.25, 1.0), (x * 1e150, 1e10)):
-        assert _density_bound(fitnesses)(z)[1] == math.inf
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Counts the evaluations of calibrate_z's exact density."""
-    calls = []
-    build = reconstruct._density_function
-
-    def counted(*args, **kwargs):
-        density = build(*args, **kwargs)
-        return lambda z: calls.append(z) or density(z)
-
-    monkeypatch.setattr(reconstruct, "_density_function", counted)
-    return calls
+def test_density_takes_the_limit_where_a_product_overflows():
+    # z * x_i * x_j overflows for every pair: each link is certain, so the
+    # density is 1, where the quotient z xx / (1 + z xx) would be nan.
+    x = np.array([0.5, 0.3, 0.2]) * 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _density_function(x)(1e10) == 1.0
+        assert _density_function(x * 1e5)(1e-30) == 1.0  # x_i * x_j overflows itself
 
 
-def bench_like_case():
-    """Fitnesses and needed masks of 1000 synthetic banks, as generate_ensemble sets them."""
-    panel, _ = ingest.interpolate_missing(ingest.synthesize_panel(1000, 4, seed=0),
-                                          drop_failures=True)
-    agg = rebalance_totals(ingest.to_aggregates(panel, panel.quarters[-1])[0])
-    return fitness_scores(agg), agg.interbank_assets > 0, agg.interbank_liabilities > 0
+@pytest.mark.parametrize("bad", [-0.25, np.nan, np.inf])
+def test_calibrate_z_rejects_negative_or_non_finite_fitness(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        calibrate_z(np.array([0.5, 0.3, bad]), 0.3)
 
 
-def test_calibrate_z_through_the_exact_path_repeats_its_bits(monkeypatch, exact_calls):
-    cases = [(x, density, {"row_needed": rows, "col_needed": cols} if needed else {})
-             for x, rows, cols in (calibration_case(50), calibration_case(1000))
-             for density in (0.05, 0.2, 0.5) for needed in (False, True)]
-    x, rows, cols = bench_like_case()
-    cases.append((x, 0.2, {"row_needed": rows, "col_needed": cols}))
-    default = [calibrate_z(x, density, **masks).hex() for x, density, masks in cases]
-    bounded = len(exact_calls)
-    build = reconstruct._density_bound
-
-    def unbounded(*args, **kwargs):
-        bound = build(*args, **kwargs)
-        return lambda z: (bound(z)[0], math.inf)
-
-    monkeypatch.setattr(reconstruct, "_density_bound", unbounded)
-    assert [calibrate_z(x, density, **masks).hex() for x, density, masks in cases] == default
-    assert bounded < len(exact_calls) - bounded  # the second pass ran on exact densities
-
-
-def test_calibrate_z_at_zero_tolerance_takes_the_exact_density(exact_calls):
-    # Only the exact density can equal the target, so the bound cannot settle
-    # the returning comparison.
-    for (n, needed), (k, density) in EXACT_DENSITY.items():
-        x, row_needed, col_needed = calibration_case(n)
-        masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
-        del exact_calls[:]
-        assert calibrate_z(x, float.fromhex(density), tol=0.0, **masks) == 0.75 * 10.0 ** k
-        assert 0.75 * 10.0 ** k in exact_calls
+def test_calibrate_z_reads_fitnesses_as_float64():
+    x = np.array([0.5, 0.3, 0.2], dtype=np.float32)
+    assert calibrate_z(x, 0.3) == calibrate_z(x.astype(np.float64), 0.3)
+    assert calibrate_z([1, 2, 3], 0.3) == calibrate_z(np.array([1.0, 2.0, 3.0]), 0.3)
 
 
 def test_probability_monotone_in_z():
