@@ -72,10 +72,11 @@ class UnreachableDensity(ContagionError):
 
 
 class InfeasibleSupport(ContagionError):
-    def __init__(self, bank, side):
+    def __init__(self, bank, side, need, most):
         self.bank = bank
         self.side = side
-        super().__init__(f"bank {bank} has a positive {side} marginal but no sampled links")
+        super().__init__(f"bank {bank} needs a {side} share of at least {need:.6g}, but its "
+                         f"sampled partners can take at most {most:.6g}")
 
 
 class IPFNonConvergence(ContagionError):

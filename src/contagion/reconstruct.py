@@ -40,10 +40,12 @@ class Aggregates:
 IPF_MARGINAL_TOLERANCE = 0.01  # absolute and relative marginal deviation
 IPF_MAX_SWEEPS = 10_000
 # A fit has stalled, and fails, when its residual has fallen by no more than
-# IPF_STALL_RTOL of itself over the last IPF_STALL_WINDOW sweeps. Supports that
-# cannot carry the marginals plateau: over both attempts of the 1000 members
-# of the criterion-7 acceptance ensemble, all 61 failing fits stall by sweep
-# 1,335, while every window of the 1,939 accepted fits falls by 4 % or more.
+# IPF_STALL_RTOL of itself over the last IPF_STALL_WINDOW sweeps. _check_hall
+# rejects a support where one bank's partners cannot take its share; one where
+# only a group of banks is short still reaches the fit and plateaus. Of the
+# 1,035 fits of the criterion-7 acceptance ensemble, 37 fail: the check catches
+# 36 and the last stalls at sweep 1,335. The 998 accepted fits converge within
+# 242 sweeps.
 IPF_STALL_WINDOW = 100
 IPF_STALL_RTOL = 1e-6
 
@@ -197,6 +199,29 @@ def sample_adjacency(fitnesses: np.ndarray, z: float,
     return rng.random(p.shape) < p
 
 
+def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray,
+                col_targets: np.ndarray, tolerance: float) -> None:
+    """Raise InfeasibleSupport for a bank whose partners cannot take its share.
+
+    An accepted fit has every row sum above (1 - tolerance) r_i where r_i > 0,
+    and every column sum below (1 + tolerance) c_j where c_j > 0 and below
+    tolerance where c_j = 0 (only the starting matrix can use that: a column
+    sweep empties such a column). All of row i's mass lies in its partners'
+    columns, so no fit succeeds if (1 - tolerance) r_i reaches the sum of those
+    caps over its partners, 0 for a bank with none; likewise for columns. The
+    sum is inflated by n eps to cover its rounding. einsum casts the boolean
+    support in small buffers, where a matrix product would copy it to floats.
+    """
+    slack = 1.0 + adjacency.shape[0] * np.finfo(float).eps
+    for side, t, other, subscripts in (("lending", row_targets, col_targets, "ij,j->i"),
+                                       ("borrowing", col_targets, row_targets, "ij,i->j")):
+        most = np.einsum(subscripts, adjacency,
+                         (1.0 + tolerance) * other + tolerance * (other == 0))
+        least = (1.0 - tolerance) * t
+        for i in np.flatnonzero((t > 0) & (least >= most * slack)):
+            raise InfeasibleSupport(int(i), side, float(least[i]), float(most[i]))
+
+
 def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
                 col_targets: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE,
                 init: np.ndarray | None = None) -> np.ndarray:
@@ -205,28 +230,28 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
     Targets are normalized marginal shares (each side sums to one). Stops
     when both the absolute and relative marginal deviations drop below the
     tolerance. The initial matrix defaults to the adjacency itself. Raises
+    InfeasibleSupport before fitting a support that fails _check_hall, and
     IPFNonConvergence once the residual, the larger of the two deviations,
     has stalled (see IPF_STALL_WINDOW) or after IPF_MAX_SWEEPS sweeps.
     """
     adjacency = adjacency.astype(bool)
+    _check_hall(adjacency, row_targets, col_targets, tolerance)
     row_pos, col_pos = row_targets > 0, col_targets > 0
-    for i in np.flatnonzero(row_pos & ~adjacency.any(axis=1)):
-        raise InfeasibleSupport(int(i), "lending")
-    for j in np.flatnonzero(col_pos & ~adjacency.any(axis=0)):
-        raise InfeasibleSupport(int(j), "borrowing")
 
     w = (adjacency.astype(float) if init is None
          else np.where(adjacency, init, 0.0).astype(float))
     if w.sum() <= 0:
-        raise InfeasibleSupport(0, "lending")
-    w = w / w.sum()
+        i = int(np.argmax(row_pos))  # init vanishes on the whole support
+        raise InfeasibleSupport(i, "lending", (1.0 - tolerance) * row_targets[i], 0.0)
+    w = w / w.sum()  # a fresh C-ordered array, scaled in place by the sweeps
+    row_need, col_need = row_targets[row_pos], col_targets[col_pos]
 
     def deviation(rs, cs):
         """Largest absolute or relative deviation from the marginals."""
         r = np.abs(rs - row_targets)
         c = np.abs(cs - col_targets)
-        rel_r = r[row_pos] / row_targets[row_pos]
-        rel_c = c[col_pos] / col_targets[col_pos]
+        rel_r = r[row_pos] / row_need
+        rel_c = c[col_pos] / col_need
         return max(r.max(), c.max(), rel_r.max(initial=0.0), rel_c.max(initial=0.0))
 
     residuals = []  # residuals[k] is the residual after k sweeps
@@ -240,13 +265,9 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
         if stalled or sweep == IPF_MAX_SWEEPS:
             raise IPFNonConvergence(sweep, residual)
         residuals.append(residual)
-        scale = np.where(rs > 0, np.divide(row_targets, rs, out=np.ones_like(rs),
-                                           where=rs > 0), 0.0)
-        w = w * scale[:, None]
+        w *= np.divide(row_targets, rs, out=np.zeros_like(rs), where=rs > 0)[:, None]
         cs = w.sum(axis=0)
-        scale = np.where(cs > 0, np.divide(col_targets, cs, out=np.ones_like(cs),
-                                           where=cs > 0), 0.0)
-        w = w * scale[None, :]
+        w *= np.divide(col_targets, cs, out=np.zeros_like(cs), where=cs > 0)[None, :]
         rs = w.sum(axis=1)
 
 

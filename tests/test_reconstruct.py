@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contagion import ingest
+from contagion import ingest, reconstruct
 from contagion.errors import (
     AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
 )
@@ -320,21 +320,69 @@ def test_ipf_infeasible_support():
         ipf_weights(adj, row, col)
 
 
-@pytest.mark.parametrize("adjacency, row, col", [
-    # Rows 0 and 2 lend only to column 1, which then receives 0.8 but needs
-    # 0.2: the residual is 3.0 from the first sweep on.
-    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [0.4, 0.2, 0.4], [0.1, 0.2, 0.7]),
-    # Column 0 needs 0.5 from row 0, which lends only 0.49: the residual falls
-    # for about 200 sweeps, then plateaus at 0.0204, twice the tolerance.
-    ([[1, 1], [0, 1]], [0.49, 0.51], [0.5, 0.5]),
+@pytest.mark.parametrize("adjacency, row, col, bank, side", [
+    # Row 0 lends only to column 1, which can take at most 1.01 * 0.2 of the
+    # 0.99 * 0.4 that row 0 must place.
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [0.4, 0.2, 0.4], [0.1, 0.2, 0.7], 0, "lending"),
+    # Column 0 borrows only from row 0, which can give at most 1.01 * 0.49,
+    # just short of the 0.99 * 0.5 that column 0 must receive.
+    ([[1, 1], [0, 1]], [0.49, 0.51], [0.5, 0.5], 0, "borrowing"),
 ], ids=["constant_residual", "plateau_near_tolerance"])
-def test_ipf_stalled_fit_fails_early(adjacency, row, col):
+def test_ipf_hall_violation_is_rejected_before_fitting(adjacency, row, col, bank, side):
+    with pytest.raises(InfeasibleSupport) as info:
+        ipf_weights(np.array(adjacency, dtype=bool), np.array(row), np.array(col))
+    assert (info.value.bank, info.value.side) == (bank, side)
+    assert f"bank {bank} needs a {side} share of at least" in str(info.value)
+
+
+def test_hall_check_lets_a_zero_target_partner_take_the_tolerance():
+    # Row 0 lends only to column 0, whose target is 0. A column sweep empties
+    # column 0, but the starting matrix already fits within the tolerance, so
+    # the check must not reject it.
+    adj = np.eye(2, dtype=bool)
+    row, col = np.array([0.005, 0.995]), np.array([0.0, 1.0])
+    w = ipf_weights(adj, row, col, init=np.diag(row))
+    assert np.array_equal(w, np.diag(row))
+
+
+def test_ipf_stalled_fit_fails_early():
+    # Every bank alone passes the Hall check, but rows 0 and 1 need 0.6 from
+    # column 0, which takes only 0.4: the residual stalls at 0.5 by sweep 100.
+    adj = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
     t0 = time.perf_counter()
     with pytest.raises(IPFNonConvergence) as info:
-        ipf_weights(np.array(adjacency, dtype=bool), np.array(row), np.array(col))
+        ipf_weights(adj, np.array([0.3, 0.3, 0.4]), np.array([0.4, 0.3, 0.3]))
     assert info.value.sweeps < IPF_MAX_SWEEPS
     assert info.value.residual >= IPF_MARGINAL_TOLERANCE
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_hall_check_rejects_only_fits_that_cannot_converge(monkeypatch):
+    # The targets are the marginals of a random weighting of a random support,
+    # each scaled by a factor within 1 +- spread and set to 0 one time in ten:
+    # spread 0.06 gives fits near the bound, spread 1 gross misfits. Every
+    # support the check rejects must fail to converge when fitted without it.
+    rng = np.random.default_rng(22)
+    rejected = []
+    for _ in range(400):
+        n = int(rng.integers(2, 12))
+        adj = rng.random((n, n)) < rng.uniform(0.1, 0.7)
+        w = adj * rng.lognormal(0.0, 1.0, size=(n, n))
+        spread = rng.choice([0.06, 1.0])
+        t = np.stack([w.sum(axis=1), w.sum(axis=0)])
+        t *= rng.uniform(1.0 - spread, 1.0 + spread, size=t.shape) * (rng.random(t.shape) < 0.9)
+        if not adj.any() or np.any(t.sum(axis=1) == 0):
+            continue
+        row, col = t / t.sum(axis=1, keepdims=True)
+        try:
+            reconstruct._check_hall(adj, row, col, IPF_MARGINAL_TOLERANCE)
+        except InfeasibleSupport:
+            rejected.append((adj, row, col))
+    assert len(rejected) >= 100
+    monkeypatch.setattr(reconstruct, "_check_hall", lambda *args: None)
+    for adj, row, col in rejected:
+        with pytest.raises(IPFNonConvergence):
+            ipf_weights(adj, row, col)
 
 
 def test_ipf_slow_convergence_is_accepted():
