@@ -1,8 +1,9 @@
 """Financial-contagion simulation on leverage networks.
 
 Five distress-propagation models over a shared balance-sheet data model,
-analytical cross-checks (closed forms, conservation, orderings), interbank
-network reconstruction from aggregates, panel ingestion, and sweep tooling.
+global vulnerability and the proved-ordering firewall, interbank network
+reconstruction from aggregates, panel ingestion, and sweep tooling. The
+paper's closed forms and conservation identity are test oracles.
 """
 from .core import (
     FirstRound, LeverageDecomposition, LiabilityNetwork,
@@ -15,9 +16,7 @@ from .models import (
     run_eisenberg_noe, run_model, run_rogers_veraart,
 )
 from .analysis import (
-    OrderingReport, conservation_check, en_closed_form_H,
-    en_second_round_bound, en_second_round_exact, first_round_default_set,
-    global_vulnerability, ordering_audit, run_with_firewall,
+    OrderingReport, global_vulnerability, ordering_audit, run_with_firewall,
 )
 from .reconstruct import (
     Aggregates, EnsembleResult, ReconstructionConfig, calibrate_z,

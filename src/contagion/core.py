@@ -191,8 +191,9 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     external_assets_by_class is n x m, one column per asset class; the
     interbank totals are the margins of the liability matrix. The inputs are
     copied. Rejects mismatched dimensions, negative entries, self-exposure,
-    non-positive equity and balance sheets violating
-    E = A^e + A^b - L^e - L^b; NaN and infinite entries fail the same checks.
+    non-positive equity (or so little that assets / equity overflows) and
+    balance sheets violating E = A^e + A^b - L^e - L^b; NaN and infinite
+    entries fail the same checks.
     When several banks are faulty the error names the lowest-index one.
     """
     # np.array keeps an F-ordered matrix F-ordered, so the margins are summed
@@ -221,15 +222,16 @@ def build_network(liability_matrix, equity, external_assets_by_class,
                            external_liabilities=le)
     lb = net.interbank_liabilities
     # An overflowing sum gives inf, and inf - inf gives NaN; both fail the checks.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         total_assets = net.external_assets + net.interbank_assets
         resid = E - (total_assets - le - lb)
-    finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
-    bad_sheet = (~(E > 0) | ~finite
+        finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
+        no_equity = ~(E > 0) | (finite & ~np.isfinite(total_assets / E))
+    bad_sheet = (no_equity | ~finite
                  | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))
     if bad_sheet.any():
         i = int(np.argmax(bad_sheet))
-        if not E[i] > 0:
+        if no_equity[i]:
             raise NonPositiveEquity(i)
         raise IdentityViolation(i, float(resid[i]))
     return net

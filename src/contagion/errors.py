@@ -37,22 +37,6 @@ class NonConvergence(ContagionError):
     """Clearing iteration failed to reach a fixed point; indicates an internal fault."""
 
 
-class ModelMismatch(ContagionError):
-    pass
-
-
-class EquivalentFormsDisagree(ContagionError):
-    """Two algebraically equal forms of one quantity differ; indicates an internal fault."""
-
-
-class PreconditionViolated(ContagionError):
-    pass
-
-
-class AggregateMismatch(ContagionError):
-    pass
-
-
 class ProvedOrderingViolated(ContagionError):
     def __init__(self, pair, bank, t):
         self.pair = pair

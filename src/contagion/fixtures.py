@@ -206,19 +206,6 @@ def wheel_fixture(n: int) -> Fixture:
     )
 
 
-def conservation_ring(n: int = 5, seed: int = 0) -> LiabilityNetwork:
-    """Ring of banks with no outside liabilities (connectivity 1 everywhere)."""
-    rng = np.random.default_rng(seed)
-    L = np.zeros((n, n))
-    for i in range(n):
-        L[i, (i + 1) % n] = rng.uniform(5.0, 20.0)
-    ab = L.sum(axis=0)
-    lb = L.sum(axis=1)
-    equity = np.maximum(0.0, ab - lb) + rng.uniform(1.0, 10.0, size=n)
-    ae = equity + lb - ab
-    return network_from_vectors(ae, np.zeros(n), L, equity=equity)
-
-
 def random_network(rng: np.random.Generator, n: int, density: float = 0.3,
                    zero_external_liabilities: bool = False) -> LiabilityNetwork:
     """Random admissible network for property tests and audits.

@@ -220,9 +220,11 @@ def to_aggregates(panel: Panel, quarter: str):
     if bad.size:
         raise NonFiniteField(rows[bad[0, 0]].bank_id, VALUE_FIELDS[bad[0, 1]])
     equity, assets, ib_assets, ib_liabilities, _, impaired, derivatives = vals.T
-    external_assets = assets - ib_assets
-    external_liabilities = (assets - equity) - ib_liabilities
-    other = external_assets - derivatives - impaired
+    # An overflow gives -inf, or +inf past a negative cell: dropped below either way.
+    with np.errstate(over="ignore"):
+        external_assets = assets - ib_assets
+        external_liabilities = (assets - equity) - ib_liabilities
+        other = external_assets - derivatives - impaired
     negative = np.column_stack([  # DERIVED_CHECKS, in order
         equity <= 0,
         external_assets < 0,

@@ -64,17 +64,17 @@ class ReconstructionConfig:
 
 
 def rebalance_totals(aggregates: Aggregates) -> Aggregates:
-    """Scale the larger interbank side so both totals equal the smaller one."""
+    """Scale the larger interbank side so both totals equal the smaller one;
+    AllZeroTotals if a side sums to 0, also after scaling to a subnormal total."""
     a = aggregates.interbank_assets.sum()
     l = aggregates.interbank_liabilities.sum()
-    if a <= 0 or l <= 0:
-        raise AllZeroTotals("interbank totals must be positive on both sides")
     target = min(a, l)
-    return replace(
-        aggregates,
-        interbank_assets=aggregates.interbank_assets * (target / a),
-        interbank_liabilities=aggregates.interbank_liabilities * (target / l),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # a side summing to 0 gives nan
+        assets = aggregates.interbank_assets * (target / a)
+        liabilities = aggregates.interbank_liabilities * (target / l)
+    if not (assets.sum() > 0 and liabilities.sum() > 0):
+        raise AllZeroTotals("interbank totals must be positive on both sides")
+    return replace(aggregates, interbank_assets=assets, interbank_liabilities=liabilities)
 
 
 def fitness_scores(aggregates: Aggregates) -> np.ndarray:
@@ -239,11 +239,12 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
     row_pos, col_pos = row_targets > 0, col_targets > 0
 
     w = (adjacency.astype(float) if init is None
-         else np.where(adjacency, init, 0.0).astype(float))
-    if w.sum() <= 0:
+         else np.where(adjacency, np.asarray(init, dtype=float), 0.0))
+    total = w.sum()
+    if total <= 0:
         i = int(np.argmax(row_pos))  # init vanishes on the whole support
         raise InfeasibleSupport(i, "lending", (1.0 - tolerance) * row_targets[i], 0.0)
-    w = w / w.sum()  # a fresh C-ordered array, scaled in place by the sweeps
+    w /= total  # w is one fresh C-ordered float64 array; the sweeps scale it in place
     row_need, col_need = row_targets[row_pos], col_targets[col_pos]
 
     def deviation(rs, cs):

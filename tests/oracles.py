@@ -1,18 +1,95 @@
 """Cross-check references that only the tests call.
 
 Each reaches a result of the package by a second route, so a fault in either
-route shows as a disagreement. They are safety code, not package API.
+route shows as a disagreement. They are safety code, not package API. The EN
+closed forms gate no run: they hold for every clearing vector, not only the
+greatest, and conservation needs zero outside liabilities.
 """
 import numpy as np
 
 from contagion import (
-    EN, Trajectory, global_vulnerability, leverage_decomposition,
-    relative_liabilities, run_eisenberg_noe,
+    EN, Trajectory, apply_first_round, global_vulnerability, leverage_decomposition,
+    network_from_vectors, relative_liabilities, run_eisenberg_noe,
 )
-from contagion.analysis import _first_round
-from contagion.errors import AggregateMismatch
+from contagion.analysis import equity_weights
 from contagion.models import _check_trajectory
 from contagion.reconstruct import _link_probabilities
+
+BOUNDARY_TOL = 1e-12
+
+
+def _first_round(network, shock):
+    """(s, A^e s, D(1) mask, boundary flag). D(1) holds the banks whose
+    first-round loss meets or exceeds their equity; the flag marks a loss
+    equal to equity, which the tie rule places inside D(1)."""
+    s = shock.effective_per_bank(network)
+    ratio = apply_first_round(network, shock).loss_ratio
+    return (s, network.external_assets * s, ratio >= 1.0 - BOUNDARY_TOL,
+            bool(np.any(np.abs(ratio - 1.0) <= BOUNDARY_TOL)))
+
+
+def _leak(network, en_trajectory) -> float:
+    """Payment shortfalls that leave the network: (1 - beta) . (p_bar - p(inf))."""
+    assert en_trajectory.model == EN, f"need an EN clearing run, not {en_trajectory.model}"
+    rel = relative_liabilities(network)
+    shortfall = rel.total_obligations - en_trajectory.payments[-1]
+    return (1.0 - rel.financial_connectivity) @ shortfall
+
+
+def first_round_default_set(network, shock):
+    """Banks in D(1) as (index set, boundary flag); see _first_round."""
+    _, _, d1, boundary = _first_round(network, shock)
+    return frozenset(np.flatnonzero(d1).tolist()), boundary
+
+
+def en_closed_form_H(network, shock, en_trajectory) -> float:
+    """Final global vulnerability from first-round losses and payment shortfalls.
+
+    H(inf) = (1/sum E) sum_i [A^e_i s_i - (1 - beta_i)(p_bar_i - p_i(inf))].
+    """
+    leak = _leak(network, en_trajectory)
+    s = shock.effective_per_bank(network)
+    return float((network.external_assets @ s - leak) / network.equity.sum())
+
+
+def en_second_round_exact(network, shock, en_trajectory) -> float:
+    """Exact second-round loss: first-round excess over equity of defaulters,
+    net of the share of payment shortfalls externalized outside the network."""
+    leak = _leak(network, en_trajectory)
+    _, loss, d1, _ = _first_round(network, shock)
+    excess = loss[d1] - network.equity[d1]
+    return float((excess.sum() - leak) / network.equity.sum())
+
+
+def en_second_round_bound(network, shock) -> tuple:
+    """Topology-free upper bound on second-round losses, in two equal forms:
+    (1/sum E) sum_{i in D(1)} beta_i (A^e_i s_i - E_i), and the weighted form
+    sum beta_i w_i (l^e_i s_i - 1). The tests compare them."""
+    s, loss, d1, _ = _first_round(network, shock)
+    beta = relative_liabilities(network).financial_connectivity[d1]
+    bound = float((beta @ (loss[d1] - network.equity[d1])) / network.equity.sum())
+    w = equity_weights(network)[d1]
+    lev = leverage_decomposition(network).external_leverage_total[d1]
+    return bound, float(np.sum(beta * w * (lev * s[d1] - 1.0)))
+
+
+def conservation_check(network, shock, en_trajectory) -> float:
+    """Aggregate equity loss must equal the external-asset loss when no
+    liabilities leave the network (connectivity 1 for every bank); returns
+    the residual |E . h(inf) - A^e . s|."""
+    assert en_trajectory.model == EN, f"need an EN clearing run, not {en_trajectory.model}"
+    assert not np.any(network.external_liabilities > 1e-12), "needs zero outside liabilities"
+    loss = network.external_assets @ shock.effective_per_bank(network)
+    return abs(float(network.equity @ en_trajectory.h[-1] - loss))
+
+
+def conservation_ring(n: int = 5, seed: int = 0):
+    """Ring of banks with no outside liabilities (connectivity 1 everywhere)."""
+    rng = np.random.default_rng(seed)
+    L = np.roll(np.diag(rng.uniform(5.0, 20.0, size=n)), 1, axis=1)  # bank i lends to i + 1
+    ab, lb = L.sum(axis=0), L.sum(axis=1)
+    equity = np.maximum(0.0, ab - lb) + rng.uniform(1.0, 10.0, size=n)
+    return network_from_vectors(equity + lb - ab, np.zeros(n), L, equity=equity)
 
 
 def en_vulnerability_form(network, shock) -> Trajectory:
@@ -65,7 +142,7 @@ def topology_invariance_check(networks, shock):
 
     Networks must share size, D(1), equities, first-round monetary losses and
     the connectivity of first-round defaulters (the ingredients of the exact
-    second-round expression), or AggregateMismatch is raised."""
+    second-round expression), or ValueError is raised."""
     def signature(net):
         _, loss, d1, _ = _first_round(net, shock)
         return d1, net.equity, loss, relative_liabilities(net).financial_connectivity[d1]
@@ -76,7 +153,7 @@ def topology_invariance_check(networks, shock):
         # equal D(1) masks have equal sizes, so the closeness checks broadcast
         if not (np.array_equal(sig[0], ref[0])
                 and all(np.allclose(a, b) for a, b in zip(sig[1:], ref[1:]))):
-            raise AggregateMismatch("networks do not share the aggregates that pin H")
+            raise ValueError("networks do not share the aggregates that pin H")
     runs = [run_eisenberg_noe(net, shock) for net in networks]
     return ([global_vulnerability(t, net) for t, net in zip(runs, networks)],
             np.vstack([t.h[-1] for t in runs]))

@@ -1,8 +1,12 @@
+import ast
 from dataclasses import replace
+from inspect import ismodule
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contagion
 from contagion import (
     ShockSpec, apply_first_round, build_network, leverage_decomposition,
     network_from_vectors, relative_liabilities, run_eisenberg_noe,
@@ -102,6 +106,7 @@ def test_network_totals_are_the_matrix_margins():
     ([5.0, 0.0], [1, 5], 0.0, IdentityViolation),   # bank 0 identity, bank 1 equity
     ([0.0, 5.0], [10, 1], 0.0, NonPositiveEquity),  # bank 0 equity, bank 1 identity
     ([5.0, 5.0], [5, 5], 1.0, IdentityViolation),   # identity of both, via the margins
+    ([1e-320, 5.0], [10, 5], 0.0, NonPositiveEquity),  # bank 0 leverage 10 / 1e-320 overflows
 ])
 def test_error_names_lowest_faulty_bank(equity, external_liabilities, L01, error):
     L = np.zeros((2, 2))
@@ -280,22 +285,30 @@ PUBLIC_API = [
     "LeverageDecomposition", "LiabilityNetwork", "MODEL_NAMES", "ModelConfig",
     "OrderingReport", "Panel", "PanelRecord", "RV", "ReconstructionConfig",
     "RelativeLiabilities", "ShockSpec", "SweepSpec", "Trajectory", "analysis",
-    "apply_first_round", "build_network", "calibrate_z", "conservation_check",
-    "core", "en_closed_form_H", "en_second_round_bound", "en_second_round_exact",
-    "errors", "first_round_default_set", "fitness_scores", "fixtures",
-    "generate_ensemble", "global_vulnerability", "ingest", "interpolate_missing",
-    "ipf_weights", "leverage_decomposition", "load_panel", "make_shock", "models",
-    "network_from_vectors", "ordering_audit", "rebalance_totals", "reconstruct",
-    "relative_liabilities", "run_acyclic_debtrank", "run_cyclic_debtrank",
-    "run_default_cascade", "run_eisenberg_noe", "run_model", "run_recovery_sweep",
-    "run_rogers_veraart", "run_shock_sweep", "run_timeseries", "run_with_firewall",
-    "sample_adjacency", "sweeps", "synthesize_panel", "to_aggregates",
-    "write_ensemble",
+    "apply_first_round", "build_network", "calibrate_z", "core", "errors",
+    "fitness_scores", "fixtures", "generate_ensemble", "global_vulnerability",
+    "ingest", "interpolate_missing", "ipf_weights", "leverage_decomposition",
+    "load_panel", "make_shock", "models", "network_from_vectors",
+    "ordering_audit", "rebalance_totals", "reconstruct", "relative_liabilities",
+    "run_acyclic_debtrank", "run_cyclic_debtrank", "run_default_cascade",
+    "run_eisenberg_noe", "run_model", "run_recovery_sweep", "run_rogers_veraart",
+    "run_shock_sweep", "run_timeseries", "run_with_firewall", "sample_adjacency",
+    "sweeps", "synthesize_panel", "to_aggregates", "write_ensemble",
 ]
 
 
 def test_public_api_is_pinned():
     # A name added to or dropped from the package's API shows up here first;
     # test-only references live in tests/oracles.py, not in the package.
-    import contagion
     assert sorted(contagion.__all__) == PUBLIC_API
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    # A function that only tests call belongs in tests/oracles.py.
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "contagion").glob("*.py"), *(root / "bench").glob("*.py")]
+    trees = [ast.parse(f.read_text()) for f in files if f.name != "__init__.py"]
+    used = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert [name for name in contagion.__all__
+            if not ismodule(getattr(contagion, name)) and name not in used] == []
