@@ -112,7 +112,8 @@ class NegativeDerived(ContagionError):
     def __init__(self, bank, field):
         self.bank = bank
         self.field = field
-        super().__init__(f"bank {bank}: derived quantity {field} is negative")
+        what = "is not positive, or too small for its assets" if field == "equity" else "is negative"
+        super().__init__(f"bank {bank}: derived quantity {field} {what}")
 
 
 class UnknownQuarter(ContagionError):

@@ -35,8 +35,8 @@ DIRECT_FIELDS = ("total_equity", "total_assets", "total_loans")
 RATIO_FIELDS = ("interbank_assets", "interbank_liabilities", "impaired_loans",
                 "derivatives")
 MAX_GAP = 3
-# The derived quantities to_aggregates requires non-negative (equity: positive),
-# in the order a bank's first failure is reported.
+# The derived quantities to_aggregates requires non-negative, in the order a bank's
+# first failure is reported; equity is held to build_network's test, which every member meets.
 DERIVED_CHECKS = ("equity", "external_assets", "external_liabilities", "other",
                   "derivatives", "impaired_loans", "interbank_assets",
                   "interbank_liabilities")
@@ -209,7 +209,7 @@ def to_aggregates(panel: Panel, quarter: str):
     """Aggregates for one quarter, dropping banks with impossible sheets.
 
     Returns (Aggregates, issues), issues listing (bank_id, error) for banks with
-    a negative derived quantity, the first of DERIVED_CHECKS that fails. A
+    a derived quantity out of range, the first of DERIVED_CHECKS that fails. A
     missing, nan or inf field raises NonFiniteField for the first such cell.
     """
     rows = [r for r in panel.records if r.quarter == quarter]
@@ -221,12 +221,13 @@ def to_aggregates(panel: Panel, quarter: str):
         raise NonFiniteField(rows[bad[0, 0]].bank_id, VALUE_FIELDS[bad[0, 1]])
     equity, assets, ib_assets, ib_liabilities, _, impaired, derivatives = vals.T
     # An overflow gives -inf, or +inf past a negative cell: dropped below either way.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         external_assets = assets - ib_assets
         external_liabilities = (assets - equity) - ib_liabilities
         other = external_assets - derivatives - impaired
+        no_equity = ~(equity > 0) | ~np.isfinite(assets / equity)
     negative = np.column_stack([  # DERIVED_CHECKS, in order
-        equity <= 0,
+        no_equity,
         external_assets < 0,
         external_liabilities < 0,
         other < 0,

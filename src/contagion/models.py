@@ -26,7 +26,6 @@ MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
 CDR_MAX_ROUNDS = 10_000  # cDR's round cap (or 10 n, if larger)
-PICARD_MAX_ITERATIONS = 200_000  # the clearing fallback raises NonConvergence past this
 SHORTFALL_TOL = 1e-12  # clearing: a shortfall up to this x max(1, p_bar) is rounding, not default
 
 
@@ -101,19 +100,37 @@ def _keep(table: dict, key, trajectory: Trajectory) -> Trajectory:
     return trajectory
 
 
-def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current):
+def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
     Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND;
-    at beta = 0 that is p_D = 0, set without a solve. When the linear system
-    is singular or ill-conditioned (closed defaulting subsystems), falls back
-    to plain Picard iteration of the restricted map from the current payments.
+    at beta = 0 that is p_D = 0, set without a solve. At beta = 1 it first
+    clears S, the bare defaulters linked to no bank outside S, where the system
+    is singular: S receives nothing, so banks that no bank of S pays pay 0 and
+    the closed class left pays t v, with v its Perron vector and t = min p_bar / v
+    (Rogers & Veraart 2013). A failed solve raises NonConvergence.
     """
-    idx = np.flatnonzero(D)
-    if idx.size == 0:
-        return p_bar.copy()
     p = p_bar.copy()
-    if beta == 0.0:  # I p_D = +0.0: the solve would return exactly this
+    if beta == 1.0 and (S := D & bare).any():
+        link = (pi_T != 0) | (pi_T.T != 0)
+        while (cut := S & link[:, ~S].any(axis=1)).any():
+            S &= ~cut
+        paid = S.copy()
+        while (unpaid := paid & ~(pi_T[:, paid] != 0).any(axis=1)).any():
+            paid &= ~unpaid
+        p[S] = 0.0
+        if (cls := np.flatnonzero(paid)).size:
+            A = pi_T[np.ix_(cls, cls)]
+            try:  # v = 1 at the class's first bank; its other rows give the rest
+                v = np.append(1.0, np.linalg.solve(np.eye(cls.size - 1) - A[1:, 1:], A[1:, 0]))
+            except np.linalg.LinAlgError:
+                v = np.zeros(1)  # fails the check below
+            if not (np.isfinite(v).all() and (v > 0).all()):
+                raise NonConvergence("bare defaulters are not one closed class")
+            p[cls] = np.clip((p_bar[cls] / v).min() * v, 0.0, p_bar[cls])
+        D = D & ~S
+    idx = np.flatnonzero(D)
+    if idx.size == 0 or beta == 0.0:  # I p_D = +0.0: the solve would return exactly this
         p[idx] = 0.0
         return p
     rows = pi_T.take(idx, axis=0)  # pi_T[idx]
@@ -127,23 +144,12 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, p_current)
     mat.ravel()[::idx.size + 1] += 1.0
     try:
         sol = np.linalg.solve(mat, b)
-        resid = np.abs(mat @ sol - b).max()
-        ok = np.isfinite(sol).all() and resid <= 1e-9 * max(1.0, np.abs(b).max())
+        ok = (np.isfinite(sol).all()
+              and np.abs(mat @ sol - b).max() <= 1e-9 * max(1.0, np.abs(b).max()))
     except np.linalg.LinAlgError:
         ok = False
     if not ok:
-        # Picard iteration from the current payments, monotone decreasing to
-        # the greatest fixed point of the restricted map; mat overwrote A_dd.
-        A_dd = pi_T[np.ix_(idx, idx)]
-        external = beta * shocked_external[idx]
-        inflow = pi_T[idx] @ p - A_dd @ p[idx]
-        sol = p_current[idx].copy()
-        for _ in range(PICARD_MAX_ITERATIONS):
-            prev, sol = sol, np.clip(external + beta * (inflow + A_dd @ sol), 0.0, p_bar[idx])
-            if np.abs(sol - prev).max() < 1e-13 * max(1.0, p_bar[idx].max(initial=0.0)):
-                break
-        else:
-            raise NonConvergence(f"Picard fallback exceeded {PICARD_MAX_ITERATIONS} iterations")
+        raise NonConvergence("defaulters' payments failed their solve; internal fault")
     p[idx] = np.clip(sol, 0.0, p_bar[idx])
     return p
 
@@ -165,6 +171,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     table = _table(network, shock)
     if table and ("clearing", beta) in table:  # no model in the key: EN is RV(1)
         return replace(table["clearing", beta], model=model)
+    bare = (ae == 0) & (network.external_liabilities == 0)
     E0 = network.equity
     scale = np.maximum(1.0, p_bar)
     threshold = p_bar - SHORTFALL_TOL * scale
@@ -183,7 +190,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
             # No new defaulters; with none at all, converged after the first round.
             break
         D, n_defaulted = new_D, n_new
-        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, p)  # a fresh array
+        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, bare)  # a fresh array
         resources = pi_T @ p + ae
         E = np.maximum(0.0, resources - p_bar)
         E[D] = 0.0

@@ -311,20 +311,10 @@ def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-@dataclass(frozen=True, eq=False)
-class _MemberInputs:
-    """What every member of one ensemble is built from besides x and z.
-
-    np.outer(x, x), the IPF start, is rebuilt per attempt: held for the whole
-    ensemble it would add an n x n array to the peak memory of set-up.
-    """
-
-    aggregates: Aggregates  # rebalanced
-    link: np.ndarray        # _repair_links(x, z)
-
-
-def _build_member(inputs: _MemberInputs, x, z, config, index) -> tuple:
-    aggregates = inputs.aggregates
+def _build_member(aggregates, link, z, config, index) -> tuple:
+    """Member `index`; link is _repair_links(x, z). The IPF start np.outer(x, x) is
+    rebuilt per attempt, so set-up never holds it for the whole ensemble."""
+    x = fitness_scores(aggregates)
     volume = aggregates.interbank_assets.sum()
     row_t = aggregates.interbank_assets / volume       # lending shares
     col_t = aggregates.interbank_liabilities / volume  # borrowing shares
@@ -332,7 +322,7 @@ def _build_member(inputs: _MemberInputs, x, z, config, index) -> tuple:
     for attempt in (0, 1):
         rng = _member_rng(config.rng_seed, index, attempt)
         adj = sample_adjacency(x, z, rng)
-        _repair_support(adj, inputs.link, row_t > 0, col_t > 0)
+        _repair_support(adj, link, row_t > 0, col_t > 0)
         if not adj.any():
             last_error = ContagionError("empty adjacency draw")
             continue
@@ -370,10 +360,10 @@ def generate_ensemble(aggregates: Aggregates,
     z = calibrate_z(x, config.target_density,
                     row_needed=agg.interbank_assets > 0,
                     col_needed=agg.interbank_liabilities > 0)
-    inputs = _MemberInputs(agg, _repair_links(x, z))
+    link = _repair_links(x, z)
     networks, skipped, densities = [], [], []
     for idx in range(config.ensemble_size):
-        net, density, err = _build_member(inputs, x, z, config, idx)
+        net, density, err = _build_member(agg, link, z, config, idx)
         if net is None:
             skipped.append((idx, str(err)))
         else:

@@ -127,6 +127,23 @@ def test_a_bank_with_an_impossible_interbank_cell_is_dropped(capsys, tmp_path, e
     assert len(manifest["bank_ids"]) == 29 and "B000" not in manifest["bank_ids"]
 
 
+def test_a_bank_whose_equity_is_too_small_for_its_assets_is_dropped(capsys, tmp_path):
+    # B003's equity of 1e-320 is positive, but assets / equity overflows, so
+    # build_network would reject it in every member; ingestion drops it instead.
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_csv([replace(r, total_equity=1e-320) if r.bank_id == "B003" else r
+                               for r in synthesize_panel(30, 4, seed=0).records]))
+    code, out, _ = run(capsys, "ingest", "validate", str(path))
+    assert code == 0
+    assert ("  B003: bank B003: derived quantity equity is not positive, "
+            "or too small for its assets\n") in out
+    code, out, _ = run(capsys, "reconstruct", "--panel", str(path), "--ensemble-size", "5",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 0, out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert len(manifest["bank_ids"]) == 29 and "B003" not in manifest["bank_ids"]
+
+
 @pytest.mark.parametrize("records", [
     synthesize_panel(3, 1, seed=1).records,
     [r for r in synthesize_panel(2, 1, seed=34).records if r.bank_id == "B000"],

@@ -107,61 +107,70 @@ def test_closed_cycle_boundary_bank_pays_in_full():
     assert np.allclose(alt.h, traj.h, atol=1e-12)
 
 
-def test_picard_fallback_raises_at_its_cap(monkeypatch):
+def solve_bare_defaulters(L):
+    """_solve_defaulter_payments at beta = 1 with every bank bare and in D."""
+    L = np.array(L, dtype=float)
+    p_bar = L.sum(axis=1)
+    every = np.ones(len(L), dtype=bool)
+    return models._solve_defaulter_payments((L / p_bar[:, None]).T, p_bar, every, 1.0,
+                                            np.zeros(len(L)), every)
+
+
+CYCLE_FED_BY_AN_UNPAID_BANK = [[0.0, 10.0, 0.0], [4.0, 0.0, 0.0], [6.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("L, expected", [
     # Two banks owing each other 10 with nothing outside: I - Pi^T_DD is
-    # singular, so the solve falls back to Picard iteration, which from
-    # p = (10, 4) swaps the two payments forever instead of settling.
-    monkeypatch.setattr(models, "PICARD_MAX_ITERATIONS", 50)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NonConvergence, match="50 iterations"):
-        models._solve_defaulter_payments(
-            swap, np.array([10.0, 10.0]), np.array([True, True]), 1.0,
-            np.zeros(2), np.array([10.0, 4.0]))
+    # singular, and the greatest solution has both banks paying in full.
+    ([[0.0, 10.0], [10.0, 0.0]], [10.0, 10.0]),
+    # Bank 2 owes 6 into the cycle 0 <-> 1 but no bank pays it, so it pays 0;
+    # the cycle pays t v = 4 (1, 1), capped by bank 1's debt of 4.
+    (CYCLE_FED_BY_AN_UNPAID_BANK, [4.0, 4.0, 0.0]),
+    ([row[::-1] for row in CYCLE_FED_BY_AN_UNPAID_BANK[::-1]], [0.0, 4.0, 4.0]),
+], ids=["swap", "forward", "mirrored"])
+def test_bare_defaulters_pay_their_greatest_vector(L, expected):
+    assert solve_bare_defaulters(L).tolist() == expected
 
 
-def test_picard_fallback_matches_the_solve(monkeypatch):
-    # The solve builds I - beta Pi^T_DD in the gathered block's own buffer, so
-    # the fallback must gather Pi^T_DD again; on these well-posed systems it
-    # then reaches the solve's payments.
-    rng = np.random.default_rng(12)
-    cases = []
-    for _ in range(50):
-        net = fx.random_network(rng, int(rng.integers(3, 25)))
-        shock = ShockSpec.uniform(rng.uniform(0.1, 0.6))
-        cases.append((net, shock, [run_eisenberg_noe(net, shock),
-                                   run_rogers_veraart(net, shock, cfg("RV", beta=0.5))]))
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    reached = 0  # runs whose unpatched clearing reached the solve
-    for net, shock, (en, rv) in cases:
-        for base, traj in ((en, run_eisenberg_noe(net, shock)),
-                           (rv, run_rogers_veraart(net, shock, cfg("RV", beta=0.5)))):
-            assert traj.payments.shape == base.payments.shape
-            np.testing.assert_allclose(traj.payments, base.payments, rtol=1e-9,
-                                       atol=1e-12 * base.payments[0].max())
-            reached += base.converged_at > 1
-    assert reached >= 50
+def test_two_closed_classes_in_default_raise():
+    # Two disjoint 2-cycles: the bare defaulters are not one closed class.
+    L = np.zeros((4, 4))
+    L[0, 1] = L[1, 0] = 10.0
+    L[2, 3] = L[3, 2] = 5.0
+    with pytest.raises(NonConvergence, match="not one closed class"):
+        solve_bare_defaulters(L)
 
 
-# Both reproducers below fail for one cause: _solve_defaulter_payments forms
-# the defaulters' inflow from non-defaulters as rows @ p - A_dd @ p[idx], a
-# difference that cancels when a defaulter's p_bar dwarfs that inflow. The
-# solve then comes out low, and a non-defaulter whose resources sit on its
-# obligations is pushed into the default set. Summing
-# Pi^T_{D,ND} p_bar_ND directly fixes both, but changes pinned output bytes.
+@pytest.mark.parametrize("result", ["raise", "nan"])
+def test_a_failed_defaulter_solve_raises(monkeypatch, result):
+    # A solve that raises LinAlgError or returns NaN has no fallback.
+    def failed(a, b):
+        if result == "raise":
+            raise np.linalg.LinAlgError("forced")
+        return np.full_like(b, np.nan)
+
+    f = fx.chain_fixture()
+    monkeypatch.setattr(np.linalg, "solve", failed)
+    for run in (lambda: run_eisenberg_noe(f.network, f.shock),
+                lambda: run_rogers_veraart(f.network, f.shock, cfg("RV", beta=0.5))):
+        with pytest.raises(NonConvergence, match="failed their solve"):
+            run()
+
+
+# _solve_defaulter_payments forms the defaulters' inflow from non-defaulters
+# as rows @ p - A_dd @ p[idx], a difference that cancels when a defaulter's
+# p_bar dwarfs that inflow. The solve then comes out low. Summing
+# Pi^T_{D,ND} p_bar_ND directly fixes this, but changes pinned output bytes.
 CANCELLATION = ("known fault: the defaulters' inflow rows @ p - A_dd @ p[idx] "
-                "cancels and pushes a boundary bank into the default set")
+                "cancels, so a solve comes out low")
 
 
 @pytest.mark.xfail(strict=True, raises=NonConvergence, reason=CANCELLATION)
 def test_closed_class_spanning_many_decades_clears():
     # Three banks with no outside liabilities whose debts span 1e-8 to 7e7.
     # The D = {0, 2} solve comes out 1.2e-9 low, which pushes boundary bank 1
-    # into D; at full shock and beta = 1, I - Pi^T_DD is then exactly singular,
-    # and the Picard fallback ends with payments that rise between sweeps.
+    # into D. The closed-class rule clears D = {0, 1, 2} to the exact greatest
+    # vector, above the low D = {0, 2} payments, so payments rise between sweeps.
     L = np.zeros((3, 3))
     L[0, 1] = 3.2096667467347764e-08
     L[0, 2] = 66491625.683161795
@@ -175,12 +184,11 @@ def test_closed_class_spanning_many_decades_clears():
                                rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=CANCELLATION)
 def test_boundary_bank_is_not_pushed_into_default():
     # A closed 3-bank class at full shock. The D = {0, 1} solve comes out low,
-    # so bank 2, whose resources equal its obligations, defaults too, and
-    # clearing returns the least clearing vector (0, 0, 0) instead of the
-    # greatest, (1290.347, 1290.160, 8.723).
+    # so bank 2, whose resources equal its obligations, defaults too; the
+    # closed-class rule then clears the greatest vector (1290.347, 1290.160,
+    # 8.723), not the least, (0, 0, 0).
     L = np.zeros((3, 3))
     L[0, 1] = 4955.8066359518189
     L[0, 2] = 0.71940999812052364
@@ -194,11 +202,9 @@ def test_boundary_bank_is_not_pushed_into_default():
                                rtol=1e-12, atol=0.0)
 
 
-def test_picard_fallback_returns_the_exact_greatest_vector(monkeypatch):
-    # A closed 3-bank class at full shock whose debts span 3.5 to 8e7. A
-    # defaulters' system I - Pi^T_DD comes out exactly singular in floating
-    # point, so the solve raises and the Picard fallback clears instead; it
-    # reaches the exact greatest clearing vector.
+def test_closed_class_spanning_eight_decades_clears_exactly():
+    # A closed 3-bank class at full shock whose debts span 3.5 to 8e7; every
+    # bank ends in the default set, whose system I - Pi^T_DD is singular.
     L = np.zeros((3, 3))
     L[0, 2] = 59914.65431814832
     L[1, 0] = 3.5352713396421995
@@ -207,18 +213,7 @@ def test_picard_fallback_returns_the_exact_greatest_vector(monkeypatch):
     net = network_from_vectors(
         [12.591747426060273, 520191.8200193307, 109755467.5944895], np.zeros(3), L)
     shock = ShockSpec.uniform(1.0)
-    solve, singular = np.linalg.solve, []
-
-    def spy(a, b):
-        try:
-            return solve(a, b)
-        except np.linalg.LinAlgError:
-            singular.append(a.copy())
-            raise
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
     traj = run_eisenberg_noe(net, shock)
-    assert singular
     p, tol = traj.payments[-1], 1e-12 * traj.payments[0].max()
     assert np.abs(p - [4.893479508042813, 3.5352713396421995, 4.893479508042813]).max() <= tol
     assert np.abs(p - np.array(clearing_payments(net, shock), dtype=float)).max() <= tol
@@ -267,11 +262,23 @@ def test_clearing_is_exact_on_random_networks(seed):
     assert_clears_exactly(net, ShockSpec(per_bank_shock=rng.uniform(0.0, 1.0, net.n)))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=CANCELLATION)
 def test_clearing_is_exact_on_closed_classes_across_many_decades():
     rng = np.random.default_rng(0)
     for _ in range(300):
         assert_clears_exactly(*closed_class(rng, rng.uniform(4.0, 8.0)))
+
+
+@pytest.mark.parametrize("draw", [66, 224])
+def test_closed_class_pushed_wholly_into_default_clears_exactly(draw):
+    # Solve error pushes the class's one balanced bank into D, which then holds
+    # the whole class with b = 0; the least vector, p = 0, solves that system too.
+    rng = np.random.default_rng(12353)
+    for _ in range(draw):
+        closed_class(rng, 8)
+    net, shock = closed_class(rng, 8)
+    traj = run_eisenberg_noe(net, shock)
+    exact = np.array(clearing_payments(net, shock), dtype=float)
+    assert np.abs(traj.payments[-1] - exact).max() <= 1e-12 * traj.payments[0].max()
 
 
 def test_trajectory_check_rejects_nan():
