@@ -80,7 +80,7 @@ def run_with_firewall(network: LiabilityNetwork, shock: ShockSpec, models,
 
 
 def ordering_audit(network: LiabilityNetwork, shock: ShockSpec,
-                   recovery_rate: float = 0.0, rv_beta: float = 1.0) -> OrderingReport:
+                   recovery_rate: float, rv_beta: float) -> OrderingReport:
     """Run all five models through the firewall and report their ordering.
 
     The proved chain is hard-asserted by run_with_firewall. The five-model

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IdentityViolation,
+    NegativeBalance,
     NegativeEntry,
     NonPositiveEquity,
 )
@@ -191,9 +192,10 @@ def build_network(liability_matrix, equity, external_assets_by_class,
     external_assets_by_class is n x m, one column per asset class; the
     interbank totals are the margins of the liability matrix. The inputs are
     copied. Rejects mismatched dimensions, negative entries, self-exposure,
-    non-positive equity (or so little that assets / equity overflows) and
-    balance sheets violating E = A^e + A^b - L^e - L^b; NaN and infinite
-    entries fail the same checks.
+    non-positive equity (or so little that assets / equity overflows),
+    negative external assets or liabilities (NegativeBalance) and balance
+    sheets violating E = A^e + A^b - L^e - L^b; NaN and infinite entries fail
+    the same checks.
     When several banks are faulty the error names the lowest-index one.
     """
     # np.array keeps an F-ordered matrix F-ordered, so the margins are summed
@@ -227,12 +229,17 @@ def build_network(liability_matrix, equity, external_assets_by_class,
         resid = E - (total_assets - le - lb)
         finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
         no_equity = ~(E > 0) | (finite & ~np.isfinite(total_assets / E))
-    bad_sheet = (no_equity | ~finite
+    bad_ae = ~np.all(np.isfinite(ae_by_class) & (ae_by_class >= 0), axis=1)
+    bad_le = ~(np.isfinite(le) & (le >= 0))
+    bad_sheet = (no_equity | bad_ae | bad_le | ~finite
                  | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))
     if bad_sheet.any():
         i = int(np.argmax(bad_sheet))
         if no_equity[i]:
             raise NonPositiveEquity(i)
+        if bad_ae[i] or bad_le[i]:
+            raise NegativeBalance(i, "external_assets_by_class" if bad_ae[i]
+                                  else "external_liabilities")
         raise IdentityViolation(i, float(resid[i]))
     return net
 

@@ -24,6 +24,12 @@ class NonPositiveEquity(ContagionError):
         super().__init__(f"bank {bank} has non-positive equity and cannot enter a simulation")
 
 
+class NegativeBalance(ContagionError):
+    def __init__(self, bank, field):
+        self.bank, self.field = bank, field
+        super().__init__(f"bank {bank}: {field} has a negative or non-finite entry")
+
+
 class NegativeEntry(ContagionError):
     def __init__(self, i, j):
         self.i = i

@@ -21,6 +21,8 @@ import numpy as np
 from .core import LiabilityNetwork, ShockSpec, network_from_vectors
 from .models import ADR, DC, EN
 
+RANDOM_NETWORK_DENSITY = 0.3  # random_network's chance of a link for each ordered pair
+
 
 @dataclass(frozen=True)
 class Fixture:
@@ -206,7 +208,7 @@ def wheel_fixture(n: int) -> Fixture:
     )
 
 
-def random_network(rng: np.random.Generator, n: int, density: float = 0.3,
+def random_network(rng: np.random.Generator, n: int,
                    zero_external_liabilities: bool = False) -> LiabilityNetwork:
     """Random admissible network for property tests and audits.
 
@@ -216,7 +218,7 @@ def random_network(rng: np.random.Generator, n: int, density: float = 0.3,
     """
     spectral_radius = rng.uniform(0.15, 0.85)
     equity = rng.lognormal(mean=2.0, sigma=0.8, size=n)
-    adj = rng.random((n, n)) < density
+    adj = rng.random((n, n)) < RANDOM_NETWORK_DENSITY
     np.fill_diagonal(adj, False)
     if not adj.any():
         i, j = 0, 1 % n

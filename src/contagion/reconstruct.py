@@ -94,7 +94,7 @@ def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
 DENSITY_BLOCK_ROWS = 64
 
 
-def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
+def _density_function(x: np.ndarray, row_needed: np.ndarray, col_needed: np.ndarray):
     """Mean link density as a function of z, with the z-free arrays built once.
 
     x is finite and nonnegative, as calibrate_z requires. An evaluation makes
@@ -114,7 +114,6 @@ def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
         peers = np.full(n, x[top])
         peers[top] = np.delete(x, top).max()
         row_max = x * peers  # largest off-diagonal entry of each row of xx
-    needed = [m for m in (row_needed, col_needed) if m is not None]
     buf = np.empty((min(DENSITY_BLOCK_ROWS, n), n))
 
     @np.errstate(over="ignore")
@@ -128,30 +127,28 @@ def _density_function(x: np.ndarray, row_needed=None, col_needed=None):
             np.divide(1.0, c, out=c)
             c.ravel()[r0::n + 1] = 1.0  # the diagonal entries of these rows
             total += float(c.sum())
-            if needed:
-                col_prod *= c.prod(axis=0)
+            col_prod *= c.prod(axis=0)
         links = n * n - total
         # Support repair forces one link for each needed-but-empty row or column
         # that can link (z times its largest product is positive). Its expected
         # count, c's column products (its row products too: np.outer(x, x) is
         # exactly symmetric), is part of the calibrated density.
-        if needed:
-            reachable = z * row_max > 0
-            for m in needed:
-                links += float(col_prod[m & reachable].sum())
+        reachable = z * row_max > 0
+        for needed in (row_needed, col_needed):
+            links += float(col_prod[needed & reachable].sum())
         return links / pairs
 
     return density
 
 
-def calibrate_z(fitnesses: np.ndarray, target_density: float,
-                tol: float = 1e-6, row_needed=None, col_needed=None) -> float:
+def calibrate_z(fitnesses: np.ndarray, target_density: float, row_needed: np.ndarray,
+                col_needed: np.ndarray, tol: float = 1e-6) -> float:
     """Solve for the scale z giving the target mean link probability.
 
     Density is averaged over ordered pairs with positive fitness product;
     zero-fitness banks are isolated by construction. Bisection after
-    exponential bracketing. With the needed-marginal masks, the expected links
-    forced by support repair are part of the calibrated mean, which then falls
+    exponential bracketing. The expected links that support repair forces for
+    the needed-marginal masks are part of the calibrated mean, which can fall
     from its z -> 0 limit before it rises: a target below that limit is
     bracketed by the first decade where the density drops below it. Raises
     UnreachableDensity when no decade of z reaches the target, or when 200
@@ -192,11 +189,10 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float,
         f"bisection did not reach density {target_density} within {tol}")
 
 
-def sample_adjacency(fitnesses: np.ndarray, z: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli draws per ordered pair; zero diagonal."""
-    p = _link_probabilities(fitnesses, z)
-    return rng.random(p.shape) < p
+def sample_adjacency(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent Bernoulli draws per ordered pair, from the link-probability
+    matrix _link_probabilities(x, z); its zero diagonal draws no self-link."""
+    return rng.random(probabilities.shape) < probabilities
 
 
 def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray,
@@ -222,14 +218,13 @@ def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray,
             raise InfeasibleSupport(int(i), side, float(least[i]), float(most[i]))
 
 
-def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
-                col_targets: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE,
-                init: np.ndarray | None = None) -> np.ndarray:
+def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray,
+                init: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE) -> np.ndarray:
     """Alternate row/column scaling of a weight matrix on a fixed support.
 
-    Targets are normalized marginal shares (each side sums to one). Stops
-    when both the absolute and relative marginal deviations drop below the
-    tolerance. The initial matrix defaults to the adjacency itself. Raises
+    Targets are normalized marginal shares (each side sums to one). The fit
+    starts from init on the support and stops when both the absolute and
+    relative marginal deviations drop below the tolerance. Raises
     InfeasibleSupport before fitting a support that fails _check_hall, and
     IPFNonConvergence once the residual, the larger of the two deviations,
     has stalled (see IPF_STALL_WINDOW) or after IPF_MAX_SWEEPS sweeps.
@@ -238,8 +233,7 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray,
     _check_hall(adjacency, row_targets, col_targets, tolerance)
     row_pos, col_pos = row_targets > 0, col_targets > 0
 
-    w = (adjacency.astype(float) if init is None
-         else np.where(adjacency, np.asarray(init, dtype=float), 0.0))
+    w = np.where(adjacency, np.asarray(init, dtype=float), 0.0)
     total = w.sum()
     if total <= 0:
         i = int(np.argmax(row_pos))  # init vanishes on the whole support
@@ -281,12 +275,11 @@ class EnsembleResult:
     z: float
 
 
-def _repair_links(x: np.ndarray, z: float) -> np.ndarray:
+def _repair_links(probabilities: np.ndarray) -> np.ndarray:
     """For each bank, the other end of its most probable link, or -1 where
     every link probability is 0. The probabilities are symmetric, as
     np.outer(x, x) is exactly, so this serves rows and columns alike."""
-    probs = _link_probabilities(x, z)
-    return np.where(probs.max(axis=1) > 0, probs.argmax(axis=1), -1)
+    return np.where(probabilities.max(axis=1) > 0, probabilities.argmax(axis=1), -1)
 
 
 def _repair_support(adj: np.ndarray, link: np.ndarray, row_needed: np.ndarray,
@@ -296,7 +289,7 @@ def _repair_support(adj: np.ndarray, link: np.ndarray, row_needed: np.ndarray,
     Heavy-tailed fitness makes empty rows/columns for the smallest banks a
     routine sampling outcome; a deterministic minimal repair keeps the draw
     usable without meaningfully moving the density. Rows are repaired first,
-    then the columns still empty; link is _repair_links(x, z). Returns the
+    then the columns still empty; link is _repair_links(probabilities). Returns the
     number of forced links.
     """
     rows = np.flatnonzero(row_needed & ~adj.any(axis=1) & (link >= 0))
@@ -311,23 +304,20 @@ def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _build_member(aggregates, link, z, config, index) -> tuple:
-    """Member `index`; link is _repair_links(x, z). The IPF start np.outer(x, x) is
-    rebuilt per attempt, so set-up never holds it for the whole ensemble."""
+def _build_member(aggregates, probabilities, link, config, index) -> tuple:
+    """Member `index`, drawn from the ensemble's link-probability matrix;
+    link is _repair_links(probabilities). Only the IPF start np.outer(x, x)
+    is built per attempt."""
     x = fitness_scores(aggregates)
     volume = aggregates.interbank_assets.sum()
     row_t = aggregates.interbank_assets / volume       # lending shares
     col_t = aggregates.interbank_liabilities / volume  # borrowing shares
     last_error = None
     for attempt in (0, 1):
-        rng = _member_rng(config.rng_seed, index, attempt)
-        adj = sample_adjacency(x, z, rng)
+        adj = sample_adjacency(probabilities, _member_rng(config.rng_seed, index, attempt))
         _repair_support(adj, link, row_t > 0, col_t > 0)
-        if not adj.any():
-            last_error = ContagionError("empty adjacency draw")
-            continue
-        try:
-            pi_hat = ipf_weights(adj, row_t, col_t, init=np.outer(x, x))
+        try:  # an empty draw fails _check_hall, as some row target is positive
+            pi_hat = ipf_weights(adj, row_t, col_t, np.outer(x, x))
         except ContagionError as exc:
             last_error = exc
             continue
@@ -357,13 +347,13 @@ def generate_ensemble(aggregates: Aggregates,
     """
     agg = rebalance_totals(aggregates)
     x = fitness_scores(agg)
-    z = calibrate_z(x, config.target_density,
-                    row_needed=agg.interbank_assets > 0,
-                    col_needed=agg.interbank_liabilities > 0)
-    link = _repair_links(x, z)
+    z = calibrate_z(x, config.target_density, agg.interbank_assets > 0,
+                    agg.interbank_liabilities > 0)
+    probabilities = _link_probabilities(x, z)
+    link = _repair_links(probabilities)
     networks, skipped, densities = [], [], []
     for idx in range(config.ensemble_size):
-        net, density, err = _build_member(agg, link, z, config, idx)
+        net, density, err = _build_member(agg, probabilities, link, config, idx)
         if net is None:
             skipped.append((idx, str(err)))
         else:
@@ -372,13 +362,8 @@ def generate_ensemble(aggregates: Aggregates,
     if len(skipped) > config.ensemble_size * 0.01:
         raise EnsembleInfeasible(
             f"{len(skipped)} of {config.ensemble_size} draws infeasible")
-    return EnsembleResult(
-        networks=networks,
-        skipped=skipped,
-        densities=np.array(densities),
-        config=config,
-        z=z,
-    )
+    return EnsembleResult(networks=networks, skipped=skipped,
+                          densities=np.array(densities), config=config, z=z)
 
 
 # edges.csv liability cells: repr(float(x)) between these two strings, which is

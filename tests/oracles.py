@@ -113,7 +113,7 @@ def en_vulnerability_form(network, shock) -> Trajectory:
     return Trajectory(model=EN, h=h_arr, payments=pay)
 
 
-def reference_density(x, row_needed=None, col_needed=None):
+def reference_density(x, row_needed, col_needed):
     """Mean link density as a function of z, from the full n x n matrix of link
     probabilities: reconstruct._density_function by a second route.
 
@@ -128,9 +128,8 @@ def reference_density(x, row_needed=None, col_needed=None):
         p = _link_probabilities(x, z)
         links = p[mask].sum()
         for axis, needed in ((1, row_needed), (0, col_needed)):
-            if needed is not None:
-                reachable = p.max(axis=axis) > 0
-                links += np.prod(1.0 - p, axis=axis)[needed & reachable].sum()
+            reachable = p.max(axis=axis) > 0
+            links += np.prod(1.0 - p, axis=axis)[needed & reachable].sum()
         return float(links / mask.sum())
 
     return density

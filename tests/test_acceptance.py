@@ -150,7 +150,7 @@ def _checkerboard_rewire(L, rng, swaps):
     return L
 
 
-def test_criterion_4_conservation_and_topology_invariance():
+def test_criterion_4_conservation_and_topology_invariance(monkeypatch):
     with criterion("criterion 4: loss conservation on 200 closed networks "
                    "+ invariance under 20 rewirings per base"):
         rng = np.random.default_rng(7)
@@ -166,10 +166,11 @@ def test_criterion_4_conservation_and_topology_invariance():
             l_sys = net.external_assets.sum() / net.equity.sum()
             assert H == pytest.approx(s * l_sys, abs=1e-9)
 
+        # Denser bases give the checkerboard rewiring more positive pairs to swap.
+        monkeypatch.setattr(fx, "RANDOM_NETWORK_DENSITY", 0.5)
         for base in range(10):
             n = int(rng.integers(5, 20))
-            net = fx.random_network(rng, n, density=0.5,
-                                    zero_external_liabilities=True)
+            net = fx.random_network(rng, n, zero_external_liabilities=True)
             shock = ShockSpec.uniform(rng.uniform(0.01, 0.5))
             variants = [net]
             for _ in range(20):

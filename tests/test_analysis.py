@@ -204,10 +204,10 @@ def test_first_round_default_set_boundary():
 
 def test_ordering_audit_flags_counterexamples():
     dc_ce = fx.dc_vs_adr_fixture()
-    rep = ordering_audit(dc_ce.network, dc_ce.shock, recovery_rate=0.0)
+    rep = ordering_audit(dc_ce.network, dc_ce.shock, recovery_rate=0.0, rv_beta=1.0)
     assert rep.H_final["DC"] > rep.H_final["ADR"] + 1e-12
     en_ce = fx.en_vs_adr_fixture()
-    rep = ordering_audit(en_ce.network, en_ce.shock, recovery_rate=0.0)
+    rep = ordering_audit(en_ce.network, en_ce.shock, recovery_rate=0.0, rv_beta=1.0)
     assert rep.H_final["EN"] > rep.H_final["ADR"] + 1e-12
     assert not rep.empirical_chain_holds
 
@@ -238,7 +238,7 @@ def test_firewall_raises_when_cyclic_debtrank_hits_its_cap(recovery_rate):
     with pytest.raises(NonConvergence):
         run_with_firewall(net, shock, MODEL_NAMES, recovery_rate, recovery_rate)
     with pytest.raises(NonConvergence):
-        ordering_audit(net, shock, recovery_rate=recovery_rate)
+        ordering_audit(net, shock, recovery_rate=recovery_rate, rv_beta=1.0)
 
 
 def test_cyclic_debtrank_runs_past_10n_rounds_when_it_contracts():

@@ -1,6 +1,6 @@
 import ast
 from dataclasses import replace
-from inspect import ismodule
+from inspect import isfunction, ismodule, signature
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from contagion import (
     network_from_vectors, relative_liabilities, run_eisenberg_noe,
 )
 from contagion.errors import (
-    DimensionMismatch, IdentityViolation, NegativeEntry, NonPositiveEquity,
+    DimensionMismatch, IdentityViolation, NegativeBalance, NegativeEntry, NonPositiveEquity,
 )
 from contagion import fixtures as fx
 from contagion.analysis import equity_weights
@@ -68,20 +68,42 @@ def test_dimension_mismatch():
 def test_identity_violation():
     with pytest.raises(IdentityViolation):  # bank 0 has residual 4
         single_class(np.zeros((2, 2)), [10, 10], [1, 5], [5.0, 5.0])
-    with pytest.raises(IdentityViolation) as info:  # bank 1 has residual NaN
-        single_class(np.zeros((2, 2)), [10, 10], [5, np.nan], [5.0, 5.0])
-    assert info.value.bank == 1
-    # An infinite total would make the identity tolerance infinite.
+    # An infinite total would make the identity tolerance infinite: finite
+    # asset classes whose sum overflows (bank 0) ...
     with pytest.raises(IdentityViolation) as info:
-        network_from_vectors([np.inf, 10.0], [0, 0], np.zeros((2, 2)),
-                             equity=[10.0, 10.0])
+        build_network(np.zeros((2, 2)), [10.0, 10.0], [[1e308, 1e308], [10.0, 0.0]], [0.0, 0.0])
     assert info.value.bank == 0
-    # So would finite claims whose sum overflows: bank 1's interbank assets.
+    # ... or finite claims whose sum overflows: bank 1's interbank assets.
     L = np.zeros((3, 3))
     L[0, 1] = L[2, 1] = 1e308
     with pytest.raises(IdentityViolation) as info:
         single_class(L, [1.5e308, 10, 1.5e308], [0, 0, 0], [5e307, 10, 5e307])
     assert info.value.bank == 1
+
+
+@pytest.mark.parametrize("by_class, external_liabilities, bank, field", [
+    # Bank 0's sheet closes with a class entry of -10: a per-class shock [1, 0]
+    # would raise its external assets and drive its vulnerability below 0.
+    ([[-10.0, 40.0], [20.0, 0.0]], [10.0, 5.0], 0, "external_assets_by_class"),
+    # Bank 0's sheet closes with L^e = -2: its Pi row would sum to 5/3.
+    ([[10.0, 20.0], [20.0, 0.0]], [-2.0, 5.0], 0, "external_liabilities"),
+    ([[np.inf, 0.0], [20.0, 0.0]], [10.0, 5.0], 0, "external_assets_by_class"),
+    ([[10.0, 20.0], [20.0, 0.0]], [10.0, np.nan], 1, "external_liabilities"),
+    # Both banks are faulty; the lower index is named.
+    ([[10.0, 20.0], [-1.0, 21.0]], [-1.0, 5.0], 0, "external_liabilities"),
+])
+def test_negative_or_non_finite_balance_rejected(by_class, external_liabilities, bank, field):
+    L = np.zeros((2, 2))
+    L[0, 1] = 5.0
+    by_class = np.array(by_class)
+    le = np.array(external_liabilities)
+    # Equity closes each sheet, with a NaN L^e read as 0 (an infinite asset
+    # gives the largest float).
+    equity = np.nan_to_num(by_class.sum(axis=1) + L.sum(axis=0) - np.nan_to_num(le) - L.sum(axis=1))
+    with pytest.raises(NegativeBalance) as info:
+        build_network(L, equity, by_class, le)
+    assert (info.value.bank, info.value.field) == (bank, field)
+    assert f"bank {bank}: {field} has a negative or non-finite entry" == str(info.value)
 
 
 def test_network_totals_are_the_matrix_margins():
@@ -107,6 +129,8 @@ def test_network_totals_are_the_matrix_margins():
     ([0.0, 5.0], [10, 1], 0.0, NonPositiveEquity),  # bank 0 equity, bank 1 identity
     ([5.0, 5.0], [5, 5], 1.0, IdentityViolation),   # identity of both, via the margins
     ([1e-320, 5.0], [10, 5], 0.0, NonPositiveEquity),  # bank 0 leverage 10 / 1e-320 overflows
+    ([5.0, 5.0], [-1, 15], 0.0, NegativeBalance),  # bank 0 negative L^e, both identities
+    ([5.0, 5.0], [1, -5], 0.0, IdentityViolation),  # bank 0 identity, bank 1 negative L^e
 ])
 def test_error_names_lowest_faulty_bank(equity, external_liabilities, L01, error):
     L = np.zeros((2, 2))
@@ -303,12 +327,52 @@ def test_public_api_is_pinned():
     assert sorted(contagion.__all__) == PUBLIC_API
 
 
-def test_every_public_name_has_a_caller_in_the_program():
-    # A function that only tests call belongs in tests/oracles.py.
+def program_nodes():
+    """Every AST node of the package modules and the bench scripts."""
     root = Path(__file__).resolve().parents[1]
     files = [*(root / "src" / "contagion").glob("*.py"), *(root / "bench").glob("*.py")]
-    trees = [ast.parse(f.read_text()) for f in files if f.name != "__init__.py"]
-    used = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return [node for f in files if f.name != "__init__.py"
+            for node in ast.walk(ast.parse(f.read_text()))]
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    # A function that only tests call belongs in tests/oracles.py.
+    used = {node.id if isinstance(node, ast.Name) else node.attr for node in program_nodes()
+            if isinstance(node, (ast.Name, ast.Attribute))}
     assert [name for name in contagion.__all__
             if not ismodule(getattr(contagion, name)) and name not in used] == []
+
+
+# Defaulted parameters that no call in the program sets, and why each stays.
+UNSET_DEFAULTS = {
+    "calibrate_z.tol": "tests set tol=0 to pin the bisection's bits",
+    "ipf_weights.tolerance": "tests fit tighter than the reconstruction's margin",
+    "random_network.zero_external_liabilities": "conservation tests need L^e = 0",
+    "run_eisenberg_noe.config": "run_model passes every runner a config; EN reads none",
+    "synthesize_panel.missingness": "tests vary the gap rate to exercise interpolation",
+}
+
+
+def test_every_default_is_set_by_the_program():
+    # A default that no call in src/ or bench/ overrides is a constant; make it
+    # one, or list the reason it stays a parameter. Covered: the functions in
+    # contagion.__all__ and the public functions of the modules it lists.
+    functions = set()
+    for name in contagion.__all__:
+        obj = getattr(contagion, name)
+        if ismodule(obj):
+            functions |= {f for n, f in vars(obj).items() if isfunction(f)
+                          and not n.startswith("_") and f.__module__ == obj.__name__}
+        elif isfunction(obj):
+            functions.add(obj)
+    calls = [node for node in program_nodes() if isinstance(node, ast.Call)]
+
+    def is_set(fn, index, param):
+        return any(getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.__name__
+                   and (len(c.args) > index or param in {k.arg for k in c.keywords})
+                   for c in calls)
+
+    unset = [f"{fn.__name__}.{p.name}" for fn in functions
+             for i, p in enumerate(signature(fn).parameters.values())
+             if p.default is not p.empty and not is_set(fn, i, p.name)]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)

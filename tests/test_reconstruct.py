@@ -2,6 +2,7 @@ import csv
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from contagion import ingest, reconstruct
 from contagion.errors import (
-    AllZeroTotals, InfeasibleSupport, IPFNonConvergence, UnreachableDensity,
+    AllZeroTotals, EnsembleInfeasible, InfeasibleSupport, IPFNonConvergence,
+    UnreachableDensity,
 )
 from contagion.reconstruct import (
     IPF_MARGINAL_TOLERANCE, IPF_MAX_SWEEPS, LIABILITY_CELL, Aggregates,
@@ -76,23 +78,29 @@ def test_rebalance_zero_totals():
         rebalance_totals(agg)
 
 
+def unmasked(x):
+    """All-False needed masks: calibrate the sampled links alone."""
+    return np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+
+
 def test_calibrate_z_symmetric_closed_form():
     # equal fitness: p = z x^2 / (1 + z x^2) for every pair,
     # so z = rho / ((1 - rho) x^2)
     x = np.full(8, 0.125)
     rho = 0.3
-    z = calibrate_z(x, rho)
+    z = calibrate_z(x, rho, *unmasked(x))
     assert z == pytest.approx(rho / ((1 - rho) * 0.125 ** 2), rel=1e-4)
 
 
 def test_calibrate_z_small_density_small_z():
     x = np.full(8, 0.125)
-    assert calibrate_z(x, 1e-5) < calibrate_z(x, 1e-3) < calibrate_z(x, 0.5)
+    masks = unmasked(x)
+    assert calibrate_z(x, 1e-5, *masks) < calibrate_z(x, 1e-3, *masks) < calibrate_z(x, 0.5, *masks)
 
 
 def test_calibrate_z_zero_fitness_banks_excluded():
     x = np.array([0.4, 0.4, 0.0, 0.2])
-    z = calibrate_z(x, 0.3)
+    z = calibrate_z(x, 0.3, *unmasked(x))
     p = _link_probabilities(x, z)
     assert np.all(p[2, :] == 0) and np.all(p[:, 2] == 0)
     mask = np.outer(x, x) > 0
@@ -102,14 +110,14 @@ def test_calibrate_z_zero_fitness_banks_excluded():
 
 def test_calibrate_z_unreachable():
     with pytest.raises(UnreachableDensity):
-        calibrate_z(np.full(4, 0.25), 1.0)
+        calibrate_z(np.full(4, 0.25), 1.0, *unmasked(range(4)))
 
 
 def test_calibrate_z_raises_when_bisection_runs_out():
     # No midpoint the bisection visits gives this density exactly, so tol=0
     # exhausts the 200 steps.
     with pytest.raises(UnreachableDensity):
-        calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, tol=0.0)
+        calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, *unmasked(range(4)), tol=0.0)
 
 
 def calibration_case(n):
@@ -152,8 +160,8 @@ PINNED_Z = {
 @pytest.mark.parametrize("n, density, needed", list(PINNED_Z))
 def test_calibrate_z_pinned_bits(n, density, needed):
     x, row_needed, col_needed = bench_like_case() if needed == "panel" else calibration_case(n)
-    masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
-    assert calibrate_z(x, density, **masks).hex() == PINNED_Z[n, density, needed]
+    masks = (row_needed, col_needed) if needed else unmasked(x)
+    assert calibrate_z(x, density, *masks).hex() == PINNED_Z[n, density, needed]
 
 
 # (k, density) with the density recorded, bit for bit, from the blocked
@@ -171,9 +179,9 @@ EXACT_DENSITY = {
 @pytest.mark.parametrize("n, needed", sorted(EXACT_DENSITY))
 def test_calibrate_z_repeats_recorded_density_bits(n, needed):
     x, row_needed, col_needed = calibration_case(n)
-    masks = {"row_needed": row_needed, "col_needed": col_needed} if needed else {}
+    masks = (row_needed, col_needed) if needed else unmasked(x)
     k, density = EXACT_DENSITY[n, needed]
-    assert calibrate_z(x, float.fromhex(density), tol=0.0, **masks) == 0.75 * 10.0 ** k
+    assert calibrate_z(x, float.fromhex(density), *masks, tol=0.0) == 0.75 * 10.0 ** k
 
 
 def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
@@ -181,14 +189,14 @@ def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
     # the density at 2/49 = 0.0408 as z -> 0; it falls to 0.0375 at z = 10
     # before it rises, so a bisection from z = 0 alone would chase the limit.
     x, needed = np.full(50, 0.02), np.ones(50, dtype=bool)
-    z = calibrate_z(x, 0.039, row_needed=needed, col_needed=needed)
+    z = calibrate_z(x, 0.039, needed, needed)
     assert _density_function(x, needed, needed)(z) == pytest.approx(0.039, abs=1e-6)
     with pytest.raises(UnreachableDensity, match="smallest density seen is 0.0375"):
-        calibrate_z(x, 0.03, row_needed=needed, col_needed=needed)
+        calibrate_z(x, 0.03, needed, needed)
 
 
 def test_density_function_matches_the_reference():
-    # Heavy-tailed fitness shares with some zeros, random or absent needed
+    # Heavy-tailed fitness shares with some zeros, random or all-False needed
     # masks, and z over the whole range calibrate_z searches.
     rng = np.random.default_rng(20)
     checked = 0
@@ -198,7 +206,7 @@ def test_density_function_matches_the_reference():
         if np.count_nonzero(x) < 2:
             continue
         x /= x.sum()
-        masks = [rng.random(n) < rng.random() if rng.random() < 0.7 else None
+        masks = [rng.random(n) < rng.random() if rng.random() < 0.7 else np.zeros(n, dtype=bool)
                  for _ in range(2)]
         density, reference = _density_function(x, *masks), reference_density(x, *masks)
         for z in 10.0 ** rng.uniform(-30.0, 30.0, size=6):
@@ -215,20 +223,21 @@ def test_density_takes_the_limit_where_a_product_overflows():
     x = np.array([0.5, 0.3, 0.2]) * 1e150
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert _density_function(x)(1e10) == 1.0
-        assert _density_function(x * 1e5)(1e-30) == 1.0  # x_i * x_j overflows itself
+        assert _density_function(x, *unmasked(x))(1e10) == 1.0
+        assert _density_function(x * 1e5, *unmasked(x))(1e-30) == 1.0  # x_i * x_j overflows itself
 
 
 @pytest.mark.parametrize("bad", [-0.25, np.nan, np.inf])
 def test_calibrate_z_rejects_negative_or_non_finite_fitness(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        calibrate_z(np.array([0.5, 0.3, bad]), 0.3)
+        calibrate_z(np.array([0.5, 0.3, bad]), 0.3, *unmasked(range(3)))
 
 
 def test_calibrate_z_reads_fitnesses_as_float64():
     x = np.array([0.5, 0.3, 0.2], dtype=np.float32)
-    assert calibrate_z(x, 0.3) == calibrate_z(x.astype(np.float64), 0.3)
-    assert calibrate_z([1, 2, 3], 0.3) == calibrate_z(np.array([1.0, 2.0, 3.0]), 0.3)
+    masks = unmasked(x)
+    assert calibrate_z(x, 0.3, *masks) == calibrate_z(x.astype(np.float64), 0.3, *masks)
+    assert calibrate_z([1, 2, 3], 0.3, *masks) == calibrate_z(np.array([1.0, 2.0, 3.0]), 0.3, *masks)
 
 
 def test_probability_monotone_in_z():
@@ -242,23 +251,23 @@ def test_probability_monotone_in_z():
 
 def test_sample_adjacency_z_zero_empty():
     rng = np.random.default_rng(0)
-    adj = sample_adjacency(np.full(5, 0.2), 0.0, rng)
+    adj = sample_adjacency(_link_probabilities(np.full(5, 0.2), 0.0), rng)
     assert not adj.any()
 
 
 def test_sample_adjacency_saturation():
     rng = np.random.default_rng(0)
-    adj = sample_adjacency(np.full(5, 1e6), 1e6, rng)
+    adj = sample_adjacency(_link_probabilities(np.full(5, 1e6), 1e6), rng)
     assert adj.sum() == 5 * 4  # complete digraph minus diagonal
 
 
 def test_sample_adjacency_density_monte_carlo():
     rng = np.random.default_rng(42)
     x = fitness_scores(rebalance_totals(make_aggregates(n=20)))
-    z = calibrate_z(x, 0.2)
+    probabilities = _link_probabilities(x, calibrate_z(x, 0.2, *unmasked(x)))
     densities = []
     for _ in range(300):
-        adj = sample_adjacency(x, z, rng)
+        adj = sample_adjacency(probabilities, rng)
         densities.append(adj.sum() / (20 * 19))
     mean = np.mean(densities)
     se = np.std(densities) / np.sqrt(len(densities))
@@ -287,7 +296,7 @@ def test_repair_support_forces_the_most_probable_link():
         needed = rng.random(n) < 0.9, rng.random(n) < 0.9
         expected, drawn = adj.copy(), np.count_nonzero(adj)
         reference(expected, probs, *needed)
-        forced = _repair_support(adj, _repair_links(x, z), *needed)
+        forced = _repair_support(adj, _repair_links(probs), *needed)
         assert np.array_equal(adj, expected)
         assert forced == np.count_nonzero(adj) - drawn
 
@@ -296,7 +305,7 @@ def test_ipf_uniform_targets_complete_support():
     n = 5
     adj = ~np.eye(n, dtype=bool)
     t = np.full(n, 1.0 / n)
-    w = ipf_weights(adj, t, t, tolerance=1e-6)
+    w = ipf_weights(adj, t, t, adj, tolerance=1e-6)
     off = adj
     assert np.allclose(w[off], w[off][0], atol=1e-9)
     assert np.allclose(w.sum(axis=1), t, atol=1e-6)
@@ -306,7 +315,7 @@ def test_ipf_two_by_two_exact():
     adj = np.array([[False, True], [True, False]])
     row = np.array([0.4, 0.6])
     col = np.array([0.6, 0.4])
-    w = ipf_weights(adj, row, col, tolerance=1e-12)
+    w = ipf_weights(adj, row, col, adj, tolerance=1e-12)
     assert w[0, 1] == pytest.approx(0.4, abs=1e-12)
     assert w[1, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -317,7 +326,7 @@ def test_ipf_infeasible_support():
     row = np.array([0.5, 0.5, 0.0])
     col = np.array([0.0, 0.5, 0.5])
     with pytest.raises(InfeasibleSupport):
-        ipf_weights(adj, row, col)
+        ipf_weights(adj, row, col, adj)
 
 
 @pytest.mark.parametrize("adjacency, row, col, bank, side", [
@@ -330,7 +339,8 @@ def test_ipf_infeasible_support():
 ], ids=["constant_residual", "plateau_near_tolerance"])
 def test_ipf_hall_violation_is_rejected_before_fitting(adjacency, row, col, bank, side):
     with pytest.raises(InfeasibleSupport) as info:
-        ipf_weights(np.array(adjacency, dtype=bool), np.array(row), np.array(col))
+        adj = np.array(adjacency, dtype=bool)
+        ipf_weights(adj, np.array(row), np.array(col), adj)
     assert (info.value.bank, info.value.side) == (bank, side)
     assert f"bank {bank} needs a {side} share of at least" in str(info.value)
 
@@ -341,7 +351,7 @@ def test_hall_check_lets_a_zero_target_partner_take_the_tolerance():
     # the check must not reject it.
     adj = np.eye(2, dtype=bool)
     row, col = np.array([0.005, 0.995]), np.array([0.0, 1.0])
-    w = ipf_weights(adj, row, col, init=np.diag(row))
+    w = ipf_weights(adj, row, col, np.diag(row))
     assert np.array_equal(w, np.diag(row))
 
 
@@ -351,7 +361,7 @@ def test_ipf_stalled_fit_fails_early():
     adj = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
     t0 = time.perf_counter()
     with pytest.raises(IPFNonConvergence) as info:
-        ipf_weights(adj, np.array([0.3, 0.3, 0.4]), np.array([0.4, 0.3, 0.3]))
+        ipf_weights(adj, np.array([0.3, 0.3, 0.4]), np.array([0.4, 0.3, 0.3]), adj)
     assert info.value.sweeps < IPF_MAX_SWEEPS
     assert info.value.residual >= IPF_MARGINAL_TOLERANCE
     assert time.perf_counter() - t0 < 1.0
@@ -382,7 +392,7 @@ def test_hall_check_rejects_only_fits_that_cannot_converge(monkeypatch):
     monkeypatch.setattr(reconstruct, "_check_hall", lambda *args: None)
     for adj, row, col in rejected:
         with pytest.raises(IPFNonConvergence):
-            ipf_weights(adj, row, col)
+            ipf_weights(adj, row, col, adj)
 
 
 def test_ipf_slow_convergence_is_accepted():
@@ -392,7 +402,7 @@ def test_ipf_slow_convergence_is_accepted():
     # "fell by less than half over 50 sweeps" would reject this fit.
     adj = np.array([[True, True], [False, True]])
     t = np.array([0.5, 0.5])
-    w = ipf_weights(adj, t, t, tolerance=2e-4)
+    w = ipf_weights(adj, t, t, adj, tolerance=2e-4)
     assert np.abs(w.sum(axis=1) - t).max() < 2e-4
     assert np.abs(w.sum(axis=0) - t).max() < 2e-4
 
@@ -405,6 +415,25 @@ def test_generate_ensemble_deterministic():
     assert len(a.networks) == len(b.networks)
     for na, nb in zip(a.networks, b.networks):
         assert np.array_equal(na.liabilities, nb.liabilities)
+
+
+@pytest.mark.parametrize("n, seed, density, attempts, outcome", [
+    (15, 3, 0.4, 21, nullcontext()),  # one of the 20 members is re-drawn
+    (10, 0, 0.2, 40, pytest.raises(EnsembleInfeasible)),  # every member is re-drawn
+])
+def test_generate_ensemble_builds_link_probabilities_once(monkeypatch, n, seed, density,
+                                                          attempts, outcome):
+    # Every draw of every member samples the one matrix built after calibration.
+    calls = {"_link_probabilities": 0, "sample_adjacency": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(reconstruct, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(reconstruct, name, counted)
+    with outcome:
+        generate_ensemble(make_aggregates(n=n, seed=seed),
+                          ReconstructionConfig(ensemble_size=20, rng_seed=1, target_density=density))
+    assert calls == {"_link_probabilities": 1, "sample_adjacency": attempts}
 
 
 def test_generate_ensemble_marginal_fidelity():
