@@ -11,9 +11,7 @@ from .core import (
     leverage_decomposition, network_from_vectors, relative_liabilities,
 )
 from .models import (
-    ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory,
-    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
-    run_eisenberg_noe, run_model, run_rogers_veraart,
+    ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, Trajectory, run_model,
 )
 from .analysis import (
     OrderingReport, global_vulnerability, ordering_audit, run_with_firewall,

@@ -14,16 +14,11 @@ from .models import (
 ORDERING_TOL = 1e-9  # slack of the componentwise proved-ordering check
 
 
-def equity_weights(network: LiabilityNetwork) -> np.ndarray:
-    """E_i / sum E, read-only; computed once per network."""
-    return network._equity_weights
-
-
 def global_vulnerability(trajectory: Trajectory, network: LiabilityNetwork,
                          t: int | None = None) -> float:
     """Equity-weighted average of individual vulnerabilities at time t, the
     converged state when t is None; a t outside the trajectory raises IndexError."""
-    return float(equity_weights(network) @ trajectory.h[-1 if t is None else t])
+    return float(network.equity_weights @ trajectory.h[-1 if t is None else t])
 
 
 def _pad_to(h: np.ndarray, T: int) -> np.ndarray:

@@ -86,13 +86,11 @@ class LiabilityNetwork:
         pi = np.zeros_like(self.liabilities)
         nz = p_bar > 0
         pi[nz] = self.liabilities[nz] / p_bar[nz, None]
-        # beta from the same arithmetic path as the Pi row sums
-        beta = pi.sum(axis=1)
-        return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi,
-                                   financial_connectivity=beta)
+        return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi)
 
     @cached_property
-    def _equity_weights(self) -> np.ndarray:
+    def equity_weights(self) -> np.ndarray:
+        """E_i / sum E, the weights of the global vulnerability H."""
         w = self.equity / self.equity.sum()
         w.setflags(write=False)
         return w
@@ -112,7 +110,6 @@ class LeverageDecomposition:
 class RelativeLiabilities:
     total_obligations: np.ndarray   # p_bar
     pi_matrix: np.ndarray           # row-substochastic relative liabilities
-    financial_connectivity: np.ndarray  # beta in [0, 1]
 
     def __post_init__(self):
         _freeze_arrays(self)
@@ -181,8 +178,7 @@ class ShockSpec:
 @dataclass(frozen=True)
 class FirstRound:
     shocked_external_assets: np.ndarray  # A^e_i (1 - s_i)
-    h1: np.ndarray                       # min{1, loss_ratio}
-    loss_ratio: np.ndarray               # l^e_i s_i, before clipping at 1
+    h1: np.ndarray                       # min{1, l^e_i s_i}
 
 
 def build_network(liability_matrix, equity, external_assets_by_class,
@@ -264,7 +260,7 @@ def leverage_decomposition(network: LiabilityNetwork) -> LeverageDecomposition:
 
 
 def relative_liabilities(network: LiabilityNetwork) -> RelativeLiabilities:
-    """p_bar, Pi and beta; computed once per network."""
+    """p_bar and Pi; computed once per network."""
     return network._relative
 
 
@@ -281,5 +277,4 @@ def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound
         raw = lev.external_leverage @ shock.per_class_shock
     else:
         raw = lev.external_leverage_total * s
-    return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=np.minimum(1.0, raw),
-                      loss_ratio=raw)
+    return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=np.minimum(1.0, raw))

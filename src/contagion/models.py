@@ -213,23 +213,12 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     return trajectory if table is None else _keep(table, ("clearing", beta), trajectory)
 
 
-def run_eisenberg_noe(network: LiabilityNetwork, shock: ShockSpec,
-                      config: ModelConfig | None = None) -> Trajectory:
-    """Clearing-payment fixed point with full recovery on liquidation."""
-    return _run_clearing(network, shock, beta=1.0, model=EN)
-
-
-def run_rogers_veraart(network: LiabilityNetwork, shock: ShockSpec,
-                       config: ModelConfig) -> Trajectory:
-    """Clearing with bankruptcy costs: defaulters pay a beta-discounted value."""
-    return _run_clearing(network, shock, beta=config.rv_beta, model=RV)
-
-
-def _run_active_set(network, shock, R, active_rule, model):
-    """Shared recursion for default cascades and the acyclic DebtRank.
+def _run_active_set(network, shock, R, model):
+    """Shared recursion for default cascades (DC) and the acyclic DebtRank (aDR).
 
     h_i(t+1) = min{1, h_i(t) + sum_{j active at t} (1-R) l^b_ij h_j(t)};
-    each bank propagates exactly once, on entering the active state.
+    each bank propagates exactly once, on entering the active state: h >= 1
+    (defaulted) for DC, h > 0 (distressed) for aDR.
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
@@ -239,7 +228,7 @@ def _run_active_set(network, shock, R, active_rule, model):
 
     for _ in range(network.n):
         h = h_rows[-1]
-        active = active_rule(h) & ~propagated
+        active = (h >= 1.0 if model == DC else h > 0.0) & ~propagated
         if not active.any():
             break
         inflow = (1.0 - R) * (lb[:, active] @ h[active])
@@ -250,23 +239,8 @@ def _run_active_set(network, shock, R, active_rule, model):
     return Trajectory(model=model, h=h_arr)
 
 
-def run_default_cascade(network: LiabilityNetwork, shock: ShockSpec,
-                        config: ModelConfig) -> Trajectory:
-    """Threshold cascade: only defaulted banks transmit losses."""
-    return _run_active_set(network, shock, config.exogenous_recovery_rate,
-                           lambda h: h >= 1.0, DC)
-
-
-def run_acyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
-                         config: ModelConfig) -> Trajectory:
-    """Mark-to-market cascade: any distressed bank transmits, once."""
-    return _run_active_set(network, shock, config.exogenous_recovery_rate,
-                           lambda h: h > 0.0, ADR)
-
-
-def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
-                        config: ModelConfig) -> Trajectory:
-    """Distress propagated along all walks, including cycles.
+def _run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec, R: float) -> Trajectory:
+    """Cyclic DebtRank: distress propagated along all walks, including cycles.
 
     h(t+1) = min{1, h(t) + (1-R) l^b [h(t) - h(t-1)]}; stops when the largest
     componentwise change drops below CDR_TOLERANCE or after
@@ -274,7 +248,6 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
-    R = config.exogenous_recovery_rate
     first = apply_first_round(network, shock)
     table = _table(network, shock)
     if table and (CDR, R) in table:
@@ -295,16 +268,22 @@ def run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec,
     return trajectory if table is None else _keep(table, (CDR, R), trajectory)
 
 
-_RUNNERS = {
-    EN: run_eisenberg_noe,
-    RV: run_rogers_veraart,
-    DC: run_default_cascade,
-    ADR: run_acyclic_debtrank,
-    CDR: run_cyclic_debtrank,
-}
-
-
 def run_model(network: LiabilityNetwork, shock: ShockSpec,
               config: ModelConfig) -> Trajectory:
-    """Dispatch a run by config.model."""
-    return _RUNNERS[config.model](network, shock, config)
+    """Run config.model on the network under the shock:
+
+    - EN: the clearing-payment fixed point, with full recovery on liquidation;
+    - RV: clearing with bankruptcy costs, defaulters paying a
+      config.rv_beta-discounted value;
+    - DC: threshold cascade, in which only defaulted banks transmit, once;
+    - ADR: mark-to-market cascade, in which any distressed bank transmits, once;
+    - CDR: distress propagated along all walks, including cycles.
+
+    DC, ADR and CDR read config.exogenous_recovery_rate as R.
+    """
+    model, R = config.model, config.exogenous_recovery_rate
+    if model in (EN, RV):
+        return _run_clearing(network, shock, 1.0 if model == EN else config.rv_beta, model)
+    if model == CDR:
+        return _run_cyclic_debtrank(network, shock, R)
+    return _run_active_set(network, shock, R, model)

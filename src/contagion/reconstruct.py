@@ -85,8 +85,9 @@ def fitness_scores(aggregates: Aggregates) -> np.ndarray:
 
 
 def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
-    xx = np.outer(x, x)
-    p = z * xx / (1.0 + z * xx)
+    p = np.outer(x, x)
+    p *= z
+    np.divide(p, p + 1.0, out=p)
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -360,8 +361,9 @@ def generate_ensemble(aggregates: Aggregates,
             networks.append(net)
             densities.append(density)
     if len(skipped) > config.ensemble_size * 0.01:
-        raise EnsembleInfeasible(
-            f"{len(skipped)} of {config.ensemble_size} draws infeasible")
+        idx, reason = skipped[0]
+        raise EnsembleInfeasible(f"{len(skipped)} of {config.ensemble_size} draws "
+                                 f"infeasible; the first, member {idx}: {reason}")
     return EnsembleResult(networks=networks, skipped=skipped,
                           densities=np.array(densities), config=config, z=z)
 

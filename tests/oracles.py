@@ -8,22 +8,36 @@ greatest, and conservation needs zero outside liabilities.
 import numpy as np
 
 from contagion import (
-    EN, Trajectory, apply_first_round, global_vulnerability, leverage_decomposition,
-    network_from_vectors, relative_liabilities, run_eisenberg_noe,
+    EN, ModelConfig, Trajectory, global_vulnerability, leverage_decomposition,
+    network_from_vectors, relative_liabilities, run_model,
 )
-from contagion.analysis import equity_weights
 from contagion.models import _check_trajectory
 from contagion.reconstruct import _link_probabilities
 
 BOUNDARY_TOL = 1e-12
 
 
+def run(network, shock, model=EN, R=0.0, beta=1.0) -> Trajectory:
+    """run_model under ModelConfig(model, exogenous_recovery_rate=R, rv_beta=beta)."""
+    return run_model(network, shock,
+                     ModelConfig(model=model, exogenous_recovery_rate=R, rv_beta=beta))
+
+
+def connectivity(network) -> np.ndarray:
+    """Financial connectivity beta_i: the share of bank i's obligations owed
+    inside the network, the row sums of Pi."""
+    return relative_liabilities(network).pi_matrix.sum(axis=1)
+
+
 def _first_round(network, shock):
     """(s, A^e s, D(1) mask, boundary flag). D(1) holds the banks whose
-    first-round loss meets or exceeds their equity; the flag marks a loss
-    equal to equity, which the tie rule places inside D(1)."""
+    first-round loss l^e_i s_i (per-class shocks: sum_k l^e_ik s_k) meets or
+    exceeds their equity; the flag marks a loss equal to equity, which the tie
+    rule places inside D(1)."""
     s = shock.effective_per_bank(network)
-    ratio = apply_first_round(network, shock).loss_ratio
+    lev = leverage_decomposition(network)
+    ratio = (lev.external_leverage @ shock.per_class_shock
+             if shock.per_class_shock is not None else lev.external_leverage_total * s)
     return (s, network.external_assets * s, ratio >= 1.0 - BOUNDARY_TOL,
             bool(np.any(np.abs(ratio - 1.0) <= BOUNDARY_TOL)))
 
@@ -33,7 +47,7 @@ def _leak(network, en_trajectory) -> float:
     assert en_trajectory.model == EN, f"need an EN clearing run, not {en_trajectory.model}"
     rel = relative_liabilities(network)
     shortfall = rel.total_obligations - en_trajectory.payments[-1]
-    return (1.0 - rel.financial_connectivity) @ shortfall
+    return (1.0 - connectivity(network)) @ shortfall
 
 
 def first_round_default_set(network, shock):
@@ -66,9 +80,9 @@ def en_second_round_bound(network, shock) -> tuple:
     (1/sum E) sum_{i in D(1)} beta_i (A^e_i s_i - E_i), and the weighted form
     sum beta_i w_i (l^e_i s_i - 1). The tests compare them."""
     s, loss, d1, _ = _first_round(network, shock)
-    beta = relative_liabilities(network).financial_connectivity[d1]
+    beta = connectivity(network)[d1]
     bound = float((beta @ (loss[d1] - network.equity[d1])) / network.equity.sum())
-    w = equity_weights(network)[d1]
+    w = network.equity_weights[d1]
     lev = leverage_decomposition(network).external_leverage_total[d1]
     return bound, float(np.sum(beta * w * (lev * s[d1] - 1.0)))
 
@@ -96,9 +110,9 @@ def en_vulnerability_form(network, shock) -> Trajectory:
     """Clearing dynamics re-expressed through leverages and payment shortfalls.
 
     h_i(t+1) = min{1, h_i(t) + sum_j l^b_ij (p_j(t) - p_j(t+1)) / p_bar_j};
-    an independent arithmetic path that must agree with run_eisenberg_noe.
+    an independent arithmetic path that must agree with the EN run.
     """
-    base = run_eisenberg_noe(network, shock)
+    base = run(network, shock)
     p_bar = relative_liabilities(network).total_obligations
     lb = leverage_decomposition(network).interbank_leverage
     ratio = np.zeros_like(lb)
@@ -144,7 +158,7 @@ def topology_invariance_check(networks, shock):
     second-round expression), or ValueError is raised."""
     def signature(net):
         _, loss, d1, _ = _first_round(net, shock)
-        return d1, net.equity, loss, relative_liabilities(net).financial_connectivity[d1]
+        return d1, net.equity, loss, connectivity(net)[d1]
 
     ref = signature(networks[0])
     for net in networks[1:]:
@@ -153,6 +167,6 @@ def topology_invariance_check(networks, shock):
         if not (np.array_equal(sig[0], ref[0])
                 and all(np.allclose(a, b) for a, b in zip(sig[1:], ref[1:]))):
             raise ValueError("networks do not share the aggregates that pin H")
-    runs = [run_eisenberg_noe(net, shock) for net in networks]
+    runs = [run(net, shock) for net in networks]
     return ([global_vulnerability(t, net) for t, net in zip(runs, networks)],
             np.vstack([t.h[-1] for t in runs]))

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from contagion import (
-    ModelConfig, ShockSpec, global_vulnerability, network_from_vectors,
-    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
-    run_eisenberg_noe, run_rogers_veraart,
+    ShockSpec, global_vulnerability, network_from_vectors,
 )
 from contagion import fixtures as fx
 from contagion.cli import _write_rows
@@ -28,7 +26,7 @@ from contagion.sweeps import (
 )
 from oracles import (
     conservation_check, en_closed_form_H, en_second_round_bound,
-    en_second_round_exact, en_vulnerability_form, topology_invariance_check,
+    en_second_round_exact, en_vulnerability_form, run, topology_invariance_check,
 )
 
 
@@ -46,22 +44,17 @@ def pad(h, T):
     return np.vstack([h, np.repeat(h[-1][None], T - h.shape[0], axis=0)])
 
 
-def cfg(model, R=0.0, beta=1.0):
-    return ModelConfig(model=model, exogenous_recovery_rate=R, rv_beta=beta)
-
-
 def test_criterion_1_golden_fixtures():
     with criterion("criterion 1: golden chain/star/cycle fixtures (<1 s)"):
         t0 = time.time()
         for f in fx.topology_family():
-            en = run_eisenberg_noe(f.network, f.shock)
+            en = run(f.network, f.shock)
             assert np.allclose(en.h_final, f.expected_h["EN"], atol=1e-9)
             assert global_vulnerability(en, f.network) == pytest.approx(
                 0.16, abs=1e-9)
             assert en_second_round_exact(f.network, f.shock, en) == pytest.approx(
                 0.6 / 35.0, abs=1e-9)
-            adr = run_acyclic_debtrank(
-                f.network, f.shock, cfg("ADR", R=f.recovery_rate))
+            adr = run(f.network, f.shock, "ADR", R=f.recovery_rate)
             H_adr = global_vulnerability(adr, f.network)
             assert H_adr == pytest.approx(f.expected_H["ADR"], abs=1e-9)
             expected_2dp = 0.79 if f.name == "star" else 0.64
@@ -72,15 +65,15 @@ def test_criterion_1_golden_fixtures():
 def test_criterion_2_counterexample_fixtures():
     with criterion("criterion 2: cascade-ordering counterexamples (exact)"):
         ce = fx.dc_vs_adr_fixture()
-        dc = run_default_cascade(ce.network, ce.shock, cfg("DC", R=0.0))
-        adr = run_acyclic_debtrank(ce.network, ce.shock, cfg("ADR", R=0.0))
+        dc = run(ce.network, ce.shock, "DC", R=0.0)
+        adr = run(ce.network, ce.shock, "ADR", R=0.0)
         assert np.allclose(dc.h_final, [1.0, 1.0, 1.0], atol=1e-12)
         assert np.allclose(adr.h_final, [1.0, 1.0, 4.0 / 5.0], atol=1e-12)
         assert dc.h_final[2] > adr.h_final[2]
 
         ce = fx.en_vs_adr_fixture()
-        en = run_eisenberg_noe(ce.network, ce.shock)
-        adr = run_acyclic_debtrank(ce.network, ce.shock, cfg("ADR", R=0.0))
+        en = run(ce.network, ce.shock)
+        adr = run(ce.network, ce.shock, "ADR", R=0.0)
         assert np.allclose(en.h_final, [1.0, 1.0, 1.0], atol=1e-12)
         assert np.allclose(adr.h_final, [1.0, 1.0, 32.0 / 49.0], atol=1e-12)
         assert en.h_final[2] > adr.h_final[2]
@@ -97,9 +90,9 @@ def test_criterion_3_theorem_suite():
             shock = ShockSpec.uniform(rng.uniform(0.0, 1.0))
             beta = rng.uniform(0.0, 1.0)
 
-            en = run_eisenberg_noe(net, shock)
-            rv = run_rogers_veraart(net, shock, cfg("RV", beta=beta))
-            cdr = run_cyclic_debtrank(net, shock, cfg("CDR", R=0.0))
+            en = run(net, shock)
+            rv = run(net, shock, "RV", beta=beta)
+            cdr = run(net, shock, "CDR", R=0.0)
 
             # (a) EN <= RV <= cDR componentwise in (i, t)
             T = max(en.h.shape[0], rv.h.shape[0], cdr.h.shape[0])
@@ -120,7 +113,7 @@ def test_criterion_3_theorem_suite():
             assert en_second_round_bound(net, shock)[0] >= exact - 1e-9
 
             # (f) full-recovery discounting reproduces the baseline bitwise
-            rv1 = run_rogers_veraart(net, shock, cfg("RV", beta=1.0))
+            rv1 = run(net, shock, "RV", beta=1.0)
             assert np.array_equal(en.h, rv1.h)
             assert np.array_equal(en.payments, rv1.payments)
         assert time.time() - t0 < 60.0
@@ -159,7 +152,7 @@ def test_criterion_4_conservation_and_topology_invariance(monkeypatch):
             net = fx.random_network(rng, n, zero_external_liabilities=True)
             s = rng.uniform(0.0, 1.0)
             shock = ShockSpec.uniform(s)
-            traj = run_eisenberg_noe(net, shock)
+            traj = run(net, shock)
             assert conservation_check(net, shock, traj) < 1e-6 * max(1.0, net.equity.sum())
             # common shock: closed-form system-level vulnerability
             H = global_vulnerability(traj, net)
@@ -185,7 +178,7 @@ def test_criterion_5_dual_implementation_oracle():
     with criterion("criterion 5: leverage-form clearing equals payment-form "
                    "clearing to 1e-9"):
         for f in fx.golden():
-            base = run_eisenberg_noe(f.network, f.shock)
+            base = run(f.network, f.shock)
             alt = en_vulnerability_form(f.network, f.shock)
             assert base.h.shape == alt.h.shape
             assert np.allclose(base.h, alt.h, atol=1e-9)
@@ -193,7 +186,7 @@ def test_criterion_5_dual_implementation_oracle():
         for _ in range(100):
             net = fx.random_network(rng, int(rng.integers(3, 40)))
             shock = ShockSpec.uniform(rng.uniform(0.0, 1.0))
-            base = run_eisenberg_noe(net, shock)
+            base = run(net, shock)
             alt = en_vulnerability_form(net, shock)
             T = max(base.h.shape[0], alt.h.shape[0])
             assert np.allclose(pad(base.h, T), pad(alt.h, T), atol=1e-9)
@@ -204,7 +197,7 @@ def test_criterion_6_wheel_family_mutualization():
                    "2.5/(70(n-1)) with equal mutualization"):
         for n in (2, 4, 8, 16):
             f = fx.wheel_fixture(n)
-            traj = run_eisenberg_noe(f.network, f.shock)
+            traj = run(f.network, f.shock)
             leaf_h = traj.h_final[1:]
             assert np.allclose(leaf_h, 2.5 / (70.0 * (n - 1)), rtol=1e-12,
                                atol=0)
@@ -341,22 +334,22 @@ def test_criterion_8_qualitative_regimes():
 
         for net in networks:
             shock = ShockSpec.uniform(s_lo)
-            for traj in (run_eisenberg_noe(net, shock),
-                         run_rogers_veraart(net, shock, cfg("RV", beta=0.6)),
-                         run_default_cascade(net, shock, cfg("DC", R=0.6))):
+            for traj in (run(net, shock),
+                         run(net, shock, "RV", beta=0.6),
+                         run(net, shock, "DC", R=0.6)):
                 second = (_h_at(traj, None, net) - _h_at(traj, 1, net))
                 assert abs(second) < 1e-12   # no defaults, no propagation
-            for traj in (run_acyclic_debtrank(net, shock, cfg("ADR", R=0.6)),
-                         run_cyclic_debtrank(net, shock, cfg("CDR", R=0.6))):
+            for traj in (run(net, shock, "ADR", R=0.6),
+                         run(net, shock, "CDR", R=0.6)):
                 second = (_h_at(traj, None, net) - _h_at(traj, 1, net))
                 assert second > 0.0          # mark-to-market losses propagate
 
             shock = ShockSpec.uniform(s_hi)
-            for traj in (run_eisenberg_noe(net, shock),
-                         run_rogers_veraart(net, shock, cfg("RV", beta=0.6)),
-                         run_default_cascade(net, shock, cfg("DC", R=0.6)),
-                         run_acyclic_debtrank(net, shock, cfg("ADR", R=0.6)),
-                         run_cyclic_debtrank(net, shock, cfg("CDR", R=0.6))):
+            for traj in (run(net, shock),
+                         run(net, shock, "RV", beta=0.6),
+                         run(net, shock, "DC", R=0.6),
+                         run(net, shock, "ADR", R=0.6),
+                         run(net, shock, "CDR", R=0.6)):
                 assert _h_at(traj, None, net) == pytest.approx(1.0, abs=1e-12)
 
         mid_shock = ShockSpec.uniform(float(np.median(
@@ -364,7 +357,7 @@ def test_criterion_8_qualitative_regimes():
         for net in networks[:5]:
             prev = None
             for R in np.linspace(0.0, 1.0, 6):
-                traj = run_acyclic_debtrank(net, mid_shock, cfg("ADR", R=R))
+                traj = run(net, mid_shock, "ADR", R=R)
                 H = global_vulnerability(traj, net)
                 if prev is not None:
                     assert H <= prev + 1e-12
@@ -384,14 +377,13 @@ def test_criterion_9_termination_bounds():
                           ShockSpec.uniform(rng.uniform(0.0, 1.0))))
         for net, shock in cases:
             n = net.n
-            en = run_eisenberg_noe(net, shock)
+            en = run(net, shock)
             assert en.payments.shape[0] - 2 <= n + 1
-            rv = run_rogers_veraart(net, shock, cfg("RV", beta=0.5))
+            rv = run(net, shock, "RV", beta=0.5)
             assert rv.payments.shape[0] - 2 <= n + 1
-            for runner, name in ((run_default_cascade, "DC"),
-                                 (run_acyclic_debtrank, "ADR")):
-                traj = runner(net, shock, cfg(name, R=0.3))
+            for name in ("DC", "ADR"):
+                traj = run(net, shock, name, R=0.3)
                 assert traj.h.shape[0] - 2 <= n
-            cdr = run_cyclic_debtrank(net, shock, cfg("CDR", R=0.3))
+            cdr = run(net, shock, "CDR", R=0.3)
             assert not cdr.cap_hit
             assert cdr.h.shape[0] - 2 <= 10 * n

@@ -1,19 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contagion import (
     MODEL_NAMES, ModelConfig, ShockSpec, global_vulnerability,
-    network_from_vectors, ordering_audit, run_eisenberg_noe, run_with_firewall,
+    network_from_vectors, ordering_audit, run_model, run_with_firewall,
 )
 from contagion.errors import NonConvergence
 from contagion import fixtures as fx
 from contagion.ingest import interpolate_missing, synthesize_panel, to_aggregates
-from contagion.models import run_acyclic_debtrank, run_cyclic_debtrank
 from contagion.reconstruct import ReconstructionConfig, generate_ensemble
 import oracles
 from oracles import (
     conservation_check, conservation_ring, en_closed_form_H, en_second_round_bound,
-    en_second_round_exact, first_round_default_set, topology_invariance_check,
+    en_second_round_exact, first_round_default_set, run, topology_invariance_check,
 )
 
 
@@ -26,13 +27,13 @@ def checked_bound(network, shock):
 
 def test_global_vulnerability_chain():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     assert global_vulnerability(traj, f.network) == pytest.approx(0.16, abs=1e-9)
 
 
 def test_global_vulnerability_star_cascade():
     f = fx.star_fixture()
-    traj = run_acyclic_debtrank(
+    traj = run_model(
         f.network, f.shock,
         ModelConfig(model="ADR", exogenous_recovery_rate=f.recovery_rate))
     H = global_vulnerability(traj, f.network)
@@ -42,20 +43,20 @@ def test_global_vulnerability_star_cascade():
 
 def test_global_vulnerability_zero():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, ShockSpec.uniform(0.0))
+    traj = run(f.network, ShockSpec.uniform(0.0))
     assert global_vulnerability(traj, f.network) == 0.0
 
 
 def test_global_vulnerability_index_error():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     with pytest.raises(IndexError):
         global_vulnerability(traj, f.network, t=99)
 
 
 def test_closed_form_on_fixtures():
     for f in fx.topology_family():
-        traj = run_eisenberg_noe(f.network, f.shock)
+        traj = run(f.network, f.shock)
         closed = en_closed_form_H(f.network, f.shock, traj)
         assert closed == pytest.approx(0.16, abs=1e-9)
         assert closed == pytest.approx(
@@ -65,13 +66,13 @@ def test_closed_form_on_fixtures():
 def test_closed_form_zero_shock():
     f = fx.chain_fixture()
     shock = ShockSpec.uniform(0.0)
-    traj = run_eisenberg_noe(f.network, shock)
+    traj = run(f.network, shock)
     assert en_closed_form_H(f.network, shock, traj) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_second_round_exact_on_fixtures():
     for f in fx.topology_family():
-        traj = run_eisenberg_noe(f.network, f.shock)
+        traj = run(f.network, f.shock)
         exact = en_second_round_exact(f.network, f.shock, traj)
         assert exact == pytest.approx(0.6 / 35.0, abs=1e-9)
         H1 = global_vulnerability(traj, f.network, 1)
@@ -84,13 +85,13 @@ def test_second_round_exact_on_fixtures():
 def test_second_round_exact_no_defaults():
     f = fx.chain_fixture()
     shock = ShockSpec.uniform(0.01)
-    traj = run_eisenberg_noe(f.network, shock)
+    traj = run(f.network, shock)
     assert en_second_round_exact(f.network, shock, traj) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bound_attained_on_single_wave_fixtures():
     for f in fx.topology_family():
-        traj = run_eisenberg_noe(f.network, f.shock)
+        traj = run(f.network, f.shock)
         bound = checked_bound(f.network, f.shock)
         exact = en_second_round_exact(f.network, f.shock, traj)
         assert bound == pytest.approx(0.6 / 35.0, abs=1e-12)
@@ -98,9 +99,11 @@ def test_bound_attained_on_single_wave_fixtures():
 
 
 def test_bound_raises_typed_error_when_its_forms_disagree(monkeypatch):
+    # Scaling the leverages moves only the weighted form of the bound.
     f = fx.chain_fixture()
-    weights = oracles.equity_weights
-    monkeypatch.setattr(oracles, "equity_weights", lambda net: 1.5 * weights(net))
+    lev = oracles.leverage_decomposition(f.network)
+    monkeypatch.setattr(oracles, "leverage_decomposition", lambda net: replace(
+        lev, external_leverage_total=1.5 * lev.external_leverage_total))
     with pytest.raises(AssertionError):
         checked_bound(f.network, f.shock)
 
@@ -115,7 +118,7 @@ def test_bound_dominates_exact_on_random_networks():
     for _ in range(30):
         net = fx.random_network(rng, int(rng.integers(3, 30)))
         shock = ShockSpec.uniform(rng.uniform(0, 0.8))
-        traj = run_eisenberg_noe(net, shock)
+        traj = run(net, shock)
         bound = checked_bound(net, shock)
         exact = en_second_round_exact(net, shock, traj)
         assert bound >= exact - 1e-9
@@ -134,7 +137,7 @@ def test_closed_forms_under_per_class_shocks():
             for s in (0.2, 0.6, 1.0):
                 shock = ShockSpec.on_class(name, s)
                 assert np.ptp(shock.effective_per_bank(net)) > 0
-                traj = run_eisenberg_noe(net, shock)
+                traj = run(net, shock)
                 H1 = global_vulnerability(traj, net, 1)
                 H_inf = global_vulnerability(traj, net)
                 assert en_closed_form_H(net, shock, traj) == pytest.approx(H_inf, abs=1e-9)
@@ -150,7 +153,7 @@ def test_closed_forms_under_per_class_shocks():
 def test_conservation_on_ring():
     net = conservation_ring(5, seed=2)
     shock = ShockSpec.on_bank(0, 0.2, 5)
-    traj = run_eisenberg_noe(net, shock)
+    traj = run(net, shock)
     residual = conservation_check(net, shock, traj)
     assert residual < 1e-6 * net.equity.sum()
 
@@ -161,7 +164,7 @@ def test_common_shock_closed_form_at_full_connectivity():
         net = fx.random_network(rng, int(rng.integers(3, 20)),
                                 zero_external_liabilities=True)
         s = rng.uniform(0, 1)
-        traj = run_eisenberg_noe(net, ShockSpec.uniform(s))
+        traj = run(net, ShockSpec.uniform(s))
         H = global_vulnerability(traj, net)
         l_sys = net.external_assets.sum() / net.equity.sum()
         assert H == pytest.approx(s * l_sys, abs=1e-9)
@@ -232,8 +235,7 @@ def test_firewall_raises_when_cyclic_debtrank_hits_its_cap(recovery_rate):
     L = np.array([[0.0, eps], [eps, 0.0]])
     net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
     shock = ShockSpec.uniform(1e-9)
-    cdr = run_cyclic_debtrank(net, shock, ModelConfig(model="CDR",
-                                                      exogenous_recovery_rate=recovery_rate))
+    cdr = run_model(net, shock, ModelConfig(model="CDR", exogenous_recovery_rate=recovery_rate))
     assert cdr.cap_hit == (recovery_rate == 0.0)
     with pytest.raises(NonConvergence):
         run_with_firewall(net, shock, MODEL_NAMES, recovery_rate, recovery_rate)
@@ -249,7 +251,7 @@ def test_cyclic_debtrank_runs_past_10n_rounds_when_it_contracts():
     for share, rounds in ((0.999, (20, 200)), (1.001, (96, 98))):
         L = np.array([[0.0, share], [share, 0.0]])
         net = network_from_vectors([1.0, 1.0], [0.0, 0.0], L)
-        cdr = run_cyclic_debtrank(net, ShockSpec.uniform(0.01), ModelConfig(model="CDR"))
+        cdr = run_model(net, ShockSpec.uniform(0.01), ModelConfig(model="CDR"))
         assert not cdr.cap_hit
         assert rounds[0] < cdr.converged_at < rounds[1]
         np.testing.assert_array_equal(cdr.h_final, [1.0, 1.0])

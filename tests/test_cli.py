@@ -166,6 +166,18 @@ def test_reconstruct_writes_ensemble(capsys, tmp_path):
     assert "emitted 5 networks" in out
 
 
+@pytest.mark.parametrize("banks, message", [
+    ("11", "3 of 3 draws infeasible; the first, member 0: bank 3 needs a borrowing share"),
+    ("12", "1 of 3 draws infeasible; the first, member 2: bank 1 needs a lending share"),
+], ids=["all_skipped", "one_skipped"])
+def test_an_infeasible_ensemble_says_why(capsys, tmp_path, banks, message):
+    # The error names the first skipped member and the reason it failed.
+    code, _, err = run(capsys, "reconstruct", "--synthetic-banks", banks,
+                       "--ensemble-size", "3", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {message} of at least ")
+
+
 def test_sweep_shock_smoke(capsys, tmp_path):
     out_dir = tmp_path / "sweep"
     code, out, _ = run(capsys, "sweep", "shock", *SWEEP_ARGS,

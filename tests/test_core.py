@@ -1,5 +1,5 @@
 import ast
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from inspect import isfunction, ismodule, signature
 from pathlib import Path
 
@@ -9,13 +9,13 @@ import pytest
 import contagion
 from contagion import (
     ShockSpec, apply_first_round, build_network, leverage_decomposition,
-    network_from_vectors, relative_liabilities, run_eisenberg_noe,
+    network_from_vectors, relative_liabilities,
 )
 from contagion.errors import (
     DimensionMismatch, IdentityViolation, NegativeBalance, NegativeEntry, NonPositiveEquity,
 )
 from contagion import fixtures as fx
-from contagion.analysis import equity_weights
+from oracles import run
 
 
 def single_class(L, external_assets, external_liabilities, equity):
@@ -158,7 +158,7 @@ def test_network_arrays_are_read_only():
 def test_records_compare_by_identity_and_can_key_a_dict():
     net = fx.dc_vs_adr_fixture().network
     shocks = [ShockSpec(per_bank_shock=np.array([0.1, 0.2, 0.3])) for _ in range(2)]
-    runs = [run_eisenberg_noe(net, shocks[0]) for _ in range(2)]
+    runs = [run(net, shocks[0]) for _ in range(2)]
     for a, b in ((net, replace(net)), shocks, runs):  # equal values, two objects
         assert a == a and a != b
         assert {a: "a", b: "b"}[a] == "a"
@@ -169,11 +169,11 @@ def test_derived_matrices_computed_once_and_read_only():
     lev, rel = leverage_decomposition(net), relative_liabilities(net)
     assert leverage_decomposition(net) is lev
     assert relative_liabilities(net) is rel
-    weights = equity_weights(net)
-    assert equity_weights(net) is weights
+    weights = net.equity_weights
+    assert net.equity_weights is weights
     arrays = (lev.external_leverage, lev.interbank_leverage,
               lev.external_leverage_total, rel.total_obligations, rel.pi_matrix,
-              rel.financial_connectivity, weights)
+              weights)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -215,15 +215,19 @@ def test_leverage_additivity():
                               lev.external_leverage.sum(axis=1))
 
 
-def test_pi_rows_equal_beta_exactly():
+def test_pi_rows_equal_beta():
     rng = np.random.default_rng(11)
     for _ in range(25):
         net = fx.random_network(rng, int(rng.integers(3, 25)))
         rel = relative_liabilities(net)
-        # same arithmetic path: row sums must equal connectivity bit-for-bit
-        assert np.array_equal(rel.pi_matrix.sum(axis=1), rel.financial_connectivity)
-        assert np.all(rel.financial_connectivity >= 0)
-        assert np.all(rel.financial_connectivity <= 1 + 1e-12)
+        beta = rel.pi_matrix.sum(axis=1)
+        # the connectivity beta_i is the share L^b_i / p_bar_i owed inside the network
+        p_bar = rel.total_obligations
+        share = np.divide(net.interbank_liabilities, p_bar, out=np.zeros(net.n),
+                          where=p_bar > 0)
+        np.testing.assert_allclose(beta, share, rtol=1e-12, atol=0)
+        assert np.all(beta >= 0)
+        assert np.all(beta <= 1 + 1e-12)
 
 
 def test_shock_spec_validation():
@@ -314,10 +318,9 @@ PUBLIC_API = [
     "ingest", "interpolate_missing", "ipf_weights", "leverage_decomposition",
     "load_panel", "make_shock", "models", "network_from_vectors",
     "ordering_audit", "rebalance_totals", "reconstruct", "relative_liabilities",
-    "run_acyclic_debtrank", "run_cyclic_debtrank", "run_default_cascade",
-    "run_eisenberg_noe", "run_model", "run_recovery_sweep", "run_rogers_veraart",
-    "run_shock_sweep", "run_timeseries", "run_with_firewall", "sample_adjacency",
-    "sweeps", "synthesize_panel", "to_aggregates", "write_ensemble",
+    "run_model", "run_recovery_sweep", "run_shock_sweep", "run_timeseries",
+    "run_with_firewall", "sample_adjacency", "sweeps", "synthesize_panel",
+    "to_aggregates", "write_ensemble",
 ]
 
 
@@ -343,12 +346,29 @@ def test_every_public_name_has_a_caller_in_the_program():
             if not ismodule(getattr(contagion, name)) and name not in used] == []
 
 
+# Public dataclass fields that no program path reads, and why each stays.
+UNREAD_FIELDS = {
+    "Trajectory.payments": "tests check the clearing fixed point on it",
+}
+
+
+def test_every_public_field_is_read_by_the_program():
+    # A field that only tests read is computed and stored for nothing; drop it,
+    # or let tests/oracles.py derive it.
+    read = {node.attr for node in program_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = [obj for obj in (getattr(contagion, name) for name in contagion.__all__)
+               if isinstance(obj, type) and is_dataclass(obj)]
+    unread = [f"{cls.__name__}.{f.name}" for cls in classes for f in fields(cls)
+              if f.name not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
 # Defaulted parameters that no call in the program sets, and why each stays.
 UNSET_DEFAULTS = {
     "calibrate_z.tol": "tests set tol=0 to pin the bisection's bits",
     "ipf_weights.tolerance": "tests fit tighter than the reconstruction's margin",
     "random_network.zero_external_liabilities": "conservation tests need L^e = 0",
-    "run_eisenberg_noe.config": "run_model passes every runner a config; EN reads none",
     "synthesize_panel.missingness": "tests vary the gap rate to exercise interpolation",
 }
 

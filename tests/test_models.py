@@ -6,44 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contagion import (
-    ModelConfig, ShockSpec, leverage_decomposition, network_from_vectors,
-    run_acyclic_debtrank, run_cyclic_debtrank, run_default_cascade,
-    run_eisenberg_noe, run_rogers_veraart,
+    ShockSpec, leverage_decomposition, network_from_vectors,
 )
 from contagion import fixtures as fx
 from contagion import models
 from contagion.errors import NonConvergence
 from exact import clearing_payments
-from oracles import en_vulnerability_form
-
-
-def cfg(model="EN", R=0.0, beta=1.0):
-    return ModelConfig(model=model, exogenous_recovery_rate=R, rv_beta=beta)
+from oracles import en_vulnerability_form, run
 
 
 # --- clearing model -------------------------------------------------------
 
 def test_chain_clearing_values():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     assert np.allclose(traj.h_final, [1.0, 0.06, 0.0, 0.0], atol=1e-9)
 
 
 def test_star_clearing_values():
     f = fx.star_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     assert np.allclose(traj.h_final, [1.0, 0.02, 0.02, 0.02], atol=1e-9)
 
 
 def test_cycle_clearing_values():
     f = fx.cycle_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     assert np.allclose(traj.h_final, [1.0, 0.06, 0.0, 0.0], atol=1e-9)
 
 
 def test_zero_shock_full_payments():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, ShockSpec.uniform(0.0))
+    traj = run(f.network, ShockSpec.uniform(0.0))
     p_bar = f.network.liabilities.sum(axis=1) + f.network.external_liabilities
     assert np.allclose(traj.payments[-1], p_bar)
     assert np.all(traj.h_final == 0.0)
@@ -78,7 +72,7 @@ def test_clearing_fixed_point_residual():
     for _ in range(20):
         net = fx.random_network(rng, int(rng.integers(3, 30)))
         s = rng.uniform(0, 0.5)
-        traj = run_eisenberg_noe(net, ShockSpec.uniform(s))
+        traj = run(net, ShockSpec.uniform(s))
         p = traj.payments[-1]
         p_bar, clear = clearing_map(net, s)
         assert np.allclose(p, clear(p), rtol=1e-9, atol=1e-9 * max(1, p_bar.max()))
@@ -97,7 +91,7 @@ def test_closed_cycle_boundary_bank_pays_in_full():
     net = network_from_vectors([5.0, 15.0, 15.0], np.zeros(3), L)
     assert net.equity.tolist() == [25.0, 5.0, 5.0]
     shock = ShockSpec.uniform(1.0)
-    traj = run_eisenberg_noe(net, shock)
+    traj = run(net, shock)
     assert traj.payments[-1].tolist() == [10.0, 10.0, 10.0]
     assert traj.converged_at == 2
     assert traj.h_final.tolist() == [1.0, 1.0, 1.0]
@@ -151,10 +145,9 @@ def test_a_failed_defaulter_solve_raises(monkeypatch, result):
 
     f = fx.chain_fixture()
     monkeypatch.setattr(np.linalg, "solve", failed)
-    for run in (lambda: run_eisenberg_noe(f.network, f.shock),
-                lambda: run_rogers_veraart(f.network, f.shock, cfg("RV", beta=0.5))):
+    for model, beta in (("EN", 1.0), ("RV", 0.5)):
         with pytest.raises(NonConvergence, match="failed their solve"):
-            run()
+            run(f.network, f.shock, model, beta=beta)
 
 
 # _solve_defaulter_payments forms the defaulters' inflow from non-defaulters
@@ -179,7 +172,7 @@ def test_closed_class_spanning_many_decades_clears():
     L[2, 1] = 0.013279939309581636
     net = network_from_vectors(
         [66496106.175275594, 10589703.90618862, 8.812503742760243e-07], np.zeros(3), L)
-    traj = run_eisenberg_noe(net, ShockSpec.uniform(1.0))
+    traj = run(net, ShockSpec.uniform(1.0))
     np.testing.assert_allclose(traj.payments[-1], greatest_clearing_vector(net, 1.0),
                                rtol=1e-12, atol=0.0)
 
@@ -197,7 +190,7 @@ def test_boundary_bank_is_not_pushed_into_default():
     L[2, 0] = 8.7232348697343696
     net = network_from_vectors(
         [0.012448654460388802, 383308.34594801441, 1.3123588068176821], np.zeros(3), L)
-    traj = run_eisenberg_noe(net, ShockSpec.uniform(1.0))
+    traj = run(net, ShockSpec.uniform(1.0))
     np.testing.assert_allclose(traj.payments[-1], greatest_clearing_vector(net, 1.0),
                                rtol=1e-12, atol=0.0)
 
@@ -213,7 +206,7 @@ def test_closed_class_spanning_eight_decades_clears_exactly():
     net = network_from_vectors(
         [12.591747426060273, 520191.8200193307, 109755467.5944895], np.zeros(3), L)
     shock = ShockSpec.uniform(1.0)
-    traj = run_eisenberg_noe(net, shock)
+    traj = run(net, shock)
     p, tol = traj.payments[-1], 1e-12 * traj.payments[0].max()
     assert np.abs(p - [4.893479508042813, 3.5352713396421995, 4.893479508042813]).max() <= tol
     assert np.abs(p - np.array(clearing_payments(net, shock), dtype=float)).max() <= tol
@@ -242,8 +235,8 @@ def assert_clears_exactly(net, shock):
     ulp would otherwise clear at p_bar in floats and at 0 in fractions.
     """
     for beta in (1.0, 0.6, 0.3):
-        traj = (run_eisenberg_noe(net, shock) if beta == 1.0
-                else run_rogers_veraart(net, shock, cfg("RV", beta=beta)))
+        traj = (run(net, shock) if beta == 1.0
+                else run(net, shock, "RV", beta=beta))
         exact = np.array(clearing_payments(net, shock, beta, models.SHORTFALL_TOL), dtype=float)
         assert np.abs(traj.payments[-1] - exact).max() <= 1e-12 * traj.payments[0].max()
 
@@ -276,7 +269,7 @@ def test_closed_class_pushed_wholly_into_default_clears_exactly(draw):
     for _ in range(draw):
         closed_class(rng, 8)
     net, shock = closed_class(rng, 8)
-    traj = run_eisenberg_noe(net, shock)
+    traj = run(net, shock)
     exact = np.array(clearing_payments(net, shock), dtype=float)
     assert np.abs(traj.payments[-1] - exact).max() <= 1e-12 * traj.payments[0].max()
 
@@ -303,15 +296,15 @@ def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises
     monkeypatch.setattr(models, "apply_first_round", bumped)
     if raises:
         with pytest.raises(NonConvergence, match="decreased between sweeps"):
-            run_eisenberg_noe(net, shock)
+            run(net, shock)
     else:
-        traj = run_eisenberg_noe(net, shock)
+        traj = run(net, shock)
         assert traj.converged_at >= 2 and traj.h_final[2] == 0.2 + bump
 
 
 def test_endogenous_recovery_recorded():
     f = fx.chain_fixture()
-    traj = run_eisenberg_noe(f.network, f.shock)
+    traj = run(f.network, f.shock)
     recovery = traj.payments[-1] / traj.payments[0]
     # bank 1 pays 72 of 75
     assert recovery[0] == pytest.approx(72.0 / 75.0, abs=1e-12)
@@ -325,15 +318,15 @@ def test_rv_beta_one_bit_matches_en():
     for _ in range(10):
         net = fx.random_network(rng, int(rng.integers(3, 20)))
         shock = ShockSpec.uniform(rng.uniform(0, 0.4))
-        en = run_eisenberg_noe(net, shock)
-        rv = run_rogers_veraart(net, shock, cfg("RV", beta=1.0))
+        en = run(net, shock)
+        rv = run(net, shock, "RV", beta=1.0)
         assert np.array_equal(en.h, rv.h)
         assert np.array_equal(en.payments, rv.payments)
 
 
 def test_rv_beta_zero_full_writeoff():
     f = fx.chain_fixture()
-    rv = run_rogers_veraart(f.network, f.shock, cfg("RV", beta=0.0))
+    rv = run(f.network, f.shock, "RV", beta=0.0)
     # defaulted bank 1 pays nothing, so bank 2 loses its whole claim (15 of equity 10)
     assert rv.payments[-1][0] == 0.0
     assert rv.h_final[1] == 1.0
@@ -353,7 +346,7 @@ def test_rv_beta_zero_needs_no_solve(monkeypatch):
          ShockSpec.uniform(rng.uniform(0.1, 0.6))) for _ in range(20)]
     defaults = 0
     for net, shock in cases:
-        rv = run_rogers_veraart(net, shock, cfg("RV", beta=0.0))
+        rv = run(net, shock, "RV", beta=0.0)
         p_bar = rv.payments[0]
         defaulted = rv.payments != p_bar
         assert np.all(rv.payments[defaulted] == 0.0)
@@ -371,8 +364,8 @@ def test_rv_payments_below_en_every_iteration():
         net = fx.random_network(rng, int(rng.integers(3, 25)))
         shock = ShockSpec.uniform(rng.uniform(0, 0.5))
         beta = rng.uniform(0, 1)
-        en = run_eisenberg_noe(net, shock)
-        rv = run_rogers_veraart(net, shock, cfg("RV", beta=beta))
+        en = run(net, shock)
+        rv = run(net, shock, "RV", beta=beta)
         T = max(en.payments.shape[0], rv.payments.shape[0])
         pe = np.vstack([en.payments,
                         np.repeat(en.payments[-1][None], T - en.payments.shape[0], 0)])
@@ -385,20 +378,20 @@ def test_rv_payments_below_en_every_iteration():
 
 def test_dc_counterexample_values():
     f = fx.dc_vs_adr_fixture()
-    traj = run_default_cascade(f.network, f.shock, cfg("DC", R=0.0))
+    traj = run(f.network, f.shock, "DC", R=0.0)
     assert np.allclose(traj.h[1], [1.0, 2.0 / 3.0, 2.0 / 5.0], atol=1e-12)
     assert np.allclose(traj.h_final, [1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_dc_full_recovery_stops_propagation():
     f = fx.dc_vs_adr_fixture()
-    traj = run_default_cascade(f.network, f.shock, cfg("DC", R=1.0))
+    traj = run(f.network, f.shock, "DC", R=1.0)
     assert np.allclose(traj.h_final, traj.h[1])
 
 
 def test_dc_no_defaults_no_propagation():
     f = fx.chain_fixture()
-    traj = run_default_cascade(f.network, ShockSpec.uniform(0.01), cfg("DC", R=0.0))
+    traj = run(f.network, ShockSpec.uniform(0.01), "DC", R=0.0)
     assert np.allclose(traj.h_final, traj.h[1])
 
 
@@ -412,10 +405,9 @@ def test_single_propagation_invariant():
         net = fx.random_network(rng, int(rng.integers(3, 25)))
         shock = ShockSpec.uniform(rng.uniform(0, 0.6))
         lb = leverage_decomposition(net).interbank_leverage
-        for runner, rule in ((run_default_cascade, lambda h: h >= 1.0),
-                             (run_acyclic_debtrank, lambda h: h > 0.0)):
+        for model, rule in (("DC", lambda h: h >= 1.0), ("ADR", lambda h: h > 0.0)):
             R = rng.uniform(0, 1)
-            traj = runner(net, shock, cfg("DC", R=R))
+            traj = run(net, shock, model, R=R)
             meets = rule(traj.h[1:])
             first = np.argmax(meets, axis=0) + 1
             v = np.where(meets.any(axis=0), traj.h[first, np.arange(net.n)], 0.0)
@@ -427,19 +419,19 @@ def test_single_propagation_invariant():
 
 def test_adr_counterexample_values():
     f = fx.dc_vs_adr_fixture()
-    traj = run_acyclic_debtrank(f.network, f.shock, cfg("ADR", R=0.0))
+    traj = run(f.network, f.shock, "ADR", R=0.0)
     assert np.allclose(traj.h_final, [1.0, 1.0, 4.0 / 5.0], atol=1e-12)
 
 
 def test_adr_chain_values():
     f = fx.chain_fixture()
-    traj = run_acyclic_debtrank(f.network, f.shock, cfg("ADR", R=0.5))
+    traj = run(f.network, f.shock, "ADR", R=0.5)
     assert np.allclose(traj.h_final, [1.0, 0.75, 0.5625, 0.421875], atol=1e-12)
 
 
 def test_adr_zero_shock():
     f = fx.chain_fixture()
-    traj = run_acyclic_debtrank(f.network, ShockSpec.uniform(0.0), cfg("ADR"))
+    traj = run(f.network, ShockSpec.uniform(0.0), "ADR")
     assert np.all(traj.h_final == 0.0)
 
 
@@ -447,15 +439,15 @@ def test_adr_zero_shock():
 
 def test_cdr_zero_shock():
     f = fx.chain_fixture()
-    traj = run_cyclic_debtrank(f.network, ShockSpec.uniform(0.0), cfg("CDR"))
+    traj = run(f.network, ShockSpec.uniform(0.0), "CDR")
     assert np.all(traj.h_final == 0.0)
     assert not traj.cap_hit
 
 
 def test_cdr_equals_adr_on_dag():
     f = fx.chain_fixture()
-    adr = run_acyclic_debtrank(f.network, f.shock, cfg("ADR", R=0.5))
-    cdr = run_cyclic_debtrank(f.network, f.shock, cfg("CDR", R=0.5))
+    adr = run(f.network, f.shock, "ADR", R=0.5)
+    cdr = run(f.network, f.shock, "CDR", R=0.5)
     assert np.allclose(cdr.h_final, adr.h_final, atol=1e-9)
 
 
@@ -484,8 +476,8 @@ def test_cdr_equals_adr_on_random_exposure_trees():
         # one-shot cascade then transmits only first-round losses
         shock = ShockSpec.on_bank(0, rng.uniform(0.2, 1.0), n)
         R = rng.uniform(0, 1)
-        adr = run_acyclic_debtrank(dag, shock, cfg("ADR", R=R))
-        cdr = run_cyclic_debtrank(dag, shock, cfg("CDR", R=R))
+        adr = run(dag, shock, "ADR", R=R)
+        cdr = run(dag, shock, "CDR", R=R)
         assert np.allclose(cdr.h_final, adr.h_final, atol=1e-8)
 
 
@@ -493,8 +485,8 @@ def test_one_shot_equivalence_at_full_recovery():
     rng = np.random.default_rng(19)
     net = fx.random_network(rng, 12)
     shock = ShockSpec.uniform(0.2)
-    for runner in (run_default_cascade, run_acyclic_debtrank, run_cyclic_debtrank):
-        traj = runner(net, shock, cfg("DC", R=1.0))
+    for model in ("DC", "ADR", "CDR"):
+        traj = run(net, shock, model, R=1.0)
         assert np.allclose(traj.h_final, traj.h[1])
 
 
@@ -502,7 +494,7 @@ def test_one_shot_equivalence_at_full_recovery():
 
 def test_vulnerability_form_matches_on_fixtures():
     for f in fx.topology_family() + [fx.en_vs_adr_fixture(), fx.wheel_fixture(4)]:
-        base = run_eisenberg_noe(f.network, f.shock)
+        base = run(f.network, f.shock)
         alt = en_vulnerability_form(f.network, f.shock)
         assert base.h.shape == alt.h.shape
         assert np.allclose(base.h, alt.h, atol=1e-9)
@@ -524,11 +516,11 @@ def test_monotone_bounded_trajectories():
         R = rng.uniform(0, 1)
         beta = rng.uniform(0, 1)
         runs = [
-            run_eisenberg_noe(net, shock),
-            run_rogers_veraart(net, shock, cfg("RV", beta=beta)),
-            run_default_cascade(net, shock, cfg("DC", R=R)),
-            run_acyclic_debtrank(net, shock, cfg("ADR", R=R)),
-            run_cyclic_debtrank(net, shock, cfg("CDR", R=R)),
+            run(net, shock),
+            run(net, shock, "RV", beta=beta),
+            run(net, shock, "DC", R=R),
+            run(net, shock, "ADR", R=R),
+            run(net, shock, "CDR", R=R),
         ]
         for traj in runs:
             assert np.all(traj.h >= 0) and np.all(traj.h <= 1)
@@ -545,9 +537,9 @@ def test_termination_bounds():
         n = int(rng.integers(3, 30))
         net = fx.random_network(rng, n)
         shock = ShockSpec.uniform(rng.uniform(0, 0.8))
-        en = run_eisenberg_noe(net, shock)
+        en = run(net, shock)
         assert en.payments.shape[0] - 2 <= n + 1  # clearing sweeps
-        dc = run_default_cascade(net, shock, cfg("DC", R=0.0))
+        dc = run(net, shock, "DC", R=0.0)
         assert dc.h.shape[0] - 2 <= n
-        cdr = run_cyclic_debtrank(net, shock, cfg("CDR", R=0.0))
+        cdr = run(net, shock, "CDR", R=0.0)
         assert not cdr.cap_hit

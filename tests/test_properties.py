@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from contagion import (
     ModelConfig, ShockSpec, apply_first_round, leverage_decomposition,
-    network_from_vectors, relative_liabilities, run_cyclic_debtrank,
-    run_default_cascade, run_eisenberg_noe, run_rogers_veraart,
+    network_from_vectors, relative_liabilities, run_model,
 )
 from contagion.ingest import interpolate_missing, synthesize_panel
 
@@ -44,10 +43,13 @@ def test_leverage_additivity(net):
 @given(networks())
 @settings(max_examples=50, deadline=None)
 def test_pi_rows_match_connectivity(net):
+    # beta_i, the row sums of Pi, is the share L^b_i / p_bar_i owed inside the network.
     rel = relative_liabilities(net)
-    assert np.array_equal(rel.pi_matrix.sum(axis=1), rel.financial_connectivity)
-    assert np.all((rel.financial_connectivity >= 0)
-                  & (rel.financial_connectivity <= 1 + 1e-12))
+    beta = rel.pi_matrix.sum(axis=1)
+    p_bar = rel.total_obligations
+    share = np.divide(net.interbank_liabilities, p_bar, out=np.zeros(net.n), where=p_bar > 0)
+    np.testing.assert_allclose(beta, share, rtol=1e-12, atol=0)
+    assert np.all((beta >= 0) & (beta <= 1 + 1e-12))
 
 
 @given(networks(), shocks)
@@ -62,7 +64,7 @@ def test_first_round_bounds(net, s):
 @given(networks(), shocks)
 @settings(max_examples=30, deadline=None)
 def test_clearing_monotone_bounded(net, s):
-    traj = run_eisenberg_noe(net, ShockSpec.uniform(s))
+    traj = run_model(net, ShockSpec.uniform(s), ModelConfig())
     assert np.all((traj.h >= 0) & (traj.h <= 1))
     assert np.all(np.diff(traj.h, axis=0) >= -1e-12)
     assert np.all(np.diff(traj.payments, axis=0) <= 1e-9)
@@ -74,8 +76,8 @@ def test_clearing_monotone_bounded(net, s):
 @settings(max_examples=30, deadline=None)
 def test_discounted_clearing_below_full(net, s, beta):
     shock = ShockSpec.uniform(s)
-    en = run_eisenberg_noe(net, shock)
-    rv = run_rogers_veraart(
+    en = run_model(net, shock, ModelConfig())
+    rv = run_model(
         net, shock,
         ModelConfig(model="RV", exogenous_recovery_rate=0.0, rv_beta=beta))
     assert rv.payments[-1].sum() <= en.payments[-1].sum() + 1e-9
@@ -91,9 +93,8 @@ def test_discounted_clearing_below_full(net, s, beta):
 @settings(max_examples=30, deadline=None)
 def test_cascades_monotone_bounded(net, s, R):
     shock = ShockSpec.uniform(s)
-    for runner, name in ((run_default_cascade, "DC"), (run_cyclic_debtrank, "CDR")):
-        traj = runner(net, shock,
-                      ModelConfig(model=name, exogenous_recovery_rate=R))
+    for name in ("DC", "CDR"):
+        traj = run_model(net, shock, ModelConfig(model=name, exogenous_recovery_rate=R))
         assert np.all((traj.h >= 0) & (traj.h <= 1))
         assert np.all(np.diff(traj.h, axis=0) >= -1e-12)
         defaulted = traj.h >= 1.0  # no bank leaves the default set

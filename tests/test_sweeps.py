@@ -177,12 +177,12 @@ def test_networks_with_equal_arrays_share_no_run(monkeypatch):
     twin = replace(net)  # equal arrays, another network
     shock = ShockSpec.uniform(0.4)
     with models.run_table(net, shock):
-        a = models.run_eisenberg_noe(net, shock)
+        a = run_model(net, shock, ModelConfig(model=EN))
         n_one = len(sizes)
-        b = models.run_eisenberg_noe(twin, shock)
+        b = run_model(twin, shock, ModelConfig(model=EN))
         assert len(sizes) == 2 * n_one
-        assert models.run_eisenberg_noe(net, shock).h is a.h
-        assert models.run_eisenberg_noe(twin, shock).h is not b.h
+        assert run_model(net, shock, ModelConfig(model=EN)).h is a.h
+        assert run_model(twin, shock, ModelConfig(model=EN)).h is not b.h
     assert n_one > 0 and len(sizes) == 3 * n_one
     assert not a.h.flags.writeable and b.h.flags.writeable  # b was not stored
     assert np.array_equal(a.h, b.h)
@@ -209,7 +209,7 @@ def test_runs_under_other_shocks_share_no_run():
 def test_a_stored_run_is_read_only_and_carries_the_requested_model():
     net = random_networks(11, 1)[0]
     shock = ShockSpec.uniform(0.4)
-    assert models.run_eisenberg_noe(net, shock).h.flags.writeable  # outside the table
+    assert run_model(net, shock, ModelConfig(model=EN)).h.flags.writeable  # outside the table
     with models.run_table(net, shock):
         en = run_model(net, shock, ModelConfig(model=EN))
         rv = run_model(net, shock, ModelConfig(model=RV, rv_beta=1.0))
