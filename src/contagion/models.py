@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class Trajectory:
     """One run: the vulnerability path h(t), plus p(t) for the clearing models.
     Trajectories compare by identity."""
 
-    model: str
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros
     payments: np.ndarray | None = None  # (T+1, n) for EN/RV, row 0 is p_bar
     cap_hit: bool = False
@@ -93,10 +92,11 @@ def _table(network, shock) -> dict | None:
     return bound[2] if bound and bound[0] is network and bound[1] is shock else None
 
 
-def _keep(table: dict, key, trajectory: Trajectory) -> Trajectory:
-    """Store a run read-only; return it."""
-    _freeze_arrays(trajectory)
-    table[key] = trajectory
+def _store(table: dict | None, key, trajectory: Trajectory) -> Trajectory:
+    """Return the run, stored read-only first if a run table is open for it."""
+    if table is not None:
+        _freeze_arrays(trajectory)
+        table[key] = trajectory
     return trajectory
 
 
@@ -150,12 +150,17 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
         ok = False
     if not ok:
         raise NonConvergence("defaulters' payments failed their solve; internal fault")
-    p[idx] = np.clip(sol, 0.0, p_bar[idx])
+    # Clip rounding only. Beyond the payments-increase check's bound, a payment
+    # outside [0, p_bar] is a fault; a solvent bank in D would pay above p_bar.
+    # The bound is computed only when the clip moved a value, which is rare.
+    cap = p_bar[idx]
+    p[idx] = clipped = np.clip(sol, 0.0, cap)
+    if (clipped != sol).any() and (np.abs(clipped - sol) > 1e-9 * np.maximum(1.0, cap)).any():
+        raise NonConvergence("defaulters' payments left [0, p_bar]; internal fault")
     return p
 
 
-def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
-                  model: str) -> Trajectory:
+def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> Trajectory:
     """Fictitious default algorithm shared by the EN and RV models.
 
     A bank defaults when its nominal resources Pi^T p + A^e(1-s) fall short
@@ -169,8 +174,8 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     first = apply_first_round(network, shock)
     ae = first.shocked_external_assets
     table = _table(network, shock)
-    if table and ("clearing", beta) in table:  # no model in the key: EN is RV(1)
-        return replace(table["clearing", beta], model=model)
+    if table and ("clearing", beta) in table:  # EN and RV(1) share one run
+        return table["clearing", beta]
     bare = (ae == 0) & (network.external_liabilities == 0)
     E0 = network.equity
     scale = np.maximum(1.0, p_bar)
@@ -209,63 +214,48 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float,
     pay = np.array(payments)
     if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
-    trajectory = Trajectory(model=model, h=h_arr, payments=pay)
-    return trajectory if table is None else _keep(table, ("clearing", beta), trajectory)
+    return _store(table, ("clearing", beta), Trajectory(h=h_arr, payments=pay))
 
 
-def _run_active_set(network, shock, R, model):
-    """Shared recursion for default cascades (DC) and the acyclic DebtRank (aDR).
+def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
+                 model: str) -> Trajectory:
+    """One recursion for the threshold cascade (DC) and both DebtRanks (aDR, cDR):
 
-    h_i(t+1) = min{1, h_i(t) + sum_{j active at t} (1-R) l^b_ij h_j(t)};
-    each bank propagates exactly once, on entering the active state: h >= 1
-    (defaulted) for DC, h > 0 (distressed) for aDR.
+    h(t+1) = min{1, h(t) + (1-R) l^b d(t)}, where d(t) is the distress passed on.
+    DC and aDR pass each bank's h once, on entering the active state, h >= 1
+    (defaulted) for DC and h > 0 (distressed) for aDR; they stop when no bank
+    enters, by round n + 1. cDR passes every bank's increase h(t) - h(t-1),
+    along all walks, and stops when no component grows by CDR_TOLERANCE, or
+    after max(10 n, CDR_MAX_ROUNDS) rounds (cap_hit: flagged, not fatal).
     """
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     first = apply_first_round(network, shock)
-    h_rows = [np.zeros(network.n), first.h1]
-    propagated = np.zeros(network.n, dtype=bool)
-
-    for _ in range(network.n):
-        h = h_rows[-1]
-        active = (h >= 1.0 if model == DC else h > 0.0) & ~propagated
-        if not active.any():
-            break
-        inflow = (1.0 - R) * (lb[:, active] @ h[active])
-        h_rows.append(np.minimum(1.0, h + inflow))
-        propagated |= active
-    h_arr = np.array(h_rows)
-    _check_trajectory(h_arr)
-    return Trajectory(model=model, h=h_arr)
-
-
-def _run_cyclic_debtrank(network: LiabilityNetwork, shock: ShockSpec, R: float) -> Trajectory:
-    """Cyclic DebtRank: distress propagated along all walks, including cycles.
-
-    h(t+1) = min{1, h(t) + (1-R) l^b [h(t) - h(t-1)]}; stops when the largest
-    componentwise change drops below CDR_TOLERANCE or after
-    max(10 n, CDR_MAX_ROUNDS) rounds (cap_hit: flagged, not fatal).
-    """
-    lev = leverage_decomposition(network)
-    lb = lev.interbank_leverage
-    first = apply_first_round(network, shock)
-    table = _table(network, shock)
+    table = _table(network, shock) if model == CDR else None
     if table and (CDR, R) in table:
         return table[CDR, R]
     h_rows = [np.zeros(network.n), first.h1]
+    propagated = np.zeros(network.n, dtype=bool)
+    cap_hit = False
     for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
-        h_prev, h = h_rows[-2], h_rows[-1]
-        delta = h - h_prev
-        if delta.max(initial=0.0) < CDR_TOLERANCE:
-            cap_hit = False
-            break
-        h_rows.append(np.minimum(1.0, h + (1.0 - R) * (lb @ delta)))
+        h = h_rows[-1]
+        if model == CDR:
+            d = h - h_rows[-2]
+            if d.max(initial=0.0) < CDR_TOLERANCE:
+                break
+            passed_on = lb @ d
+        else:
+            active = (h >= 1.0 if model == DC else h > 0.0) & ~propagated
+            if not active.any():
+                break
+            passed_on = lb[:, active] @ h[active]  # no n x k copy outlives the round
+            propagated |= active
+        h_rows.append(np.minimum(1.0, h + (1.0 - R) * passed_on))
     else:
         cap_hit = True
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
-    trajectory = Trajectory(model=CDR, h=h_arr, cap_hit=cap_hit)
-    return trajectory if table is None else _keep(table, (CDR, R), trajectory)
+    return _store(table, (CDR, R), Trajectory(h=h_arr, cap_hit=cap_hit))
 
 
 def run_model(network: LiabilityNetwork, shock: ShockSpec,
@@ -281,9 +271,7 @@ def run_model(network: LiabilityNetwork, shock: ShockSpec,
 
     DC, ADR and CDR read config.exogenous_recovery_rate as R.
     """
-    model, R = config.model, config.exogenous_recovery_rate
+    model = config.model
     if model in (EN, RV):
-        return _run_clearing(network, shock, 1.0 if model == EN else config.rv_beta, model)
-    if model == CDR:
-        return _run_cyclic_debtrank(network, shock, R)
-    return _run_active_set(network, shock, R, model)
+        return _run_clearing(network, shock, 1.0 if model == EN else config.rv_beta)
+    return _run_cascade(network, shock, config.exogenous_recovery_rate, model)

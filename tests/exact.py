@@ -1,9 +1,9 @@
-"""Exact-rational clearing for small networks, the reference for float EN and RV.
+"""Exact-rational runs for small networks, the reference for the float models.
 
-Every float of a network converts to a Fraction exactly, so the payments
-returned here are the exact greatest clearing vector of the network as
-stored: no rounding, no cancellation. Costs grow fast with n; meant for
-n <= 6 or so.
+Every float of a network converts to a Fraction exactly, so the clearing
+payments returned here are the exact greatest clearing vector of the network
+as stored, and the cascade rows the exact DC and aDR rounds: no rounding, no
+cancellation. Costs grow fast with n; meant for n <= 6 or so.
 """
 from fractions import Fraction
 
@@ -62,3 +62,34 @@ def clearing_payments(network, shock, beta=1.0, shortfall_tol=0.0) -> list:
         p = list(p_bar)
         for i, x in zip(d, solve(a, b)):
             p[i] = x
+
+
+def cascade(network, shock, R, model, margin=0.0):
+    """Exact rows h(0), h(1), ... of the threshold cascade ("DC") or the
+    acyclic DebtRank ("ADR") under a per-bank shock, up to the first round
+    in which no bank becomes active.
+
+    h(1) = min{1, A^e s / E}; h(t+1) = min{1, h(t) + (1 - R) l^b d(t)}, with
+    l^b_ij = L_ji / E_i and d_j(t) = h_j(t) in the one round where bank j
+    becomes active (h_j >= 1 for DC, h_j > 0 for aDR), 0 otherwise. Returns
+    None for DC when the h of a bank not yet at 1, before the cap at 1, lies
+    within margin of 1: there float rounding can decide whether it defaults.
+    """
+    n, keep, margin = network.n, 1 - Fraction(R), Fraction(margin)
+    E = [Fraction(e) for e in network.equity.tolist()]
+    L = [[Fraction(x) for x in row] for row in network.liabilities.tolist()]
+    raw = [Fraction(a) * Fraction(s) / e for a, s, e in
+           zip(network.external_assets.tolist(), shock.effective_per_bank(network).tolist(), E)]
+    rows, propagated = [[Fraction(0)] * n], set()
+    while True:
+        if model == "DC" and any(abs(u - 1) <= margin
+                                 for u, before in zip(raw, rows[-1]) if before < 1):
+            return None
+        h = [min(Fraction(1), u) for u in raw]
+        rows.append(h)
+        active = {j for j in range(n) if j not in propagated
+                  and (h[j] >= 1 if model == "DC" else h[j] > 0)}
+        if not active:
+            return rows
+        propagated |= active
+        raw = [h[i] + keep * sum(L[j][i] / E[i] * h[j] for j in active) for i in range(n)]

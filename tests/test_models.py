@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from contagion import (
@@ -11,7 +11,7 @@ from contagion import (
 from contagion import fixtures as fx
 from contagion import models
 from contagion.errors import NonConvergence
-from exact import clearing_payments
+from exact import cascade, clearing_payments
 from oracles import en_vulnerability_form, run
 
 
@@ -150,6 +150,18 @@ def test_a_failed_defaulter_solve_raises(monkeypatch, result):
             run(f.network, f.shock, model, beta=beta)
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_a_solvent_bank_named_in_default_raises(beta):
+    # Bank 0 owes its 10 to bank 1 and holds 100 outside. Assumed in default,
+    # it would pay beta x 100 > p_bar = 10; that is an internal fault, not a
+    # payment to clip to p_bar.
+    pi_T = np.array([[0.0, 0.0], [1.0, 0.0]])  # bank 1 holds all of bank 0's debt
+    p_bar = np.array([10.0, 0.0])
+    with pytest.raises(NonConvergence, match=r"left \[0, p_bar\]"):
+        models._solve_defaulter_payments(pi_T, p_bar, np.array([True, False]), beta,
+                                         np.array([100.0, 5.0]), np.zeros(2, dtype=bool))
+
+
 # _solve_defaulter_payments forms the defaulters' inflow from non-defaulters
 # as rows @ p - A_dd @ p[idx], a difference that cancels when a defaulter's
 # p_bar dwarfs that inflow. The solve then comes out low. Summing
@@ -272,6 +284,26 @@ def test_closed_class_pushed_wholly_into_default_clears_exactly(draw):
     traj = run(net, shock)
     exact = np.array(clearing_payments(net, shock), dtype=float)
     assert np.abs(traj.payments[-1] - exact).max() <= 1e-12 * traj.payments[0].max()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cascades_are_exact_on_random_networks(seed):
+    # DC and aDR rounds within 1e-12 of exact arithmetic, round for round. A
+    # DC draw with an h within 1e-12 of the default threshold 1 is skipped and
+    # counted (see --hypothesis-show-statistics): floats may round it either way.
+    rng = np.random.default_rng(seed)
+    net = fx.random_network(rng, int(rng.integers(2, 7)))
+    shock = ShockSpec(per_bank_shock=rng.uniform(0.0, 1.0, net.n))
+    R = rng.uniform(0.0, 1.0)
+    for model in ("DC", "ADR"):
+        rows = cascade(net, shock, R, model, margin=1e-12)
+        if rows is None:
+            event("DC draw skipped at the default threshold")
+            continue
+        traj = run(net, shock, model, R=R)
+        assert traj.h.shape[0] == len(rows)
+        assert np.abs(traj.h - np.array(rows, dtype=float)).max() <= 1e-12
 
 
 def test_trajectory_check_rejects_nan():

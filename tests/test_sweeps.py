@@ -7,7 +7,7 @@ from contagion import fixtures as fx
 from contagion import analysis, models, sweeps
 from contagion.core import ShockSpec
 from contagion.ingest import interpolate_missing, synthesize_panel
-from contagion.models import CDR, EN, MODEL_NAMES, RV, ModelConfig, run_model
+from contagion.models import ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, run_model
 from contagion.sweeps import SweepSpec, run_recovery_sweep, run_shock_sweep, run_timeseries
 
 
@@ -104,7 +104,7 @@ def test_recovery_sweep_solves_each_distinct_clearing_once(monkeypatch):
     for net in networks:  # EN runs at beta = 1 and RV at beta = R
         for s in SHOCK_GRID:
             for beta in {1.0, *RECOVERY_GRID}:
-                models._run_clearing(net, ShockSpec.uniform(s), beta, EN)
+                models._run_clearing(net, ShockSpec.uniform(s), beta)
     assert sizes and sorted(in_sweep) == sorted(sizes)
 
 
@@ -206,7 +206,7 @@ def test_runs_under_other_shocks_share_no_run():
     assert [g.h.flags.writeable for g in got] == [False, False, True, True, True, True]
 
 
-def test_a_stored_run_is_read_only_and_carries_the_requested_model():
+def test_en_and_rv_at_beta_one_share_one_read_only_run():
     net = random_networks(11, 1)[0]
     shock = ShockSpec.uniform(0.4)
     assert run_model(net, shock, ModelConfig(model=EN)).h.flags.writeable  # outside the table
@@ -214,8 +214,13 @@ def test_a_stored_run_is_read_only_and_carries_the_requested_model():
         en = run_model(net, shock, ModelConfig(model=EN))
         rv = run_model(net, shock, ModelConfig(model=RV, rv_beta=1.0))
         cdr = [run_model(net, shock, ModelConfig(model=CDR)) for _ in range(2)]
-    assert (en.model, rv.model, cdr[1].model) == (EN, RV, CDR)
-    assert rv.h is en.h and rv.payments is en.payments and cdr[1].h is cdr[0].h
+        cascades = [run_model(net, shock, ModelConfig(model=m)) for m in (DC, DC, ADR, ADR)]
+        runs = models._RUN_TABLE.get()[2]
+    assert rv is en and cdr[1] is cdr[0]
+    # DC and aDR never repeat within a sweep's table, so none is stored
+    assert set(runs) == {("clearing", 1.0), (CDR, 0.0)}
+    assert cascades[0] is not cascades[1] and cascades[2] is not cascades[3]
+    assert all(run.h.flags.writeable for run in cascades)
     for arr in (en.h, en.payments, cdr[0].h):
         assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
