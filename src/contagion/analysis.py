@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,10 @@ def _pad_to(h: np.ndarray, T: int) -> np.ndarray:
     if h.shape[0] >= T:
         return h
     return np.concatenate((h, h[-1:].repeat(T - h.shape[0], axis=0)))
+
+
+# ModelConfig(model, R, beta), made once per distinct triple and then reused.
+_config = lru_cache(maxsize=256)(ModelConfig)
 
 
 @dataclass(frozen=True)
@@ -57,16 +62,13 @@ def run_with_firewall(network: LiabilityNetwork, shock: ShockSpec, models,
     trajectories = {}
     needed = set(models) | {EN, RV, CDR}
     for name in MODEL_NAMES:
-        if name not in needed:
-            continue
-        cfg = ModelConfig(model=name, exogenous_recovery_rate=recovery_rate,
-                          rv_beta=rv_beta)
-        trajectories[name] = run_model(network, shock, cfg)
+        if name in needed:
+            trajectories[name] = run_model(network, shock,
+                                           _config(name, recovery_rate, rv_beta))
     assert_proved_ordering(trajectories[EN], trajectories[RV], "EN<=RV")
     cdr_ref = trajectories[CDR]
     if recovery_rate != 0.0:
-        cdr_ref = run_model(network, shock,
-                            ModelConfig(model=CDR, exogenous_recovery_rate=0.0))
+        cdr_ref = run_model(network, shock, _config(CDR, 0.0, rv_beta))
     if trajectories[CDR].cap_hit or cdr_ref.cap_hit:
         raise NonConvergence("cyclic DebtRank stopped at its iteration cap; "
                              "H(inf) would be truncated")

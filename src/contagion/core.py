@@ -20,6 +20,7 @@ from .errors import (
 )
 
 IDENTITY_RTOL = 1e-6
+SHORTFALL_TOL = 1e-12  # clearing: a shortfall up to this x max(1, p_bar) is rounding, not default
 
 DEFAULT_ASSET_CLASSES = ("derivatives", "impaired_loans", "other")
 
@@ -43,9 +44,10 @@ class LiabilityNetwork:
     external_assets (A^e, the row sums of external_assets_by_class),
     interbank_assets (A^b_i = sum_j L_ji, the column sums of liabilities) and
     interbank_liabilities (L^b_i = sum_j L_ij, its row sums). Every array is
-    read-only. The leverages, the relative liabilities and the equity weights
-    are derived on first use and kept, read-only as well. Networks compare by
-    identity.
+    read-only. The leverages, the relative liabilities, the equity weights and
+    the clearing's shortfall threshold and scale are derived on first use and
+    kept, read-only as well; so is the last first round, with its shock.
+    Networks compare by identity.
     """
 
     liabilities: np.ndarray
@@ -65,6 +67,8 @@ class LiabilityNetwork:
             object.__setattr__(self, "interbank_assets", L.sum(axis=0))
             object.__setattr__(self, "interbank_liabilities", L.sum(axis=1))
         _freeze_arrays(self)
+        # One (shock, FirstRound) pair: no reader can match a shock to another's round.
+        object.__setattr__(self, "_first_round", (None, None))
 
     @property
     def n(self) -> int:
@@ -87,6 +91,15 @@ class LiabilityNetwork:
         nz = p_bar > 0
         pi[nz] = self.liabilities[nz] / p_bar[nz, None]
         return RelativeLiabilities(total_obligations=p_bar, pi_matrix=pi)
+
+    @cached_property
+    def _clearing_bounds(self) -> np.ndarray:
+        """Rows (threshold, scale): a bank whose resources fall below
+        p_bar - SHORTFALL_TOL x scale defaults, with scale = max(1, p_bar)."""
+        scale = np.maximum(1.0, self._relative.total_obligations)
+        bounds = np.array([self._relative.total_obligations - SHORTFALL_TOL * scale, scale])
+        bounds.setflags(write=False)
+        return bounds
 
     @cached_property
     def equity_weights(self) -> np.ndarray:
@@ -180,6 +193,9 @@ class FirstRound:
     shocked_external_assets: np.ndarray  # A^e_i (1 - s_i)
     h1: np.ndarray                       # min{1, l^e_i s_i}
 
+    def __post_init__(self):
+        _freeze_arrays(self)
+
 
 def build_network(liability_matrix, equity, external_assets_by_class,
                   external_liabilities) -> LiabilityNetwork:
@@ -268,13 +284,19 @@ def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound
     """Shock external assets and return the first-round vulnerabilities.
 
     h_i(1) = min{1, l^e_i s_i}, with per-class shocks aggregated as
-    sum_k l^e_ik s_k.
+    sum_k l^e_ik s_k. The network keeps the last first round, read-only: a
+    repeat call with the same shock object returns it.
     """
-    s = shock.effective_per_bank(network)
-    ae = network.external_assets
     lev = leverage_decomposition(network)
+    last_shock, first = network._first_round
+    if last_shock is shock:
+        return first
+    s = shock.effective_per_bank(network)
     if shock.per_class_shock is not None:
         raw = lev.external_leverage @ shock.per_class_shock
     else:
         raw = lev.external_leverage_total * s
-    return FirstRound(shocked_external_assets=ae * (1.0 - s), h1=np.minimum(1.0, raw))
+    first = FirstRound(shocked_external_assets=network.external_assets * (1.0 - s),
+                       h1=np.minimum(1.0, raw))
+    object.__setattr__(network, "_first_round", (shock, first))
+    return first

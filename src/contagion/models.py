@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
-from .core import _freeze_arrays
+from .core import SHORTFALL_TOL, _freeze_arrays
 from .errors import NonConvergence
 
 EN = "EN"
@@ -26,7 +26,6 @@ MODEL_NAMES = (EN, RV, DC, ADR, CDR)
 
 CDR_TOLERANCE = 1e-10  # cDR stops when no bank's h grows by this much
 CDR_MAX_ROUNDS = 10_000  # cDR's round cap (or 10 n, if larger)
-SHORTFALL_TOL = 1e-12  # clearing: a shortfall up to this x max(1, p_bar) is rounding, not default
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,13 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
     Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND;
-    at beta = 0 that is p_D = 0, set without a solve. At beta = 1 it first
+    at beta = 0 that is p_D = 0, set without a solve, and at beta = 1 the
+    products with beta are skipped, since x 1.0 is exact. At beta = 1 it first
     clears S, the bare defaulters linked to no bank outside S, where the system
     is singular: S receives nothing, so banks that no bank of S pays pay 0 and
     the closed class left pays t v, with v its Perron vector and t = min p_bar / v
-    (Rogers & Veraart 2013). A failed solve raises NonConvergence.
+    (Rogers & Veraart 2013); bare is read only there. A failed solve raises
+    NonConvergence.
     """
     p = p_bar.copy()
     if beta == 1.0 and (S := D & bare).any():
@@ -135,11 +136,14 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
         return p
     rows = pi_T.take(idx, axis=0)  # pi_T[idx]
     A_dd = rows.take(idx, axis=1)  # pi_T[np.ix_(idx, idx)]
-    b = beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx])
-    del rows  # n = 1000 holds no k x n block through the solve
+    # Only b and A_dd live through the solve: at n = 1000, one more k-vector
+    # or k x n block moved peak RSS by heap layout alone.
+    b = (shocked_external[idx] + (rows @ p - A_dd @ p[idx]) if beta == 1.0
+         else beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx]))
+    del rows
     # I - beta A_DD in A_dd's own buffer, bit for bit: 0 - x off the diagonal
     # (a product with -beta would write -0.0 there), 1 + (0 - x) on it.
-    mat = np.multiply(beta, A_dd, out=A_dd)
+    mat = A_dd if beta == 1.0 else np.multiply(beta, A_dd, out=A_dd)
     np.subtract(0.0, mat, out=mat)
     mat.ravel()[::idx.size + 1] += 1.0
     try:
@@ -154,7 +158,7 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
     # outside [0, p_bar] is a fault; a solvent bank in D would pay above p_bar.
     # The bound is computed only when the clip moved a value, which is rare.
     cap = p_bar[idx]
-    p[idx] = clipped = np.clip(sol, 0.0, cap)
+    p[idx] = clipped = sol.clip(0.0, cap)
     if (clipped != sol).any() and (np.abs(clipped - sol) > 1e-9 * np.maximum(1.0, cap)).any():
         raise NonConvergence("defaulters' payments left [0, p_bar]; internal fault")
     return p
@@ -176,10 +180,9 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> T
     table = _table(network, shock)
     if table and ("clearing", beta) in table:  # EN and RV(1) share one run
         return table["clearing", beta]
-    bare = (ae == 0) & (network.external_liabilities == 0)
+    bare = (ae == 0) & (network.external_liabilities == 0) if beta == 1.0 else None
     E0 = network.equity
-    scale = np.maximum(1.0, p_bar)
-    threshold = p_bar - SHORTFALL_TOL * scale
+    threshold, scale = network._clearing_bounds
 
     payments = [p_bar, p_bar]
     h_rows = [np.zeros(network.n), first.h1]
@@ -235,7 +238,8 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
     if table and (CDR, R) in table:
         return table[CDR, R]
     h_rows = [np.zeros(network.n), first.h1]
-    propagated = np.zeros(network.n, dtype=bool)
+    propagated = None if model == CDR else np.zeros(network.n, dtype=bool)
+    loss_rate = 1.0 - R
     cap_hit = False
     for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
         h = h_rows[-1]
@@ -250,7 +254,7 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
                 break
             passed_on = lb[:, active] @ h[active]  # no n x k copy outlives the round
             propagated |= active
-        h_rows.append(np.minimum(1.0, h + (1.0 - R) * passed_on))
+        h_rows.append(np.minimum(1.0, h + loss_rate * passed_on))
     else:
         cap_hit = True
     h_arr = np.array(h_rows)

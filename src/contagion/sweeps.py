@@ -8,7 +8,6 @@ cascade. A violation signals an implementation bug and aborts the run.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -59,35 +58,33 @@ def _sweep(networks, shocks, points, models, h1: bool = False, fractions: bool =
     """Run each network under each shock through the firewall at each point
     (R, rv_beta); return (shock index, point index, model) -> the median H(1)
     if ``h1``, median and quartiles of H(inf), and the median first-round and
-    final default fractions if ``fractions`` (0.0 stands in for a statistic not
-    asked for). With several points, a run table bound to the network and shock
-    computes each repeated run once."""
+    final default fractions if ``fractions``. With several points, a run table
+    bound to the network and shock computes each repeated run once."""
     if not networks:
         raise ValueError("a sweep needs at least one network")
-    values = defaultdict(list)  # each key's values in network order
-    for net in networks:
+    stats = np.zeros((len(networks), len(shocks), len(points), len(models), 4))
+    for ni, net in enumerate(networks):
         for si, shock in enumerate(shocks):
             with run_table(net, shock) if len(points) > 1 else nullcontext():
                 for pi, (R, beta) in enumerate(points):
                     trajs = run_with_firewall(net, shock, models, R, beta)
-                    for m in models:
-                        h = trajs[m].h
-                        values[si, pi, m].append((
+                    # Row 1 is h(1), the same in every model.
+                    df1 = np.count_nonzero(trajs[models[0]].h[1] >= 1.0) / net.n
+                    for mi, m in enumerate(models):
+                        stats[ni, si, pi, mi] = (
                             global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
-                            global_vulnerability(trajs[m], net),
-                            np.count_nonzero(h[1] >= 1.0) / h.shape[1] if fractions else 0.0,
-                            np.count_nonzero(h[-1] >= 1.0) / h.shape[1] if fractions else 0.0))
+                            global_vulnerability(trajs[m], net), df1,
+                            np.count_nonzero(trajs[m].h[-1] >= 1.0) / net.n)
+    medians = np.median(stats, axis=0).tolist()
+    q25, q75 = np.quantile(stats[..., 1], (0.25, 0.75), axis=0).tolist()
     out = {}
-    for key, rows in values.items():
-        first, final, df1, df_inf = np.array(rows, dtype=float).T
-        cols = {"H1": float(np.median(first))} if h1 else {}
-        cols.update(H_inf_median=float(np.median(final)),
-                    H_inf_q25=float(np.quantile(final, 0.25)),
-                    H_inf_q75=float(np.quantile(final, 0.75)))
+    for si, pi, mi in np.ndindex(stats.shape[1:4]):
+        first, final, df1, df_inf = medians[si][pi][mi]
+        cols = {"H1": first} if h1 else {}
+        cols.update(H_inf_median=final, H_inf_q25=q25[si][pi][mi], H_inf_q75=q75[si][pi][mi])
         if fractions:
-            cols.update(default_fraction_first=float(np.median(df1)),
-                        default_fraction_final=float(np.median(df_inf)))
-        out[key] = cols
+            cols.update(default_fraction_first=df1, default_fraction_final=df_inf)
+        out[si, pi, models[mi]] = cols
     return out
 
 

@@ -14,6 +14,7 @@ from contagion import (
 from contagion.errors import (
     DimensionMismatch, IdentityViolation, NegativeBalance, NegativeEntry, NonPositiveEquity,
 )
+from contagion import MODEL_NAMES, models, run_with_firewall
 from contagion import fixtures as fx
 from oracles import run
 
@@ -282,6 +283,37 @@ def test_first_round_wheel_center_defaults():
     first = apply_first_round(wheel.network, wheel.shock)
     assert first.h1[0] == 1.0
     assert np.all(first.h1[1:] == 0.0)
+
+
+def test_first_round_is_computed_once_per_network_and_shock(monkeypatch):
+    # Every runner asks for the first round; the network computes it once per
+    # shock object and serves the same read-only round to each later call.
+    computed, served = [], []
+    effective, first_round = ShockSpec.effective_per_bank, models.apply_first_round
+
+    def computing(shock, network):
+        computed.append((shock, network))
+        return effective(shock, network)
+
+    def serving(network, shock):
+        served.append(first_round(network, shock))
+        return served[-1]
+    monkeypatch.setattr(ShockSpec, "effective_per_bank", computing)
+    monkeypatch.setattr(models, "apply_first_round", serving)
+    net = fx.random_network(np.random.default_rng(8), 12)
+    shock = ShockSpec.uniform(0.3)
+    run_with_firewall(net, shock, MODEL_NAMES, 0.6, 0.6)  # five runners and cDR(R = 0)
+    assert len(served) == 6 and all(first is served[0] for first in served)
+    assert computed == [(shock, net)]
+    equal, twin = ShockSpec.uniform(0.3), replace(net)  # equal values, other objects
+    for network, s in ((net, equal), (twin, shock)):
+        first = apply_first_round(network, s)
+        assert first is not served[0] and np.array_equal(first.h1, served[0].h1)
+        assert computed[-1] == (s, network)
+    assert len(computed) == 3
+    for arr in (served[0].h1, served[0].shocked_external_assets):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_per_class_shock_aggregation():

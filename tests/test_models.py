@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -575,3 +576,31 @@ def test_termination_bounds():
         assert dc.h.shape[0] - 2 <= n
         cdr = run(net, shock, "CDR", R=0.0)
         assert not cdr.cap_hit
+
+
+# sha256 of every runner's output on the inputs below; a change that moves any
+# bit of any run changes it, on far more networks than the bench seeds reach.
+TRAJECTORY_DIGEST = "ebc52debcdbf4ebcd632370ff8ccc659a94bd6d359c47320db8c0de4b31ebaa7"
+
+
+def test_every_runner_repeats_its_recorded_bytes():
+    # 200 random networks, a quarter with no outside liabilities (so the full
+    # shock leaves bare defaulters for the closed-class rule at beta = 1), each
+    # run by every model at beta = R in {1, 0.6, 0.3, 0}; EN needs no beta.
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2028)
+    for draw in range(200):
+        net = fx.random_network(rng, int(rng.integers(2, 30)),
+                                zero_external_liabilities=draw % 4 == 0)
+        for s in (0.05, 0.3, 1.0):
+            shock = ShockSpec.uniform(s)
+            for v in (1.0, 0.6, 0.3, 0.0):
+                for model in models.MODEL_NAMES:
+                    if model == models.EN and v != 1.0:
+                        continue
+                    traj = run(net, shock, model, R=v, beta=v)
+                    digest.update(np.array(traj.h.shape).tobytes())
+                    digest.update(traj.h.tobytes())
+                    if traj.payments is not None:
+                        digest.update(traj.payments.tobytes())
+    assert digest.hexdigest() == TRAJECTORY_DIGEST
