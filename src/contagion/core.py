@@ -223,13 +223,14 @@ def build_network(liability_matrix, equity, external_assets_by_class,
             or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
         raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
     # Each check is written so that NaN fails it. An infinite entry would make
-    # the tolerances below infinite, so finiteness is checked explicitly.
-    neg = np.argwhere(~(np.isfinite(L) & (L >= 0)))
-    if neg.size:
-        raise NegativeEntry(int(neg[0, 0]), int(neg[0, 1]))
-    diag = np.argwhere(np.diag(L) != 0)
-    if diag.size:
-        i = int(diag[0, 0])
+    # the tolerances below infinite, so finiteness is checked explicitly. The
+    # faulty entry named is the first in row-major order, whatever L's layout.
+    valid = np.isfinite(L) & (L >= 0)
+    if not valid.all():
+        i, j = np.argwhere(~valid)[0]
+        raise NegativeEntry(int(i), int(j))
+    if np.diag(L).any():
+        i = int(np.flatnonzero(np.diag(L))[0])
         raise NegativeEntry(i, i)
 
     net = LiabilityNetwork(liabilities=L, equity=E, external_assets_by_class=ae_by_class,

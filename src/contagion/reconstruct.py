@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +36,20 @@ class Aggregates:
     @property
     def n(self) -> int:
         return len(self.bank_ids)
+
+    @cached_property
+    def _shared(self) -> SimpleNamespace:
+        """What every ensemble member reads alike, derived on first use from
+        the rebalanced aggregates: the fitness x, the volume, the lending and
+        borrowing shares with their > 0 masks, and the external-asset totals.
+        The arrays are read-only."""
+        volume = self.interbank_assets.sum()
+        row_t, col_t = self.interbank_assets / volume, self.interbank_liabilities / volume
+        arrays = dict(x=fitness_scores(self), row_t=row_t, col_t=col_t, lending=row_t > 0,
+                      borrowing=col_t > 0, external=self.external_assets_by_class.sum(axis=1))
+        for value in arrays.values():
+            value.setflags(write=False)
+        return SimpleNamespace(volume=volume, **arrays)
 
 
 IPF_MARGINAL_TOLERANCE = 0.01  # absolute and relative marginal deviation
@@ -230,30 +245,29 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.
     IPFNonConvergence once the residual, the larger of the two deviations,
     has stalled (see IPF_STALL_WINDOW) or after IPF_MAX_SWEEPS sweeps.
     """
-    adjacency = adjacency.astype(bool)
+    adjacency = np.asarray(adjacency, dtype=bool)
     _check_hall(adjacency, row_targets, col_targets, tolerance)
-    row_pos, col_pos = row_targets > 0, col_targets > 0
 
     w = np.where(adjacency, np.asarray(init, dtype=float), 0.0)
     total = w.sum()
     if total <= 0:
-        i = int(np.argmax(row_pos))  # init vanishes on the whole support
+        i = int(np.argmax(row_targets > 0))  # init vanishes on the whole support
         raise InfeasibleSupport(i, "lending", (1.0 - tolerance) * row_targets[i], 0.0)
     w /= total  # w is one fresh C-ordered float64 array; the sweeps scale it in place
-    row_need, col_need = row_targets[row_pos], col_targets[col_pos]
-
-    def deviation(rs, cs):
-        """Largest absolute or relative deviation from the marginals."""
-        r = np.abs(rs - row_targets)
-        c = np.abs(cs - col_targets)
-        rel_r = r[row_pos] / row_need
-        rel_c = c[col_pos] / col_need
-        return max(r.max(), c.max(), rel_r.max(initial=0.0), rel_c.max(initial=0.0))
+    # The residual, the largest absolute or relative deviation from the row and
+    # column marginals, comes from one stacked deviation vector per sweep.
+    targets = np.concatenate([row_targets, col_targets])
+    pos = targets > 0
+    need = targets[pos]
+    dev = np.empty(targets.shape)
 
     residuals = []  # residuals[k] is the residual after k sweeps
     rs = w.sum(axis=1)  # row sums of the current w, reused by the next sweep
     for sweep in range(IPF_MAX_SWEEPS + 1):
-        residual = deviation(rs, w.sum(axis=0))
+        np.concatenate([rs, w.sum(axis=0)], out=dev)
+        dev -= targets
+        np.abs(dev, out=dev)
+        residual = max(dev.max(), (dev[pos] / need).max(initial=0.0))
         if residual < tolerance:
             return w
         stalled = (sweep >= IPF_STALL_WINDOW and residuals[sweep - IPF_STALL_WINDOW]
@@ -307,26 +321,23 @@ def _member_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
 
 def _build_member(aggregates, probabilities, link, config, index) -> tuple:
     """Member `index`, drawn from the ensemble's link-probability matrix;
-    link is _repair_links(probabilities). Only the IPF start np.outer(x, x)
-    is built per attempt."""
-    x = fitness_scores(aggregates)
-    volume = aggregates.interbank_assets.sum()
-    row_t = aggregates.interbank_assets / volume       # lending shares
-    col_t = aggregates.interbank_liabilities / volume  # borrowing shares
+    link is _repair_links(probabilities). What every member reads alike is
+    aggregates._shared; only the IPF start np.outer(x, x) is built per attempt."""
+    shared = aggregates._shared
+    ae_cls = aggregates.external_assets_by_class
     last_error = None
     for attempt in (0, 1):
         adj = sample_adjacency(probabilities, _member_rng(config.rng_seed, index, attempt))
-        _repair_support(adj, link, row_t > 0, col_t > 0)
+        _repair_support(adj, link, shared.lending, shared.borrowing)
         try:  # an empty draw fails _check_hall, as some row target is positive
-            pi_hat = ipf_weights(adj, row_t, col_t, np.outer(x, x))
+            pi_hat = ipf_weights(adj, shared.row_t, shared.col_t, np.outer(shared.x, shared.x))
         except ContagionError as exc:
             last_error = exc
             continue
         # pi_hat rows are lender shares: entry (i, j) is i's claim on j.
-        claims = pi_hat * volume
+        claims = pi_hat * shared.volume
         liabilities = claims.T
-        ae_cls = aggregates.external_assets_by_class
-        le = (ae_cls.sum(axis=1) + claims.sum(axis=1) - liabilities.sum(axis=1)
+        le = (shared.external + claims.sum(axis=1) - liabilities.sum(axis=1)
               - aggregates.equity)
         if np.any(le < 0):
             last_error = ContagionError("negative implied outside liabilities")
@@ -347,7 +358,7 @@ def generate_ensemble(aggregates: Aggregates,
     than 1% skips aborts the run.
     """
     agg = rebalance_totals(aggregates)
-    x = fitness_scores(agg)
+    x = agg._shared.x
     z = calibrate_z(x, config.target_density, agg.interbank_assets > 0,
                     agg.interbank_liabilities > 0)
     probabilities = _link_probabilities(x, z)
@@ -379,26 +390,34 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
 
     Each network's CSV rows are written as one string, byte for byte the
     csv.writer rows of repr(np.float64) liabilities and float balance sheets.
+    A bank's equity and external-asset cells are formatted once per run of
+    members whose two arrays are byte-identical (0.0 and -0.0 differ).
     """
     os.makedirs(out_dir, exist_ok=True)
     row = csv.writer(SimpleNamespace(write=lambda line: line)).writerow  # returns the line
     ids = [row([b, ""])[:-len(",\r\n")] for b in aggregates.bank_ids]  # csv-quoted ids
     head, tail = LIABILITY_CELL
+    debtors, creditors = [f",{b}," for b in ids], [f"{b},{head}" for b in ids]
+    end = tail + "\r\n"
     with open(os.path.join(out_dir, "edges.csv"), "w", newline="") as f:
         f.write("realization,debtor,creditor,liability\r\n")
         for k, net in enumerate(result.networks):
             ii, jj = np.nonzero(net.liabilities)
-            f.write("".join([f"{k},{ids[i]},{ids[j]},{head}{v!r}{tail}\r\n" for i, j, v in zip(
+            f.write("".join([f"{k}{debtors[i]}{creditors[j]}{v!r}{end}" for i, j, v in zip(
                 ii.tolist(), jj.tolist(), net.liabilities[ii, jj].tolist())]))
     with open(os.path.join(out_dir, "balance_sheets.csv"), "w", newline="") as f:
         f.write("realization,bank_id,equity,external_assets,interbank_assets,"
                 "interbank_liabilities,external_liabilities\r\n")
+        fixed = None  # (equity and external_assets bytes, their formatted cells)
         for k, net in enumerate(result.networks):
-            columns = zip(ids, net.equity.tolist(), net.external_assets.tolist(),
-                          net.interbank_assets.tolist(), net.interbank_liabilities.tolist(),
-                          net.external_liabilities.tolist())
-            f.write("".join([f"{k},{b},{e!r},{ea!r},{ia!r},{il!r},{el!r}\r\n"
-                             for b, e, ea, ia, il, el in columns]))
+            key = net.equity.tobytes() + net.external_assets.tobytes()
+            if fixed is None or fixed[0] != key:
+                fixed = key, [f",{b},{e!r},{ea!r}," for b, e, ea in zip(
+                    ids, net.equity.tolist(), net.external_assets.tolist())]
+            columns = zip(fixed[1], net.interbank_assets.tolist(),
+                          net.interbank_liabilities.tolist(), net.external_liabilities.tolist())
+            f.write("".join([f"{k}{cells}{ia!r},{il!r},{el!r}\r\n"
+                             for cells, ia, il, el in columns]))
     manifest = {
         "ensemble_size": result.config.ensemble_size,
         "emitted": len(result.networks),

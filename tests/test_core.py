@@ -59,6 +59,35 @@ def test_negative_entry_rejected():
             single_class(L, [10] * 2, [5] * 2, [5.0] * 2)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("faults, named", [
+    # A negative entry is named before a non-zero diagonal, even an earlier one.
+    ({(0, 0): 1.0, (2, 1): -1.0}, (2, 1)),
+    ({(1, 1): np.nan, (2, 0): 2.0, (2, 2): 3.0}, (1, 1)),
+    # Of several invalid entries, the first in row-major order is named.
+    ({(2, 0): np.nan, (1, 2): np.inf, (0, 0): 1.0}, (1, 2)),
+    ({(2, 0): -np.inf, (1, 2): -2.0, (0, 1): np.nan}, (0, 1)),
+    ({(1, 0): -1.0, (0, 1): np.nan}, (0, 1)),
+    ({(2, 2): 1.0, (1, 1): 4.0, (0, 1): 1.0}, (1, 1)),
+])
+def test_build_network_names_the_first_fault(faults, named, order):
+    L = np.zeros((3, 3), order=order)
+    for entry, value in faults.items():
+        L[entry] = value
+    with pytest.raises(NegativeEntry) as info:
+        single_class(L, [10.0] * 3, [5.0] * 3, [5.0] * 3)
+    assert (info.value.i, info.value.j) == named
+
+
+def test_build_network_keeps_the_matrix_layout():
+    L = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.5], [0.25, 3.0, 0.0]])
+    for matrix, c_order in ((L, True), (np.asfortranarray(L), False)):
+        net = single_class(matrix, [10.0] * 3, 5.0 + L.sum(axis=0) - L.sum(axis=1), [5.0] * 3)
+        assert net.liabilities.flags.c_contiguous is c_order
+        assert net.liabilities.flags.f_contiguous is not c_order
+        assert np.array_equal(net.liabilities, L)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         single_class(np.zeros((2, 2)), [10] * 3, [5] * 3, [5.0] * 3)

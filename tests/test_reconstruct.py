@@ -1,14 +1,17 @@
 import csv
+import hashlib
 import os
 import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from contagion import ingest, reconstruct
+from contagion.core import build_network
 from contagion.errors import (
     AllZeroTotals, EnsembleInfeasible, InfeasibleSupport, IPFNonConvergence,
     UnreachableDensity,
@@ -407,6 +410,79 @@ def test_ipf_slow_convergence_is_accepted():
     assert np.abs(w.sum(axis=0) - t).max() < 2e-4
 
 
+def ipf_pin_cases():
+    """ipf_weights inputs from 200 seeded draws, as (kind, adjacency, row,
+    col, init, tolerance); a draw whose targets sum to 0 on a side is skipped.
+
+    Kinds: dense supports, sparse ones, targets with zeros, targets far off
+    the support's marginals (many fail Hall's condition), and rows 0 and 1
+    lending only to column 0, which cannot take both shares (many stall).
+    The zero-target cases fit to a tolerance of exactly their starting
+    residual, so an accept test of <= in place of < returns the starting
+    matrix there. Every seventh adjacency is passed as int8, and every other
+    case starts from the adjacency itself rather than np.outer(x, x).
+    """
+    rng = np.random.default_rng(2029)
+    for k in range(200):
+        kind = ("dense", "sparse", "zero_targets", "hall", "stall")[k % 5]
+        n = int(rng.integers(3, 14))
+        if kind == "dense":
+            adj = ~np.eye(n, dtype=bool)
+        else:
+            adj = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+        w = adj * rng.lognormal(0.0, 1.0, size=(n, n))
+        t = np.stack([w.sum(axis=1), w.sum(axis=0)])
+        spread = 1.0 if kind == "hall" else 0.06
+        t *= rng.uniform(1.0 - spread, 1.0 + spread, size=t.shape)
+        if kind == "zero_targets":
+            t *= rng.random(t.shape) < 0.75
+        if kind == "stall":
+            adj[:2] = False
+            adj[:2, 0] = True
+            t[0, :2] = rng.uniform(0.25, 0.32, size=2) * t[0].sum()
+            t[1, 0] = rng.uniform(0.35, 0.45) * t[1].sum()
+        if np.any(t.sum(axis=1) == 0):
+            continue
+        row, col = t / t.sum(axis=1, keepdims=True)
+        x = rng.lognormal(0.0, 1.0, size=n) * (rng.random(n) < 0.9)
+        init = adj if k % 2 else np.outer(x, x)
+        tolerance = IPF_MARGINAL_TOLERANCE
+        start = np.where(adj, np.asarray(init, dtype=float), 0.0)
+        if k % 5 == 2 and start.sum() > 0:
+            start /= start.sum()
+            tolerance = max(max(d.max(), (d[g > 0] / g[g > 0]).max(initial=0.0))
+                            for d, g in ((np.abs(start.sum(axis=1) - row), row),
+                                         (np.abs(start.sum(axis=0) - col), col)))
+        yield kind, adj if k % 7 else adj.astype(np.int8), row, col, init, tolerance
+
+
+# sha256 of every matrix ipf_weights returns on ipf_pin_cases(), and of the
+# arguments of every error it raises there, recorded before ipf_weights took
+# its residual from one stacked deviation vector.
+IPF_DIGEST = "9d2f5e4376d1488eab639ff22abf3f8e864b1777f74fb11a691dcd6e2b44c288"
+
+
+def test_ipf_weights_repeats_its_recorded_bytes():
+    digest = hashlib.sha256()
+    outcomes = {"fit": 0, InfeasibleSupport: 0, IPFNonConvergence: 0}
+    for kind, adj, row, col, init, tolerance in ipf_pin_cases():
+        digest.update(kind.encode())
+        try:
+            w = ipf_weights(adj, row, col, init, tolerance)
+        except InfeasibleSupport as exc:
+            outcomes[InfeasibleSupport] += 1
+            digest.update(repr((exc.bank, exc.side, str(exc))).encode())
+        except IPFNonConvergence as exc:
+            outcomes[IPFNonConvergence] += 1
+            digest.update(repr((exc.sweeps, float(exc.residual).hex())).encode())
+        else:
+            outcomes["fit"] += 1
+            digest.update(repr((w.shape, w.dtype.str, w.flags.c_contiguous)).encode())
+            digest.update(w.tobytes())
+    assert min(outcomes.values()) >= 40, outcomes
+    assert digest.hexdigest() == IPF_DIGEST
+
+
 def test_generate_ensemble_deterministic():
     agg = make_aggregates(n=15, seed=3)
     cfg = ReconstructionConfig(ensemble_size=5, rng_seed=99, target_density=0.4)
@@ -524,6 +600,50 @@ def test_write_ensemble_bytes_match_row_by_row_csv_writer(tmp_path):
         new = (tmp_path / "new" / name).read_bytes()
         assert new == (tmp_path / "old" / name).read_bytes(), name
     assert b'"a,b"' in new and b'"say ""hi"""' in new and b'"two\nlines"' in new
+
+
+def test_write_ensemble_reformats_cells_only_for_identical_members(tmp_path):
+    # write_ensemble formats each bank's equity and external-asset cells once
+    # per run of members whose two arrays are byte-identical. Consecutive
+    # members here share every array, differ in one equity, differ only by
+    # -0.0 against 0.0 (equal as floats, written differently), and have no
+    # edges.
+    def member(L, equity, external):
+        L = np.array(L, dtype=float)
+        by_class = np.array(external, dtype=float)[:, None]
+        le = by_class[:, 0] + L.sum(axis=0) - L.sum(axis=1) - np.array(equity)
+        return build_network(L, equity, by_class, le)
+
+    def with_external(net, external):
+        """net with other external-asset totals: numpy sums class entries of
+        -0.0 to 0.0, so no built network has a total of -0.0."""
+        return SimpleNamespace(**{**vars(net), "external_assets": np.array(external)})
+
+    L0 = [[0.0, 6.1, 1.0], [0.0, 0.0, 2.0], [3.3, 1.0, 0.0]]
+    L1 = [[0.0, 6.5, 0.5], [0.0, 0.0, 1.5], [3.0, 1.25, 0.0]]
+    equity, equity_b = [5.1, 4.0, 1 / 3], [5.5, 4.0, 1 / 3]
+    networks = [
+        member(L0, equity, [10.0, 0.0, 8.0]),
+        member(L1, equity, [10.0, 0.0, 8.0]),
+        member(L0, equity_b, [10.0, 0.0, 8.0]),
+        with_external(member(L0, equity_b, [10.0, 0.0, 8.0]), [10.0, -0.0, 8.0]),
+        member(L1, equity_b, [10.0, 0.0, 8.0]),
+        member(np.zeros((3, 3)), equity, [10.0, 6.0, 8.0]),
+    ]
+    result = reconstruct.EnsembleResult(
+        networks=networks, skipped=[], densities=np.full(len(networks), 0.5),
+        config=ReconstructionConfig(ensemble_size=len(networks)), z=1.0)
+    agg = replace(make_aggregates(n=3), bank_ids=("a", "b,c", "d"))
+    write_ensemble(result, agg, str(tmp_path / "new"))
+    os.makedirs(tmp_path / "old")
+    write_ensemble_row_by_row(result, agg, str(tmp_path / "old"))
+    for name in ("edges.csv", "balance_sheets.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes(), name
+    rows = list(csv.reader(new.decode().splitlines()))[1:]
+    assert [row[1] for row in rows[:3]] == ["a", "b,c", "d"]
+    assert [row[2] for row in rows[3:9]] == ["5.1", "4.0", repr(1 / 3), "5.5", "4.0", repr(1 / 3)]
+    assert [row[3] for row in rows[9:15]] == ["10.0", "-0.0", "8.0", "10.0", "0.0", "8.0"]
 
 
 def test_liability_cell_repeats_numpy_scalar_repr():
