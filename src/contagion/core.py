@@ -1,8 +1,9 @@
 """Leverage-network data model: liability networks, leverages, shocks.
 
 All monetary quantities are float64. A network stores its balance sheets as
-per-bank arrays; they are read-only after construction, so networks are safe
-to share across workers.
+per-bank arrays, read-only after construction. It also keeps what it derives
+from them and its last first round, with the model runs made from it; a kept
+value is what recomputing would give, so no result depends on what is kept.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ class LiabilityNetwork:
     interbank_liabilities (L^b_i = sum_j L_ij, its row sums). Every array is
     read-only. The leverages, the relative liabilities, the equity weights and
     the clearing's shortfall threshold and scale are derived on first use and
-    kept, read-only as well; so is the last first round, with its shock.
+    kept, read-only as well; so is the last first round, with its shock and
+    the model runs made from it, until another shock object replaces it.
     Networks compare by identity.
     """
 
@@ -192,6 +194,8 @@ class ShockSpec:
 class FirstRound:
     shocked_external_assets: np.ndarray  # A^e_i (1 - s_i)
     h1: np.ndarray                       # min{1, l^e_i s_i}
+    # The model runs made from this round: ("clearing", beta) or (model, R) -> Trajectory.
+    runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _freeze_arrays(self)
@@ -286,7 +290,8 @@ def apply_first_round(network: LiabilityNetwork, shock: ShockSpec) -> FirstRound
 
     h_i(1) = min{1, l^e_i s_i}, with per-class shocks aggregated as
     sum_k l^e_ik s_k. The network keeps the last first round, read-only: a
-    repeat call with the same shock object returns it.
+    repeat call with the same shock object returns it, with the runs stored on
+    it; another shock object replaces it.
     """
     lev = leverage_decomposition(network)
     last_shock, first = network._first_round

@@ -6,14 +6,12 @@ propagation, last index = converged state.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
-from .core import SHORTFALL_TOL, _freeze_arrays
+from .core import SHORTFALL_TOL
 from .errors import NonConvergence
 
 EN = "EN"
@@ -46,11 +44,16 @@ class ModelConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One run: the vulnerability path h(t), plus p(t) for the clearing models.
-    Trajectories compare by identity."""
+    Its arrays are read-only. Trajectories compare by identity."""
 
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros
     payments: np.ndarray | None = None  # (T+1, n) for EN/RV, row 0 is p_bar
     cap_hit: bool = False
+
+    def __post_init__(self):
+        self.h.setflags(write=False)
+        if self.payments is not None:
+            self.payments.setflags(write=False)
 
     @property
     def h_final(self) -> np.ndarray:
@@ -68,35 +71,6 @@ def _check_trajectory(h: np.ndarray) -> None:
         raise NonConvergence("vulnerability left [0, 1]; internal fault")
     if (h[:-1] - h[1:]).max(initial=0.0) > 1e-9:
         raise NonConvergence("vulnerability decreased over time; internal fault")
-
-
-_RUN_TABLE: ContextVar[tuple | None] = ContextVar("run_table", default=None)
-
-
-@contextmanager
-def run_table(network: LiabilityNetwork, shock: ShockSpec):
-    """Within the block, compute each distinct clearing and cDR run of this
-    network under this shock once; a repeat returns the stored run, read-only.
-    Runs of any other network or shock bypass the table, which ends with the block."""
-    token = _RUN_TABLE.set((network, shock, {}))
-    try:
-        yield
-    finally:
-        _RUN_TABLE.reset(token)
-
-
-def _table(network, shock) -> dict | None:
-    """The open run table, if it is bound to this network and shock."""
-    bound = _RUN_TABLE.get()
-    return bound[2] if bound and bound[0] is network and bound[1] is shock else None
-
-
-def _store(table: dict | None, key, trajectory: Trajectory) -> Trajectory:
-    """Return the run, stored read-only first if a run table is open for it."""
-    if table is not None:
-        _freeze_arrays(trajectory)
-        table[key] = trajectory
-    return trajectory
 
 
 def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
@@ -176,10 +150,9 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> T
     p_bar = rel.total_obligations
     pi_T = rel.pi_matrix.T
     first = apply_first_round(network, shock)
+    if ("clearing", beta) in first.runs:  # EN and RV(1) share one run
+        return first.runs["clearing", beta]
     ae = first.shocked_external_assets
-    table = _table(network, shock)
-    if table and ("clearing", beta) in table:  # EN and RV(1) share one run
-        return table["clearing", beta]
     bare = (ae == 0) & (network.external_liabilities == 0) if beta == 1.0 else None
     E0 = network.equity
     threshold, scale = network._clearing_bounds
@@ -217,7 +190,8 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> T
     pay = np.array(payments)
     if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
-    return _store(table, ("clearing", beta), Trajectory(h=h_arr, payments=pay))
+    run = first.runs["clearing", beta] = Trajectory(h=h_arr, payments=pay)
+    return run
 
 
 def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
@@ -234,9 +208,8 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
     lev = leverage_decomposition(network)
     lb = lev.interbank_leverage
     first = apply_first_round(network, shock)
-    table = _table(network, shock) if model == CDR else None
-    if table and (CDR, R) in table:
-        return table[CDR, R]
+    if (model, R) in first.runs:
+        return first.runs[model, R]
     h_rows = [np.zeros(network.n), first.h1]
     propagated = None if model == CDR else np.zeros(network.n, dtype=bool)
     loss_rate = 1.0 - R
@@ -259,7 +232,8 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
         cap_hit = True
     h_arr = np.array(h_rows)
     _check_trajectory(h_arr)
-    return _store(table, (CDR, R), Trajectory(h=h_arr, cap_hit=cap_hit))
+    run = first.runs[model, R] = Trajectory(h=h_arr, cap_hit=cap_hit)
+    return run
 
 
 def run_model(network: LiabilityNetwork, shock: ShockSpec,

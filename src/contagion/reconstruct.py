@@ -352,8 +352,8 @@ def generate_ensemble(aggregates: Aggregates,
                       config: ReconstructionConfig) -> EnsembleResult:
     """Sample ensemble_size networks consistent with the aggregates.
 
-    Members are seeded independently from (rng_seed, index), so serial and
-    parallel generation agree. A member whose adjacency cannot carry the
+    Each member is seeded from (rng_seed, index), so its draw does not depend
+    on the other members. A member whose adjacency cannot carry the
     marginals is re-drawn once; members failing twice are skipped, and more
     than 1% skips aborts the run.
     """

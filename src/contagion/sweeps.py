@@ -8,7 +8,6 @@ cascade. A violation signals an implementation bug and aborts the run.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .analysis import global_vulnerability, run_with_firewall
 from .core import ShockSpec
 from .ingest import Panel, to_aggregates
-from .models import MODEL_NAMES, run_table
+from .models import MODEL_NAMES
 from .reconstruct import ReconstructionConfig, generate_ensemble
 
 ASSET_CLASS_CHOICES = ("all_external", "derivatives", "impaired_loans")
@@ -58,23 +57,21 @@ def _sweep(networks, shocks, points, models, h1: bool = False, fractions: bool =
     """Run each network under each shock through the firewall at each point
     (R, rv_beta); return (shock index, point index, model) -> the median H(1)
     if ``h1``, median and quartiles of H(inf), and the median first-round and
-    final default fractions if ``fractions``. With several points, a run table
-    bound to the network and shock computes each repeated run once."""
+    final default fractions if ``fractions``."""
     if not networks:
         raise ValueError("a sweep needs at least one network")
     stats = np.zeros((len(networks), len(shocks), len(points), len(models), 4))
     for ni, net in enumerate(networks):
         for si, shock in enumerate(shocks):
-            with run_table(net, shock) if len(points) > 1 else nullcontext():
-                for pi, (R, beta) in enumerate(points):
-                    trajs = run_with_firewall(net, shock, models, R, beta)
-                    # Row 1 is h(1), the same in every model.
-                    df1 = np.count_nonzero(trajs[models[0]].h[1] >= 1.0) / net.n
-                    for mi, m in enumerate(models):
-                        stats[ni, si, pi, mi] = (
-                            global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
-                            global_vulnerability(trajs[m], net), df1,
-                            np.count_nonzero(trajs[m].h[-1] >= 1.0) / net.n)
+            for pi, (R, beta) in enumerate(points):
+                trajs = run_with_firewall(net, shock, models, R, beta)
+                # Row 1 is h(1), the same in every model.
+                df1 = np.count_nonzero(trajs[models[0]].h[1] >= 1.0) / net.n
+                for mi, m in enumerate(models):
+                    stats[ni, si, pi, mi] = (
+                        global_vulnerability(trajs[m], net, 1) if h1 else 0.0,
+                        global_vulnerability(trajs[m], net), df1,
+                        np.count_nonzero(trajs[m].h[-1] >= 1.0) / net.n)
     medians = np.median(stats, axis=0).tolist()
     q25, q75 = np.quantile(stats[..., 1], (0.25, 0.75), axis=0).tolist()
     out = {}

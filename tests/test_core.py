@@ -1,4 +1,5 @@
 import ast
+from collections import defaultdict
 from dataclasses import fields, is_dataclass, replace
 from inspect import isfunction, ismodule, signature
 from pathlib import Path
@@ -188,7 +189,7 @@ def test_network_arrays_are_read_only():
 def test_records_compare_by_identity_and_can_key_a_dict():
     net = fx.dc_vs_adr_fixture().network
     shocks = [ShockSpec(per_bank_shock=np.array([0.1, 0.2, 0.3])) for _ in range(2)]
-    runs = [run(net, shocks[0]) for _ in range(2)]
+    runs = [run(network, shocks[0]) for network in (net, replace(net))]
     for a, b in ((net, replace(net)), shocks, runs):  # equal values, two objects
         assert a == a and a != b
         assert {a: "a", b: "b"}[a] == "a"
@@ -391,12 +392,37 @@ def test_public_api_is_pinned():
     assert sorted(contagion.__all__) == PUBLIC_API
 
 
-def program_nodes():
-    """Every AST node of the package modules and the bench scripts."""
+def program_files() -> list:
+    """The package modules and the bench scripts."""
     root = Path(__file__).resolve().parents[1]
     files = [*(root / "src" / "contagion").glob("*.py"), *(root / "bench").glob("*.py")]
-    return [node for f in files if f.name != "__init__.py"
-            for node in ast.walk(ast.parse(f.read_text()))]
+    return [f for f in files if f.name != "__init__.py"]
+
+
+def program_nodes():
+    """Every AST node of the package modules and the bench scripts."""
+    return [node for f in program_files() for node in ast.walk(ast.parse(f.read_text()))]
+
+
+def program_reads() -> dict:
+    """Qualified function name -> the attribute names it loads, over the program
+    files; loads outside any function fall under the module's name. A
+    __post_init__ only checks, derives or freezes, so its loads from self are
+    no reads."""
+    reads = defaultdict(set)
+
+    def visit(node, name, in_init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}", child.name == "__post_init__")
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and not (in_init and getattr(child.value, "id", None) == "self")):
+                reads[name].add(child.attr)
+            visit(child, name, in_init)
+    for f in program_files():
+        visit(ast.parse(f.read_text()), f.stem, False)
+    return reads
 
 
 def test_every_public_name_has_a_caller_in_the_program():
@@ -413,16 +439,40 @@ UNREAD_FIELDS = {
 }
 
 
+# Field names that several public dataclasses share. A read of such a name does
+# not show which owner is read, so each owner names a function that reads it.
+SHARED_FIELDS = {
+    "Aggregates.equity": "reconstruct._build_member",
+    "LiabilityNetwork.equity": "models._run_clearing",
+    "Aggregates.external_assets_by_class": "reconstruct._build_member",
+    "LiabilityNetwork.external_assets_by_class": "core.ShockSpec.effective_per_bank",
+    "Aggregates.interbank_assets": "reconstruct.rebalance_totals",
+    "LiabilityNetwork.interbank_assets": "core.build_network",
+    "PanelRecord.interbank_assets": "workloads.Reconstruct.check",
+    "Aggregates.interbank_liabilities": "reconstruct.rebalance_totals",
+    "LiabilityNetwork.interbank_liabilities": "core.build_network",
+    "PanelRecord.interbank_liabilities": "workloads.Reconstruct.check",
+    "ModelConfig.rv_beta": "models.run_model",
+    "SweepSpec.rv_beta": "sweeps.run_shock_sweep",
+}
+
+
 def test_every_public_field_is_read_by_the_program():
     # A field that only tests read is computed and stored for nothing; drop it,
     # or let tests/oracles.py derive it.
-    read = {node.attr for node in program_nodes()
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    classes = [obj for obj in (getattr(contagion, name) for name in contagion.__all__)
-               if isinstance(obj, type) and is_dataclass(obj)]
-    unread = [f"{cls.__name__}.{f.name}" for cls in classes for f in fields(cls)
-              if f.name not in read]
+    reads = program_reads()
+    read = set().union(*reads.values())
+    owners = defaultdict(list)  # field name -> "Class.field" of each owner
+    for obj in (getattr(contagion, name) for name in contagion.__all__):
+        if isinstance(obj, type) and is_dataclass(obj):
+            for f in fields(obj):
+                owners[f.name].append(f"{obj.__name__}.{f.name}")
+    unread = [key for name, keys in owners.items() if name not in read for key in keys]
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+    shared = [key for keys in owners.values() if len(keys) > 1 for key in keys]
+    assert sorted(shared) == sorted(SHARED_FIELDS)
+    assert [key for key, where in SHARED_FIELDS.items()
+            if key.split(".")[1] not in reads.get(where, ())] == []
 
 
 # Defaulted parameters that no call in the program sets, and why each stays.

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from contagion import fixtures as fx
 from contagion import analysis, models, sweeps
-from contagion.core import ShockSpec
+from contagion.core import ShockSpec, apply_first_round
+from contagion.errors import NonConvergence
 from contagion.ingest import interpolate_missing, synthesize_panel
 from contagion.models import ADR, CDR, DC, EN, MODEL_NAMES, RV, ModelConfig, run_model
+from contagion.reconstruct import ReconstructionConfig
 from contagion.sweeps import SweepSpec, run_recovery_sweep, run_shock_sweep, run_timeseries
 
 
@@ -70,21 +73,13 @@ def random_networks(seed, k):
     return [fx.random_network(rng, int(rng.integers(3, 20))) for _ in range(k)]
 
 
-def forbid_tables(monkeypatch):
-    """Make any run table opened by a sweep fail the test."""
-    def call(*args, **kwargs):
-        raise AssertionError("run table opened")
-    monkeypatch.setattr(sweeps, "run_table", call)
-
-
 @pytest.mark.parametrize("case", ["random", "golden"])
-def test_recovery_sweep_rows_match_per_point_runs(monkeypatch, case):
+def test_recovery_sweep_rows_match_per_point_runs(case):
     networks = (random_networks(3, 6) if case == "random"
                 else [f.network for f in fx.golden()])
     networks.append(networks[0])  # one network twice in an ensemble
     got = run_recovery_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID,
                                                  recovery_grid=RECOVERY_GRID))
-    forbid_tables(monkeypatch)  # a sweep at one (R, beta) point opens none
     expected = []
     for R in RECOVERY_GRID:
         rows = run_shock_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID,
@@ -108,31 +103,16 @@ def test_recovery_sweep_solves_each_distinct_clearing_once(monkeypatch):
     assert sizes and sorted(in_sweep) == sorted(sizes)
 
 
-def test_each_run_table_serves_one_network_and_one_shock(monkeypatch):
-    # A run can repeat only for one network under one shock, so a sweep opens
-    # a table per (network, shock) and every run inside it is of that pair.
-    opened, served, run_table, run = [], [], models.run_table, analysis.run_model
-
-    def opening(network, shock):
-        opened.append((network, shock))
-        return run_table(network, shock)
-
-    def serving(network, shock, config):
-        served.append((models._RUN_TABLE.get(), network, shock))
-        return run(network, shock, config)
-    monkeypatch.setattr(sweeps, "run_table", opening)
-    monkeypatch.setattr(analysis, "run_model", serving)
+def test_a_recovery_sweep_stores_each_distinct_run_once():
+    # Each run is stored on its network's first round under its shock; the
+    # network keeps the last shock's round, with every distinct run of the grid.
     networks = random_networks(7, 3)
     run_recovery_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID, recovery_grid=RECOVERY_GRID))
-    assert len(opened) == len(networks) * len(SHOCK_GRID)
-    assert {id(net) for net, _ in opened} == {id(net) for net in networks}
-    tables = {id(table): table for table, _, _ in served}
-    assert len(tables) == len(opened)
-    for table, network, shock in served:
-        assert table is not None and table[0] is network and table[1] is shock
-    # per table: clearing at beta in {0, 0.5, 1} and cDR at R in {0, 0.5, 1}
-    for _, _, runs in tables.values():
-        assert set(runs) == {(kind, v) for kind in ("clearing", CDR) for v in RECOVERY_GRID}
+    for net in networks:
+        shock, first = net._first_round
+        assert shock.per_bank_shock.tolist() == [SHOCK_GRID[-1]]
+        assert set(first.runs) == ({("clearing", beta) for beta in RECOVERY_GRID}
+                                   | {(m, R) for m in (DC, ADR, CDR) for R in RECOVERY_GRID})
 
 
 @pytest.mark.parametrize("runner", [run_shock_sweep, run_recovery_sweep])
@@ -157,18 +137,44 @@ def test_sweep_of_no_networks_raises(monkeypatch, runner):
         runner([], SweepSpec())
 
 
-def test_recovery_sweep_keeps_no_runs_after_it_returns(monkeypatch):
+def test_a_second_sweep_computes_its_runs_again(monkeypatch):
+    # A sweep makes its own shock objects, so no run of an earlier sweep is reused.
     sizes = count_solves(monkeypatch)
     networks = random_networks(7, 2)
     spec = SweepSpec(shock_grid=SHOCK_GRID, recovery_grid=RECOVERY_GRID)
     first = run_recovery_sweep(networks, spec)
     n_first = len(sizes)
-    assert models._RUN_TABLE.get() is None
     assert run_recovery_sweep(networks, spec) == first
     assert n_first > 0 and len(sizes) == 2 * n_first
-    with pytest.raises(RuntimeError), models.run_table(networks[0], ShockSpec.uniform(0.1)):
-        raise RuntimeError  # a sweep that fails keeps none either
-    assert models._RUN_TABLE.get() is None
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_a_repeated_run_returns_the_stored_run(monkeypatch, model):
+    sizes = count_solves(monkeypatch)
+    net, shock = random_networks(11, 1)[0], ShockSpec.uniform(0.4)
+    runs = [run_model(net, shock, ModelConfig(model=model, exogenous_recovery_rate=R))
+            for R in (0.0, 0.5, 0.0, 0.5)]
+    n_solves = len(sizes)
+    assert runs[2] is runs[0] and runs[3] is runs[1]
+    assert [run_model(net, shock, ModelConfig(model=model, exogenous_recovery_rate=R))
+            for R in (0.0, 0.5)] == runs[:2]
+    assert len(sizes) == n_solves and (n_solves > 0) == (model in (EN, RV))
+
+
+def test_a_run_that_raises_stores_nothing(monkeypatch):
+    net, shock = random_networks(11, 1)[0], ShockSpec.uniform(0.4)
+
+    def fail(h):
+        raise NonConvergence("vulnerability left [0, 1]; internal fault")
+    check = models._check_trajectory
+    monkeypatch.setattr(models, "_check_trajectory", fail)
+    for model in MODEL_NAMES:
+        with pytest.raises(NonConvergence):
+            run_model(net, shock, ModelConfig(model=model))
+    assert apply_first_round(net, shock).runs == {}
+    monkeypatch.setattr(models, "_check_trajectory", check)
+    run = run_model(net, shock, ModelConfig(model=EN))
+    assert run_model(net, shock, ModelConfig(model=EN)) is run
 
 
 def test_networks_with_equal_arrays_share_no_run(monkeypatch):
@@ -176,52 +182,79 @@ def test_networks_with_equal_arrays_share_no_run(monkeypatch):
     net = random_networks(11, 1)[0]
     twin = replace(net)  # equal arrays, another network
     shock = ShockSpec.uniform(0.4)
-    with models.run_table(net, shock):
-        a = run_model(net, shock, ModelConfig(model=EN))
-        n_one = len(sizes)
-        b = run_model(twin, shock, ModelConfig(model=EN))
-        assert len(sizes) == 2 * n_one
-        assert run_model(net, shock, ModelConfig(model=EN)).h is a.h
-        assert run_model(twin, shock, ModelConfig(model=EN)).h is not b.h
-    assert n_one > 0 and len(sizes) == 3 * n_one
-    assert not a.h.flags.writeable and b.h.flags.writeable  # b was not stored
-    assert np.array_equal(a.h, b.h)
+    a = run_model(net, shock, ModelConfig(model=EN))
+    n_one = len(sizes)
+    b = run_model(twin, shock, ModelConfig(model=EN))
+    assert n_one > 0 and len(sizes) == 2 * n_one
+    assert run_model(net, shock, ModelConfig(model=EN)) is a
+    assert run_model(twin, shock, ModelConfig(model=EN)) is b
+    assert len(sizes) == 2 * n_one
+    assert a is not b and np.array_equal(a.h, b.h) and np.array_equal(a.payments, b.payments)
 
 
-def test_runs_under_other_shocks_share_no_run():
+def test_a_new_shock_object_drops_the_last_shocks_runs():
     net = random_networks(11, 1)[0]
-    shock = ShockSpec.uniform(0.4)
-    requests = [(s, ModelConfig(model=m)) for s in (shock, ShockSpec.uniform(0.1),
-                                                     ShockSpec.uniform(0.4)) for m in (EN, CDR)]
-    expected = [run_model(net, s, config) for s, config in requests]
-    with models.run_table(net, shock):
-        got = [run_model(net, s, config) for s, config in requests]
-        runs = models._RUN_TABLE.get()[2]
-    assert not np.array_equal(expected[0].h, expected[2].h)
-    for e, g in zip(expected, got):
-        assert np.array_equal(e.h, g.h)
-        assert e.payments is None or np.array_equal(e.payments, g.payments)
-    # only the bound shock object's runs are stored; an equal shock is another
-    assert set(runs) == {("clearing", 1.0), (CDR, 0.0)}
-    assert [g.h.flags.writeable for g in got] == [False, False, True, True, True, True]
+    shock, other, equal = (ShockSpec.uniform(s) for s in (0.4, 0.1, 0.4))
+    order = (shock, shock, other, equal, shock)
+    runs = [[run_model(net, s, ModelConfig(model=m)) for m in (EN, CDR)] for s in order]
+    assert runs[1] == runs[0]  # a repeat under one shock object: the stored runs
+    assert not np.array_equal(runs[2][0].h, runs[0][0].h)
+    # An equal shock shares no run, and the first shock's runs were dropped
+    # when the network saw another shock object; both recompute the same arrays.
+    for later in (runs[3], runs[4]):
+        for a, b in zip(runs[0], later):
+            assert a is not b and np.array_equal(a.h, b.h)
+    kept_shock, first = net._first_round
+    assert kept_shock is shock and set(first.runs) == {("clearing", 1.0), (CDR, 0.0)}
+    assert first.runs["clearing", 1.0] is runs[4][0]
 
 
 def test_en_and_rv_at_beta_one_share_one_read_only_run():
     net = random_networks(11, 1)[0]
     shock = ShockSpec.uniform(0.4)
-    assert run_model(net, shock, ModelConfig(model=EN)).h.flags.writeable  # outside the table
-    with models.run_table(net, shock):
-        en = run_model(net, shock, ModelConfig(model=EN))
-        rv = run_model(net, shock, ModelConfig(model=RV, rv_beta=1.0))
-        cdr = [run_model(net, shock, ModelConfig(model=CDR)) for _ in range(2)]
-        cascades = [run_model(net, shock, ModelConfig(model=m)) for m in (DC, DC, ADR, ADR)]
-        runs = models._RUN_TABLE.get()[2]
-    assert rv is en and cdr[1] is cdr[0]
-    # DC and aDR never repeat within a sweep's table, so none is stored
-    assert set(runs) == {("clearing", 1.0), (CDR, 0.0)}
-    assert cascades[0] is not cascades[1] and cascades[2] is not cascades[3]
-    assert all(run.h.flags.writeable for run in cascades)
-    for arr in (en.h, en.payments, cdr[0].h):
+    en = run_model(net, shock, ModelConfig(model=EN))
+    rv = run_model(net, shock, ModelConfig(model=RV, rv_beta=1.0))
+    assert rv is en
+    assert run_model(net, shock, ModelConfig(model=RV, rv_beta=0.5)) is not en
+    for arr in (en.h, en.payments):
         assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         rv.h[-1, 0] = 0.5
+
+
+# sha256 of the rows and H values below, recorded before each (network,
+# shock)'s model runs were kept with its first round.
+SHOCK_SWEEP_DIGEST = "445053be5cebce27c60676866ad19ed14762eb32529404b69515efffec0a5f72"
+TIMESERIES_DIGEST = "27243e44092bc1939b048dd5a0225f17ce183a5d4199fe9a5f55cf1d40ff5796"
+AUDIT_DIGEST = "dfd22fc8709ff6a3ce3a18a65a0d96b2f0da6941846302e26d2f69dda98e8043"
+
+
+def digest_of(values) -> str:
+    # repr of a Python float round-trips, so equal digests mean equal bits.
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_shock_sweep_rows_repeat_their_recorded_bytes():
+    networks = random_networks(13, 5) + [f.network for f in fx.golden()]
+    networks.append(networks[0])  # one network twice in an ensemble
+    rows = [run_shock_sweep(networks, SweepSpec(shock_grid=(0.05, 0.2, 0.6),
+                                                recovery_grid=(R,), rv_beta=beta))
+            for R in (0.0, 0.6) for beta in (1.0, 0.6)]
+    assert digest_of(rows) == SHOCK_SWEEP_DIGEST
+
+
+def test_timeseries_rows_repeat_their_recorded_bytes():
+    panel, _ = interpolate_missing(synthesize_panel(20, 3, seed=4))
+    rows = [run_timeseries(panel, SweepSpec(
+        shock_grid=(0.05,), recovery_grid=(0.6,), rv_beta=beta,
+        ensemble=ReconstructionConfig(ensemble_size=3, rng_seed=8, target_density=0.3)))
+        for beta in (1.0, 0.6)]
+    assert digest_of(rows) == TIMESERIES_DIGEST
+
+
+def test_ordering_audit_repeats_its_recorded_bytes():
+    # Each fixture's network and shock are audited at several (R, beta) in turn.
+    H = [analysis.ordering_audit(f.network, f.shock, R, beta).H_final
+         for f in fx.topology_family()
+         for R, beta in ((0.0, 1.0), (f.recovery_rate, 1.0), (f.recovery_rate, 0.6), (0.0, 1.0))]
+    assert digest_of(H) == AUDIT_DIGEST
