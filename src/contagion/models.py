@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LiabilityNetwork, ShockSpec, apply_first_round, leverage_decomposition, relative_liabilities
-from .core import SHORTFALL_TOL
+from .core import SHORTFALL_TOL, FirstRound, LiabilityNetwork, RelativeLiabilities, ShockSpec
+from .core import _freeze_arrays, apply_first_round, leverage_decomposition, relative_liabilities
 from .errors import NonConvergence
 
 EN = "EN"
@@ -51,9 +51,7 @@ class Trajectory:
     cap_hit: bool = False
 
     def __post_init__(self):
-        self.h.setflags(write=False)
-        if self.payments is not None:
-            self.payments.setflags(write=False)
+        _freeze_arrays(self)
 
     @property
     def h_final(self) -> np.ndarray:
@@ -138,7 +136,8 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
     return p
 
 
-def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> Trajectory:
+def _run_clearing(network: LiabilityNetwork, rel: RelativeLiabilities, first: FirstRound,
+                  beta: float) -> Trajectory:
     """Fictitious default algorithm shared by the EN and RV models.
 
     A bank defaults when its nominal resources Pi^T p + A^e(1-s) fall short
@@ -146,12 +145,7 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> T
     rounding in Pi^T p defaults no balanced bank; defaulters pay beta (A^e' + Pi^T p), others pay
     in full. EN is the beta = 1 special case.
     """
-    rel = relative_liabilities(network)
-    p_bar = rel.total_obligations
-    pi_T = rel.pi_matrix.T
-    first = apply_first_round(network, shock)
-    if ("clearing", beta) in first.runs:  # EN and RV(1) share one run
-        return first.runs["clearing", beta]
+    p_bar, pi_T = rel.total_obligations, rel.pi_matrix.T
     ae = first.shocked_external_assets
     bare = (ae == 0) & (network.external_liabilities == 0) if beta == 1.0 else None
     E0 = network.equity
@@ -186,16 +180,13 @@ def _run_clearing(network: LiabilityNetwork, shock: ShockSpec, beta: float) -> T
         raise NonConvergence("fictitious default algorithm exceeded n+1 sweeps")
 
     h_arr = np.array(h_rows)
-    _check_trajectory(h_arr)
     pay = np.array(payments)
     if (pay[1:] - pay[:-1] > 1e-9 * scale).any():
         raise NonConvergence("payments increased between sweeps; internal fault")
-    run = first.runs["clearing", beta] = Trajectory(h=h_arr, payments=pay)
-    return run
+    return Trajectory(h=h_arr, payments=pay)
 
 
-def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
-                 model: str) -> Trajectory:
+def _run_cascade(lb: np.ndarray, first: FirstRound, R: float, model: str) -> Trajectory:
     """One recursion for the threshold cascade (DC) and both DebtRanks (aDR, cDR):
 
     h(t+1) = min{1, h(t) + (1-R) l^b d(t)}, where d(t) is the distress passed on.
@@ -205,16 +196,12 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
     along all walks, and stops when no component grows by CDR_TOLERANCE, or
     after max(10 n, CDR_MAX_ROUNDS) rounds (cap_hit: flagged, not fatal).
     """
-    lev = leverage_decomposition(network)
-    lb = lev.interbank_leverage
-    first = apply_first_round(network, shock)
-    if (model, R) in first.runs:
-        return first.runs[model, R]
-    h_rows = [np.zeros(network.n), first.h1]
-    propagated = None if model == CDR else np.zeros(network.n, dtype=bool)
+    n = lb.shape[0]
+    h_rows = [np.zeros(n), first.h1]
+    propagated = None if model == CDR else np.zeros(n, dtype=bool)
     loss_rate = 1.0 - R
     cap_hit = False
-    for _ in range(max(10 * network.n, CDR_MAX_ROUNDS)):
+    for _ in range(max(10 * n, CDR_MAX_ROUNDS)):
         h = h_rows[-1]
         if model == CDR:
             d = h - h_rows[-2]
@@ -230,10 +217,7 @@ def _run_cascade(network: LiabilityNetwork, shock: ShockSpec, R: float,
         h_rows.append(np.minimum(1.0, h + loss_rate * passed_on))
     else:
         cap_hit = True
-    h_arr = np.array(h_rows)
-    _check_trajectory(h_arr)
-    run = first.runs[model, R] = Trajectory(h=h_arr, cap_hit=cap_hit)
-    return run
+    return Trajectory(h=np.array(h_rows), cap_hit=cap_hit)
 
 
 def run_model(network: LiabilityNetwork, shock: ShockSpec,
@@ -248,8 +232,20 @@ def run_model(network: LiabilityNetwork, shock: ShockSpec,
     - CDR: distress propagated along all walks, including cycles.
 
     DC, ADR and CDR read config.exogenous_recovery_rate as R.
+
+    Only here is a run fetched, checked and stored, on the shock's FirstRound. The
+    core calls come first even for a stored run: the bench pins their counts.
     """
     model = config.model
-    if model in (EN, RV):
-        return _run_clearing(network, shock, 1.0 if model == EN else config.rv_beta)
-    return _run_cascade(network, shock, config.exogenous_recovery_rate, model)
+    clearing = model in (EN, RV)
+    derived = relative_liabilities(network) if clearing else leverage_decomposition(network)
+    first = apply_first_round(network, shock)
+    key = (("clearing", 1.0 if model == EN else config.rv_beta) if clearing
+           else (model, config.exogenous_recovery_rate))
+    if key in first.runs:  # EN and RV(1) share one run
+        return first.runs[key]
+    run = (_run_clearing(network, derived, first, key[1]) if clearing
+           else _run_cascade(derived.interbank_leverage, first, key[1], model))
+    _check_trajectory(run.h)
+    first.runs[key] = run
+    return run

@@ -7,7 +7,10 @@ from contagion import (
     MODEL_NAMES, ModelConfig, ShockSpec, global_vulnerability,
     network_from_vectors, ordering_audit, run_model, run_with_firewall,
 )
-from contagion.errors import NonConvergence
+from contagion import analysis
+from contagion.analysis import assert_proved_ordering
+from contagion.errors import NonConvergence, ProvedOrderingViolated
+from contagion.models import ADR, CDR, DC, EN, RV, Trajectory
 from contagion import fixtures as fx
 from contagion.ingest import interpolate_missing, synthesize_panel, to_aggregates
 from contagion.reconstruct import ReconstructionConfig, generate_ensemble
@@ -223,6 +226,31 @@ def test_ordering_audit_proved_chain_on_random_networks():
                              recovery_rate=rng.uniform(0, 1),
                              rv_beta=rng.uniform(0, 1))
         assert list(rep.H_final) == list(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("excess, raises", [(2e-9, True), (0.5e-9, False)])
+def test_firewall_fires_just_past_its_slack(excess, raises):
+    # Excesses of 2 and 0.5 x ORDERING_TOL (1e-9). The upper run is one round
+    # shorter, so bank 1's excess at t = 2 is found against its padded last row.
+    hi = Trajectory(h=np.array([[0.0, 0.0, 0.0], [0.2, 0.5, 0.3]]))
+    lo = Trajectory(h=np.array([[0.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.2, 0.5 + excess, 0.3]]))
+    if not raises:
+        assert_proved_ordering(lo, hi, "EN<=RV")
+        return
+    with pytest.raises(ProvedOrderingViolated) as caught:
+        assert_proved_ordering(lo, hi, "EN<=RV")
+    assert (caught.value.pair, caught.value.bank, caught.value.t) == ("EN<=RV", 1, 2)
+
+
+@pytest.mark.parametrize("gap, holds", [(2e-12, False), (0.5e-12, True)])
+def test_empirical_chain_allows_only_a_rounding_gap(monkeypatch, gap, holds):
+    # RV above aDR by twice, then half, the chain's 1e-12 slack; the rest in order.
+    H = {EN: 0.1, DC: 0.2, RV: 0.3 + gap, ADR: 0.3, CDR: 0.4}
+    monkeypatch.setattr(analysis, "run_with_firewall",
+                        lambda network, shock, models, R, beta: {m: m for m in MODEL_NAMES})
+    monkeypatch.setattr(analysis, "global_vulnerability", lambda name, network: H[name])
+    report = ordering_audit(None, None, recovery_rate=0.6, rv_beta=0.6)
+    assert report.H_final == H and report.empirical_chain_holds is holds
 
 
 @pytest.mark.parametrize("recovery_rate", [0.0, 0.9])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from contagion import cli, sweeps
 from contagion.cli import main
+from contagion.errors import ProvedOrderingViolated
 from contagion.ingest import SCHEMA, synthesize_panel
 
 SWEEP_ARGS = ["--synthetic-banks", "40", "--synthetic-quarters", "4",
@@ -225,6 +226,15 @@ def test_audit_ordering_smoke(capsys):
     code, out, _ = run(capsys, "audit", "ordering", "--count", "3")
     assert code == 0
     assert "proved chain OK" in out
+
+
+def test_an_ordering_violation_exits_3(capsys, monkeypatch):
+    def audit(*args, **kwargs):
+        raise ProvedOrderingViolated("EN<=RV", 2, 5)
+    monkeypatch.setattr(cli, "ordering_audit", audit)
+    code, out, err = run(capsys, "audit", "ordering", "--count", "1")
+    assert code == 3 and out == ""
+    assert "invariant violation" in err and "EN<=RV violated at bank 2, t=5" in err
 
 
 def test_config_file_sets_defaults_flags_win(capsys, tmp_path):

@@ -274,6 +274,14 @@ def test_shock_spec_validation():
         ShockSpec(per_class_shock=np.array([0.1, np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("i", [-1, 4])
+def test_single_bank_shock_rejects_an_index_outside_the_network(i):
+    # -1 would wrap to bank 3; 4 would raise numpy's IndexError.
+    with pytest.raises(ValueError, match=rf"bank index {i} outside \[0, 4\)"):
+        ShockSpec.on_bank(i, 0.3, 4)
+    assert ShockSpec.on_bank(3, 0.3, 4).per_bank_shock.tolist() == [0.0, 0.0, 0.0, 0.3]
+
+
 def test_shock_spec_keeps_a_read_only_copy():
     # A change to the caller's vector after validation must not reach the
     # shock: 7.0 would drive the shocked external assets negative.

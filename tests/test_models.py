@@ -312,6 +312,44 @@ def test_trajectory_check_rejects_nan():
         models._check_trajectory(np.array([[0.0, 0.0], [np.nan, 0.5]]))
 
 
+@pytest.mark.parametrize("last_row, match", [
+    ([0.5, 0.5 - 2e-9], "decreased"),   # twice the decrease bound
+    ([0.5, 0.5 - 5e-10], None),         # half of it
+    ([0.5, 1.0 + 2e-12], "left"),       # twice the range slack above 1
+])
+def test_trajectory_check_fires_just_past_its_bounds(last_row, match):
+    h = np.array([[0.0, 0.0], [0.5, 0.5], last_row])
+    if match is None:
+        models._check_trajectory(h)
+    else:
+        with pytest.raises(NonConvergence, match=match):
+            models._check_trajectory(h)
+
+
+def test_run_model_checks_each_kernels_run_and_stores_none_that_fails(monkeypatch):
+    # The kernels do not check their runs; run_model does, before storing.
+    f = fx.chain_fixture()
+
+    def decreasing(*args):
+        return models.Trajectory(h=np.array([[0.0] * 4, [0.5] * 4, [0.4] * 4]))
+    monkeypatch.setattr(models, "_run_clearing", decreasing)
+    monkeypatch.setattr(models, "_run_cascade", decreasing)
+    for model in models.MODEL_NAMES:
+        with pytest.raises(NonConvergence, match="decreased over time"):
+            run(f.network, f.shock, model)
+    assert models.apply_first_round(f.network, f.shock).runs == {}
+
+
+def test_clearing_rejects_a_solve_off_by_one_part_in_a_million(monkeypatch):
+    # Bank 0 of the chain defaults alone, with b = 72: the residual 7.2e-5 is far
+    # above 1e-9 x max(1, |b|), and the raised payment stays below p_bar = 75.
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    f = fx.chain_fixture()
+    with pytest.raises(NonConvergence, match="failed their solve"):
+        run(f.network, f.shock)
+
+
 @pytest.mark.parametrize("bump, raises", [(1e-13, False), (1e-9, True)])
 def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises):
     # Bank 0 defaults on its debt to bank 1. Bank 2 stands apart, so each sweep

@@ -96,10 +96,11 @@ def test_recovery_sweep_solves_each_distinct_clearing_once(monkeypatch):
     run_recovery_sweep(networks, SweepSpec(shock_grid=SHOCK_GRID, recovery_grid=RECOVERY_GRID))
     in_sweep = list(sizes)
     sizes.clear()
-    for net in networks:  # EN runs at beta = 1 and RV at beta = R
+    # EN runs at beta = 1 and RV at beta = R; each fresh shock object stores its own runs.
+    for net in networks:
         for s in SHOCK_GRID:
             for beta in {1.0, *RECOVERY_GRID}:
-                models._run_clearing(net, ShockSpec.uniform(s), beta)
+                run_model(net, ShockSpec.uniform(s), ModelConfig(model=RV, rv_beta=beta))
     assert sizes and sorted(in_sweep) == sorted(sizes)
 
 
