@@ -167,6 +167,8 @@ class ShockSpec:
 
     @staticmethod
     def on_class(name: str, s: float) -> "ShockSpec":
+        if name not in DEFAULT_ASSET_CLASSES:
+            raise ValueError(f"asset class {name!r} not in {DEFAULT_ASSET_CLASSES}")
         vec = np.zeros(len(DEFAULT_ASSET_CLASSES))
         vec[DEFAULT_ASSET_CLASSES.index(name)] = s
         return ShockSpec(per_class_shock=vec)

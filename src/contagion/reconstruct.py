@@ -263,6 +263,7 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.
 
     residuals = []  # residuals[k] is the residual after k sweeps
     rs = w.sum(axis=1)  # row sums of the current w, reused by the next sweep
+    row_scale, col_scale = np.empty(w.shape[0]), np.empty(w.shape[1])
     for sweep in range(IPF_MAX_SWEEPS + 1):
         np.concatenate([rs, w.sum(axis=0)], out=dev)
         dev -= targets
@@ -275,9 +276,11 @@ def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.
         if stalled or sweep == IPF_MAX_SWEEPS:
             raise IPFNonConvergence(sweep, residual)
         residuals.append(residual)
-        w *= np.divide(row_targets, rs, out=np.zeros_like(rs), where=rs > 0)[:, None]
+        row_scale.fill(0.0)  # a zero row or column sum scales by 0
+        w *= np.divide(row_targets, rs, out=row_scale, where=rs > 0)[:, None]
         cs = w.sum(axis=0)
-        w *= np.divide(col_targets, cs, out=np.zeros_like(cs), where=cs > 0)[None, :]
+        col_scale.fill(0.0)
+        w *= np.divide(col_targets, cs, out=col_scale, where=cs > 0)[None, :]
         rs = w.sum(axis=1)
 
 
@@ -390,8 +393,11 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
 
     Each network's CSV rows are written as one string, byte for byte the
     csv.writer rows of repr(np.float64) liabilities and float balance sheets.
-    A bank's equity and external-asset cells are formatted once per run of
-    members whose two arrays are byte-identical (0.0 and -0.0 differ).
+    The string is one "".join over a list that interleaves constant cells
+    with the float reprs, filled by strided slice assignment, so the reprs
+    (one per edge, three per bank) set the writer's time. A bank's equity and
+    external-asset cells are formatted once per run of members whose two
+    arrays are byte-identical (0.0 and -0.0 differ).
     """
     os.makedirs(out_dir, exist_ok=True)
     row = csv.writer(SimpleNamespace(write=lambda line: line)).writerow  # returns the line
@@ -403,8 +409,13 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
         f.write("realization,debtor,creditor,liability\r\n")
         for k, net in enumerate(result.networks):
             ii, jj = np.nonzero(net.liabilities)
-            f.write("".join([f"{k}{debtors[i]}{creditors[j]}{v!r}{end}" for i, j, v in zip(
-                ii.tolist(), jj.tolist(), net.liabilities[ii, jj].tolist())]))
+            if ii.size:  # per edge: the last row's end and k, debtor, creditor, liability
+                cells = [f"{end}{k}"] * (4 * ii.size)
+                cells[0] = f"{k}"
+                cells[1::4] = map(debtors.__getitem__, ii.tolist())
+                cells[2::4] = map(creditors.__getitem__, jj.tolist())
+                cells[3::4] = map(repr, net.liabilities[ii, jj].tolist())
+                f.write("".join(cells) + end)
     with open(os.path.join(out_dir, "balance_sheets.csv"), "w", newline="") as f:
         f.write("realization,bank_id,equity,external_assets,interbank_assets,"
                 "interbank_liabilities,external_liabilities\r\n")
@@ -414,10 +425,12 @@ def write_ensemble(result: EnsembleResult, aggregates: Aggregates,
             if fixed is None or fixed[0] != key:
                 fixed = key, [f",{b},{e!r},{ea!r}," for b, e, ea in zip(
                     ids, net.equity.tolist(), net.external_assets.tolist())]
-            columns = zip(fixed[1], net.interbank_assets.tolist(),
-                          net.interbank_liabilities.tolist(), net.external_liabilities.tolist())
-            f.write("".join([f"{k}{cells}{ia!r},{il!r},{el!r}\r\n"
-                             for cells, ia, il, el in columns]))
+            cells = [f"{k}", "", "", ",", "", ",", "", "\r\n"] * len(ids)
+            cells[1::8] = fixed[1]
+            cells[2::8] = map(repr, net.interbank_assets.tolist())
+            cells[4::8] = map(repr, net.interbank_liabilities.tolist())
+            cells[6::8] = map(repr, net.external_liabilities.tolist())
+            f.write("".join(cells))
     manifest = {
         "ensemble_size": result.config.ensemble_size,
         "emitted": len(result.networks),

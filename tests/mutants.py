@@ -1,0 +1,117 @@
+"""One-edit mutants of the package, each with the test that must fail on it.
+
+    python tests/mutants.py
+
+Copies src/, tests/, bench/ and pyproject.toml to a temporary directory and
+checks there that every named test passes on the unmutated copy. Then it
+applies each mutant alone, runs its test, and requires pytest to report a
+failure (exit code 1; a collection or usage error does not count). Exits 0
+when every mutant is killed, 1 otherwise. The copy runs with
+PYTHONDONTWRITEBYTECODE set, so no cached bytecode of one mutant can stand in
+for the next one's source.
+
+Each entry is (file, old text, new text, test id). The old text must occur
+exactly once in its file.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ANALYSIS, CLI, CORE = "src/contagion/analysis.py", "src/contagion/cli.py", "src/contagion/core.py"
+MODELS, RECONSTRUCT = "src/contagion/models.py", "src/contagion/reconstruct.py"
+FIREWALL = "tests/test_analysis.py::test_firewall_fires_just_past_its_slack"
+TRAJECTORY = "tests/test_models.py::test_trajectory_check_fires_just_past_its_bounds"
+RUN_CHECK = ("tests/test_models.py::"
+             "test_run_model_checks_each_kernels_run_and_stores_none_that_fails")
+WRITER = ("tests/test_reconstruct.py::"
+          "test_write_ensemble_bytes_match_row_by_row_csv_writer_at_300_banks")
+
+MUTANTS = [
+    # The ordering firewall: disabled, and its slack widened.
+    (ANALYSIS, "    if bad.any():", "    if False:", FIREWALL),
+    (ANALYSIS, "ORDERING_TOL = 1e-9", "ORDERING_TOL = 1e-3", FIREWALL),
+    # The CLI's exit code for a proved-ordering violation.
+    (CLI, "        return EXIT_INVARIANT", "        return EXIT_VALIDATION",
+     "tests/test_cli.py::test_an_ordering_violation_exits_3"),
+    # The ordering audit's empirical-chain slack on RV <= aDR.
+    (ANALYSIS, "H[RV] <= H[ADR] + 1e-12", "H[RV] <= H[ADR] + 1e-3",
+     "tests/test_analysis.py::test_empirical_chain_allows_only_a_rounding_gap"),
+    # _check_trajectory's decrease bound and range slack.
+    (MODELS, "if (h[:-1] - h[1:]).max(initial=0.0) > 1e-9:",
+     "if (h[:-1] - h[1:]).max(initial=0.0) > 1e-3:", TRAJECTORY),
+    (MODELS, "h.max(initial=0.0) <= 1.0 + 1e-12", "h.max(initial=0.0) <= 1.0 + 1e-3", TRAJECTORY),
+    # The clearing solve's residual bound.
+    (MODELS, "<= 1e-9 * max(1.0, np.abs(b).max())", "<= 1e-3 * max(1.0, np.abs(b).max())",
+     "tests/test_models.py::test_clearing_rejects_a_solve_off_by_one_part_in_a_million"),
+    # run_model's trajectory check: deleted, and moved after the store.
+    (MODELS, "    _check_trajectory(run.h)\n    first.runs[key] = run\n",
+     "    first.runs[key] = run\n", RUN_CHECK),
+    (MODELS, "    _check_trajectory(run.h)\n    first.runs[key] = run\n",
+     "    first.runs[key] = run\n    _check_trajectory(run.h)\n", RUN_CHECK),
+    # The clearing's default tie rule: resources equal to the threshold default.
+    (MODELS, "new_D = D | (resources < threshold)", "new_D = D | (resources <= threshold)",
+     "tests/test_models.py::test_resources_exactly_at_the_default_threshold_do_not_default"),
+    # The shock constructors' argument checks.
+    (CORE, "        if not 0 <= i < n:", "        if False:",
+     "tests/test_core.py::test_single_bank_shock_rejects_an_index_outside_the_network"),
+    (CORE, "        if name not in DEFAULT_ASSET_CLASSES:", "        if False:",
+     "tests/test_core.py::test_class_shock_names_an_unknown_class_and_the_known_ones"),
+    # The ensemble writer: an edge's creditor slot filled from its debtor
+    # index, a balance-sheet column in the wrong slot, and an edgeless member.
+    (RECONSTRUCT, "map(creditors.__getitem__, jj.tolist())",
+     "map(creditors.__getitem__, ii.tolist())", WRITER),
+    (RECONSTRUCT, "cells[6::8] = map(repr, net.external_liabilities.tolist())",
+     "cells[4::8] = map(repr, net.external_liabilities.tolist())", WRITER),
+    (RECONSTRUCT, "            if ii.size:", "            if True:", WRITER),
+]
+
+
+def pytest(workdir: str, *test_ids: str) -> int:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *test_ids], cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        ignore = shutil.ignore_patterns("__pycache__", ".bench_out")
+        for name in ("src", "tests", "bench"):
+            shutil.copytree(os.path.join(ROOT, name), os.path.join(workdir, name), ignore=ignore)
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), workdir)
+        sources = {}
+        for path, old, _, _ in MUTANTS:
+            with open(os.path.join(workdir, path)) as f:
+                sources[path] = f.read()
+            if sources[path].count(old) != 1:
+                print(f"{path}: the text to mutate occurs {sources[path].count(old)} times: {old!r}")
+                return 1
+        tests = sorted({test for *_, test in MUTANTS})
+        if pytest(workdir, *tests) != 0:
+            print("a named test fails on the unmutated copy; run it in the checkout")
+            return 1
+        survivors = 0
+        for path, old, new, test in MUTANTS:
+            start = time.perf_counter()
+            with open(os.path.join(workdir, path), "w") as f:
+                f.write(sources[path].replace(old, new))
+            try:
+                code = pytest(workdir, test)
+            finally:
+                with open(os.path.join(workdir, path), "w") as f:
+                    f.write(sources[path])
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            survivors += code != 1
+            print(f"{verdict}  {time.perf_counter() - start:5.1f} s  {path}: "
+                  f"{old.strip()!r} -> {new.strip()!r}  [{test}]")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -282,6 +282,13 @@ def test_single_bank_shock_rejects_an_index_outside_the_network(i):
     assert ShockSpec.on_bank(3, 0.3, 4).per_bank_shock.tolist() == [0.0, 0.0, 0.0, 0.3]
 
 
+def test_class_shock_names_an_unknown_class_and_the_known_ones():
+    with pytest.raises(ValueError, match=r"asset class 'loans' not in \('derivatives', "
+                                         r"'impaired_loans', 'other'\)"):
+        ShockSpec.on_class("loans", 0.1)
+    assert ShockSpec.on_class("other", 0.1).per_class_shock.tolist() == [0.0, 0.0, 0.1]
+
+
 def test_shock_spec_keeps_a_read_only_copy():
     # A change to the caller's vector after validation must not reach the
     # shock: 7.0 would drive the shocked external assets negative.

@@ -11,6 +11,7 @@ from contagion import (
 )
 from contagion import fixtures as fx
 from contagion import models
+from contagion.core import SHORTFALL_TOL
 from contagion.errors import NonConvergence
 from exact import cascade, clearing_payments
 from oracles import en_vulnerability_form, run
@@ -371,6 +372,18 @@ def test_clearing_clamps_only_rounding_level_decreases(monkeypatch, bump, raises
     else:
         traj = run(net, shock)
         assert traj.converged_at >= 2 and traj.h_final[2] == 0.2 + bump
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.6])
+def test_resources_exactly_at_the_default_threshold_do_not_default(beta):
+    # Bank 1 owes bank 0 t = 2 - SHORTFALL_TOL x 2, bank 0's threshold. Bank 0
+    # loses its 1.0 outside, so its resources are exactly t: a bank defaults
+    # only when its resources fall below the threshold, so it pays its 2.0.
+    t = 2.0 - SHORTFALL_TOL * 2.0
+    net = network_from_vectors([1.0, 3.0], [2.0, 0.0], [[0.0, 0.0], [t, 0.0]])
+    traj = run(net, ShockSpec.on_bank(0, 1.0, 2), "RV", beta=beta)
+    assert traj.payments.tolist() == [[2.0, t], [2.0, t]]
+    assert traj.converged_at == 1
 
 
 def test_endogenous_recovery_recorded():

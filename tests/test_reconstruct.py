@@ -602,6 +602,30 @@ def test_write_ensemble_bytes_match_row_by_row_csv_writer(tmp_path):
     assert b'"a,b"' in new and b'"say ""hi"""' in new and b'"two\nlines"' in new
 
 
+def test_write_ensemble_bytes_match_row_by_row_csv_writer_at_300_banks(tmp_path):
+    # The 300-bank, 3-member reconstruction of `contagion reconstruct
+    # --synthetic-banks 300 --ensemble-size 3 --seed 5`, with an edgeless copy
+    # of member 1 written between members 0 and 1.
+    panel, _ = ingest.interpolate_missing(ingest.synthesize_panel(300, 4, seed=5),
+                                          drop_failures=True)
+    agg = ingest.to_aggregates(panel, panel.quarters[-1])[0]
+    result = generate_ensemble(agg, ReconstructionConfig(ensemble_size=3, rng_seed=5))
+    assert len(result.networks) == 3 and agg.n == 300
+    net = result.networks[1]
+    empty = SimpleNamespace(**{**vars(net), "liabilities": np.zeros_like(net.liabilities)})
+    result = replace(result, networks=[result.networks[0], empty, *result.networks[1:]])
+    write_ensemble(result, agg, str(tmp_path / "new"))
+    os.makedirs(tmp_path / "old")
+    write_ensemble_row_by_row(result, agg, str(tmp_path / "old"))
+    for name in ("edges.csv", "balance_sheets.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes(), name
+    edges = (tmp_path / "new" / "edges.csv").read_bytes()
+    assert edges.count(b"\r\n") - 1 == sum(np.count_nonzero(n.liabilities)
+                                           for n in result.networks) > 10_000
+    assert b"\r\n1," not in edges and b"\r\n3," in edges and new.count(b"\r\n") == 1 + 4 * 300
+
+
 def test_write_ensemble_reformats_cells_only_for_identical_members(tmp_path):
     # write_ensemble formats each bank's equity and external-asset cells once
     # per run of members whose two arrays are byte-identical. Consecutive
