@@ -208,36 +208,34 @@ def wheel_fixture(n: int) -> Fixture:
     )
 
 
-def random_network(rng: np.random.Generator, n: int,
-                   zero_external_liabilities: bool = False) -> LiabilityNetwork:
+def _random_interbank(rng: np.random.Generator, n: int) -> tuple:
+    """(equity, L) as random_network draws them, L scaled to its spectral radius."""
+    spectral_radius = rng.uniform(0.15, 0.85)
+    equity = rng.lognormal(mean=2.0, sigma=0.8, size=n)
+    adj = rng.random((n, n)) < RANDOM_NETWORK_DENSITY
+    np.fill_diagonal(adj, False)
+    if not adj.any():
+        adj[0, 1 % n] = True
+    L = np.where(adj, rng.lognormal(mean=1.0, sigma=0.7, size=(n, n)), 0.0)
+    lb_lev = L.T / equity[:, None]
+    rho = float(np.max(np.abs(np.linalg.eigvals(lb_lev))))
+    if rho > 1e-12:
+        L = L * (spectral_radius / rho)
+    return equity, L
+
+
+def random_network(rng: np.random.Generator, n: int) -> LiabilityNetwork:
     """Random admissible network for property tests and audits.
 
     Interbank leverage is rescaled so the leverage matrix's spectral radius
     is uniform in [0.15, 0.85], keeping cascade dynamics well away from the
     critical regime where convergence slows to a crawl.
     """
-    spectral_radius = rng.uniform(0.15, 0.85)
-    equity = rng.lognormal(mean=2.0, sigma=0.8, size=n)
-    adj = rng.random((n, n)) < RANDOM_NETWORK_DENSITY
-    np.fill_diagonal(adj, False)
-    if not adj.any():
-        i, j = 0, 1 % n
-        adj[i, j] = True
-    L = np.where(adj, rng.lognormal(mean=1.0, sigma=0.7, size=(n, n)), 0.0)
-    lb_lev = L.T / equity[:, None]
-    rho = float(np.max(np.abs(np.linalg.eigvals(lb_lev))))
-    if rho > 1e-12:
-        L = L * (spectral_radius / rho)
-    ab = L.sum(axis=0)
-    lb = L.sum(axis=1)
-    if zero_external_liabilities:
-        equity = np.maximum(0.0, ab - lb) + rng.uniform(0.5, 10.0, size=n)
-        ae = equity + lb - ab
-        le = np.zeros(n)
-    else:
-        needed = np.maximum(0.0, equity + lb - ab)
-        ae = needed + equity * rng.uniform(0.5, 15.0, size=n)
-        le = ae + ab - lb - equity
+    equity, L = _random_interbank(rng, n)
+    ab, lb = L.sum(axis=0), L.sum(axis=1)
+    needed = np.maximum(0.0, equity + lb - ab)
+    ae = needed + equity * rng.uniform(0.5, 15.0, size=n)
+    le = ae + ab - lb - equity
     return network_from_vectors(ae, le, L, equity=equity)
 
 

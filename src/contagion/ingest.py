@@ -35,6 +35,7 @@ DIRECT_FIELDS = ("total_equity", "total_assets", "total_loans")
 RATIO_FIELDS = ("interbank_assets", "interbank_liabilities", "impaired_loans",
                 "derivatives")
 MAX_GAP = 3
+SYNTHETIC_MISSINGNESS = 0.1  # synthesize_panel's chance that a cell is missing
 # The derived quantities to_aggregates requires non-negative, in the order a bank's
 # first failure is reported; equity is held to build_network's test, which every member meets.
 DERIVED_CHECKS = ("equity", "external_assets", "external_liabilities", "other",
@@ -254,14 +255,14 @@ def _quarter_labels(n_quarters: int) -> list:
     return [f"{2010 + t // 4}-Q{t % 4 + 1}" for t in range(n_quarters)]
 
 
-def synthesize_panel(n_banks: int, n_quarters: int, seed: int = 0,
-                     missingness: float = 0.1) -> Panel:
+def synthesize_panel(n_banks: int, n_quarters: int, seed: int = 0) -> Panel:
     """Deterministic synthetic panel with heavy-tailed assets.
 
     Leverage (assets over equity) is drawn uniformly in [10, 30], interbank
     shares keep every bank's financial connectivity strictly inside (0, 1),
-    and missingness is capped at runs of three consecutive quarters with the
-    first and last quarters always observed.
+    and cells go missing at rate SYNTHETIC_MISSINGNESS, read at call time, in
+    runs of at most three consecutive quarters with the first and last
+    quarters always observed.
     """
     if n_banks < 2:
         raise ValueError("need at least 2 banks")
@@ -278,7 +279,7 @@ def synthesize_panel(n_banks: int, n_quarters: int, seed: int = 0,
         loans_share = rng.uniform(0.30, 0.60)
         impaired_share = rng.uniform(0.01, 0.30)
         deriv_share = rng.uniform(0.02, 0.15)
-        miss = {name: _missing_mask(rng, n_quarters, missingness)
+        miss = {name: _missing_mask(rng, n_quarters, SYNTHETIC_MISSINGNESS)
                 for name in VALUE_FIELDS}
         for t, q in enumerate(quarters):
             assets = assets0 * (1.0 + growth) ** t

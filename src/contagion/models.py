@@ -71,20 +71,19 @@ def _check_trajectory(h: np.ndarray) -> None:
         raise NonConvergence("vulnerability decreased over time; internal fault")
 
 
-def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
+def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, external_liabilities):
     """Payments of the assumed-default set D with non-defaulters at p_bar.
 
     Solves (I - beta * Pi^T_DD) p_D = beta A^e'_D + beta (Pi^T)_D,ND p_bar_ND;
-    at beta = 0 that is p_D = 0, set without a solve, and at beta = 1 the
-    products with beta are skipped, since x 1.0 is exact. At beta = 1 it first
-    clears S, the bare defaulters linked to no bank outside S, where the system
-    is singular: S receives nothing, so banks that no bank of S pays pay 0 and
-    the closed class left pays t v, with v its Perron vector and t = min p_bar / v
-    (Rogers & Veraart 2013); bare is read only there. A failed solve raises
-    NonConvergence.
+    at beta = 0 that is p_D = 0, set without a solve. At beta = 1 it first
+    clears S, the bare defaulters (no shocked outside assets and no outside
+    liabilities) linked to no bank outside S, where the system is singular: S
+    receives nothing, so banks that no bank of S pays pay 0 and the closed
+    class left pays t v, with v its Perron vector and t = min p_bar / v (Rogers
+    & Veraart 2013). A failed solve raises NonConvergence.
     """
     p = p_bar.copy()
-    if beta == 1.0 and (S := D & bare).any():
+    if beta == 1.0 and (S := D & (shocked_external == 0) & (external_liabilities == 0)).any():
         link = (pi_T != 0) | (pi_T.T != 0)
         while (cut := S & link[:, ~S].any(axis=1)).any():
             S &= ~cut
@@ -110,12 +109,11 @@ def _solve_defaulter_payments(pi_T, p_bar, D, beta, shocked_external, bare):
     A_dd = rows.take(idx, axis=1)  # pi_T[np.ix_(idx, idx)]
     # Only b and A_dd live through the solve: at n = 1000, one more k-vector
     # or k x n block moved peak RSS by heap layout alone.
-    b = (shocked_external[idx] + (rows @ p - A_dd @ p[idx]) if beta == 1.0
-         else beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx]))
+    b = beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx])
     del rows
     # I - beta A_DD in A_dd's own buffer, bit for bit: 0 - x off the diagonal
     # (a product with -beta would write -0.0 there), 1 + (0 - x) on it.
-    mat = A_dd if beta == 1.0 else np.multiply(beta, A_dd, out=A_dd)
+    mat = np.multiply(beta, A_dd, out=A_dd)
     np.subtract(0.0, mat, out=mat)
     mat.ravel()[::idx.size + 1] += 1.0
     try:
@@ -147,7 +145,6 @@ def _run_clearing(network: LiabilityNetwork, rel: RelativeLiabilities, first: Fi
     """
     p_bar, pi_T = rel.total_obligations, rel.pi_matrix.T
     ae = first.shocked_external_assets
-    bare = (ae == 0) & (network.external_liabilities == 0) if beta == 1.0 else None
     E0 = network.equity
     threshold, scale = network._clearing_bounds
 
@@ -165,7 +162,8 @@ def _run_clearing(network: LiabilityNetwork, rel: RelativeLiabilities, first: Fi
             # No new defaulters; with none at all, converged after the first round.
             break
         D, n_defaulted = new_D, n_new
-        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae, bare)  # a fresh array
+        p = _solve_defaulter_payments(pi_T, p_bar, D, beta, ae,
+                                      network.external_liabilities)  # a fresh array
         resources = pi_T @ p + ae
         E = np.maximum(0.0, resources - p_bar)
         E[D] = 0.0

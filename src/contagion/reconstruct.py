@@ -108,6 +108,7 @@ def _link_probabilities(x: np.ndarray, z: float) -> np.ndarray:
 
 
 DENSITY_BLOCK_ROWS = 64
+CALIBRATION_TOL = 1e-6  # calibrate_z's bound on |density(z) - target|
 
 
 def _density_function(x: np.ndarray, row_needed: np.ndarray, col_needed: np.ndarray):
@@ -158,7 +159,7 @@ def _density_function(x: np.ndarray, row_needed: np.ndarray, col_needed: np.ndar
 
 
 def calibrate_z(fitnesses: np.ndarray, target_density: float, row_needed: np.ndarray,
-                col_needed: np.ndarray, tol: float = 1e-6) -> float:
+                col_needed: np.ndarray) -> float:
     """Solve for the scale z giving the target mean link probability.
 
     Density is averaged over ordered pairs with positive fitness product;
@@ -168,16 +169,15 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float, row_needed: np.nda
     from its z -> 0 limit before it rises: a target below that limit is
     bracketed by the first decade where the density drops below it. Raises
     UnreachableDensity when no decade of z reaches the target, or when 200
-    bisection steps do not bring the density within tol of it, and ValueError
-    for a negative or non-finite fitness.
+    bisection steps do not bring the density within CALIBRATION_TOL of it, and
+    ValueError for a negative or non-finite fitness. No density lies below 0,
+    so a target of 0 or less fails the decade scan.
     """
     x = np.asarray(fitnesses, dtype=np.float64)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("fitnesses must be finite and nonnegative")
     if target_density >= 1.0:
         raise UnreachableDensity("mean link probability is strictly below 1")
-    if target_density <= 0.0:
-        return 0.0
     density = _density_function(x, row_needed, col_needed)
     lo, hi = 0.0, 1.0  # density(lo) < target <= density(hi), once bracketed
     grid = [10.0 ** e for e in range(-30, 31)]
@@ -195,14 +195,14 @@ def calibrate_z(fitnesses: np.ndarray, target_density: float, row_needed: np.nda
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d = density(mid)
-        if abs(d - target_density) <= tol:
+        if abs(d - target_density) <= CALIBRATION_TOL:
             return mid
         if d < target_density:
             lo = mid
         else:
             hi = mid
     raise UnreachableDensity(
-        f"bisection did not reach density {target_density} within {tol}")
+        f"bisection did not reach density {target_density} within {CALIBRATION_TOL}")
 
 
 def sample_adjacency(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -211,19 +211,20 @@ def sample_adjacency(probabilities: np.ndarray, rng: np.random.Generator) -> np.
     return rng.random(probabilities.shape) < probabilities
 
 
-def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray,
-                col_targets: np.ndarray, tolerance: float) -> None:
+def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray) -> None:
     """Raise InfeasibleSupport for a bank whose partners cannot take its share.
 
-    An accepted fit has every row sum above (1 - tolerance) r_i where r_i > 0,
-    and every column sum below (1 + tolerance) c_j where c_j > 0 and below
-    tolerance where c_j = 0 (only the starting matrix can use that: a column
-    sweep empties such a column). All of row i's mass lies in its partners'
-    columns, so no fit succeeds if (1 - tolerance) r_i reaches the sum of those
-    caps over its partners, 0 for a bank with none; likewise for columns. The
-    sum is inflated by n eps to cover its rounding. einsum casts the boolean
-    support in small buffers, where a matrix product would copy it to floats.
+    With tolerance = IPF_MARGINAL_TOLERANCE, read at call time, an accepted
+    fit has every row sum above (1 - tolerance) r_i where r_i > 0, and every
+    column sum below (1 + tolerance) c_j where c_j > 0 and below tolerance
+    where c_j = 0 (only the starting matrix can use that: a column sweep
+    empties such a column). All of row i's mass lies in its partners' columns,
+    so no fit succeeds if (1 - tolerance) r_i reaches the sum of those caps
+    over its partners, 0 for a bank with none; likewise for columns. The sum is
+    inflated by n eps to cover its rounding. einsum casts the boolean support
+    in small buffers, where a matrix product would copy it to floats.
     """
+    tolerance = IPF_MARGINAL_TOLERANCE
     slack = 1.0 + adjacency.shape[0] * np.finfo(float).eps
     for side, t, other, subscripts in (("lending", row_targets, col_targets, "ij,j->i"),
                                        ("borrowing", col_targets, row_targets, "ij,i->j")):
@@ -235,18 +236,19 @@ def _check_hall(adjacency: np.ndarray, row_targets: np.ndarray,
 
 
 def ipf_weights(adjacency: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray,
-                init: np.ndarray, tolerance: float = IPF_MARGINAL_TOLERANCE) -> np.ndarray:
+                init: np.ndarray) -> np.ndarray:
     """Alternate row/column scaling of a weight matrix on a fixed support.
 
     Targets are normalized marginal shares (each side sums to one). The fit
     starts from init on the support and stops when both the absolute and
-    relative marginal deviations drop below the tolerance. Raises
+    relative marginal deviations drop below IPF_MARGINAL_TOLERANCE. Raises
     InfeasibleSupport before fitting a support that fails _check_hall, and
     IPFNonConvergence once the residual, the larger of the two deviations,
     has stalled (see IPF_STALL_WINDOW) or after IPF_MAX_SWEEPS sweeps.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
-    _check_hall(adjacency, row_targets, col_targets, tolerance)
+    _check_hall(adjacency, row_targets, col_targets)
+    tolerance = IPF_MARGINAL_TOLERANCE
 
     w = np.where(adjacency, np.asarray(init, dtype=float), 0.0)
     total = w.sum()
@@ -361,10 +363,9 @@ def generate_ensemble(aggregates: Aggregates,
     than 1% skips aborts the run.
     """
     agg = rebalance_totals(aggregates)
-    x = agg._shared.x
-    z = calibrate_z(x, config.target_density, agg.interbank_assets > 0,
-                    agg.interbank_liabilities > 0)
-    probabilities = _link_probabilities(x, z)
+    shared = agg._shared
+    z = calibrate_z(shared.x, config.target_density, shared.lending, shared.borrowing)
+    probabilities = _link_probabilities(shared.x, z)
     link = _repair_links(probabilities)
     networks, skipped, densities = [], [], []
     for idx in range(config.ensemble_size):

@@ -23,13 +23,20 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ANALYSIS, CLI, CORE = "src/contagion/analysis.py", "src/contagion/cli.py", "src/contagion/core.py"
+FIXTURES, INGEST = "src/contagion/fixtures.py", "src/contagion/ingest.py"
 MODELS, RECONSTRUCT = "src/contagion/models.py", "src/contagion/reconstruct.py"
+SWEEPS = "src/contagion/sweeps.py"
 FIREWALL = "tests/test_analysis.py::test_firewall_fires_just_past_its_slack"
 TRAJECTORY = "tests/test_models.py::test_trajectory_check_fires_just_past_its_bounds"
 RUN_CHECK = ("tests/test_models.py::"
              "test_run_model_checks_each_kernels_run_and_stores_none_that_fails")
 WRITER = ("tests/test_reconstruct.py::"
           "test_write_ensemble_bytes_match_row_by_row_csv_writer_at_300_banks")
+MODEL_CONFIG = ("tests/test_models.py::"
+                "test_model_config_rejects_an_unknown_model_or_a_rate_outside_the_unit_interval")
+SWEEP_SPEC = "tests/test_sweeps.py::test_spec_rejects_an_empty_grid_or_an_unknown_asset_class"
+SHOCK_SIZE = "tests/test_core.py::test_a_shock_of_the_wrong_size_is_rejected"
+TWO_BANKS = "tests/test_core.py::test_network_builders_need_two_banks"
 
 MUTANTS = [
     # The ordering firewall: disabled, and its slack widened.
@@ -68,6 +75,52 @@ MUTANTS = [
     (RECONSTRUCT, "cells[6::8] = map(repr, net.external_liabilities.tolist())",
      "cells[4::8] = map(repr, net.external_liabilities.tolist())", WRITER),
     (RECONSTRUCT, "            if ii.size:", "            if True:", WRITER),
+    # The cascades' loss rate, the clearing solve's right-hand side in another
+    # order, the IPF accept test, and an unread public field.
+    (MODELS, "    loss_rate = 1.0 - R\n", "    loss_rate = 1.01 * (1.0 - R)\n",
+     "tests/test_models.py::test_cascades_are_exact_on_random_networks"),
+    (MODELS, "b = beta * shocked_external[idx] + beta * (rows @ p - A_dd @ p[idx])",
+     "b = beta * (shocked_external[idx] + rows @ p) - beta * (A_dd @ p[idx])",
+     "tests/test_models.py::test_every_runner_repeats_its_recorded_bytes"),
+    (RECONSTRUCT, "if residual < tolerance:", "if residual <= tolerance:",
+     "tests/test_reconstruct.py::test_ipf_weights_repeats_its_recorded_bytes"),
+    (MODELS, "    cap_hit: bool = False\n", "    cap_hit: bool = False\n    model: str = \"\"\n",
+     "tests/test_core.py::test_every_public_field_is_read_by_the_program"),
+    # The calibration's early return for a target of 0 or less, restored.
+    (RECONSTRUCT, "    density = _density_function(x, row_needed, col_needed)\n",
+     "    if target_density <= 0.0:\n        return 0.0\n"
+     "    density = _density_function(x, row_needed, col_needed)\n",
+     "tests/test_reconstruct.py::test_calibrate_z_rejects_a_target_of_zero_or_less"),
+    # The calibration's needed masks, taken apart from the repair's.
+    (RECONSTRUCT, "config.target_density, shared.lending,",
+     "config.target_density, agg.interbank_assets > 0,",
+     "tests/test_reconstruct.py::test_calibration_counts_the_links_that_the_repair_forces"),
+    # Input checks, each disabled.
+    (MODELS, "        if self.model not in MODEL_NAMES:", "        if False:", MODEL_CONFIG),
+    (MODELS, "        if not 0.0 <= self.exogenous_recovery_rate <= 1.0:", "        if False:",
+     MODEL_CONFIG),
+    (MODELS, "        if not 0.0 <= self.rv_beta <= 1.0:", "        if False:", MODEL_CONFIG),
+    (SWEEPS, "        if not self.shock_grid or not self.recovery_grid:", "        if False:",
+     SWEEP_SPEC),
+    (SWEEPS, "        if self.asset_class not in ASSET_CLASS_CHOICES:", "        if False:",
+     SWEEP_SPEC),
+    (CORE, "            if s.size != network.n:", "            if False:", SHOCK_SIZE),
+    (CORE, "        if s_k.size != by_class.shape[1]:", "        if False:", SHOCK_SIZE),
+    (INGEST, "            raise SchemaMismatch(\"empty file\") from None",
+     "            header = []", "tests/test_ingest.py::test_load_panel_rejects_an_empty_file"),
+    (INGEST, "            if not row or all(not c.strip() for c in row):", "            if False:",
+     "tests/test_ingest.py::test_load_panel_skips_blank_rows"),
+    (INGEST, "            if not bank_id:", "            if False:",
+     "tests/test_ingest.py::test_load_panel_rejects_an_empty_bank_id"),
+    (INGEST, "    if n_banks < 2:", "    if False:", TWO_BANKS),
+    (FIXTURES, "    if n < 2:", "    if False:", TWO_BANKS),
+    (CLI, "            if \"=\" not in line:", "            if False:",
+     "tests/test_cli.py::test_config_line_without_an_equals_sign_exits_2"),
+    (RECONSTRUCT, "    if total <= 0:", "    if False:",
+     "tests/test_reconstruct.py::test_ipf_rejects_a_start_that_vanishes_on_the_support"),
+    (RECONSTRUCT, "        if np.any(le < 0):", "        if False:",
+     "tests/test_reconstruct.py::"
+     "test_an_equity_above_the_balance_sheet_makes_the_ensemble_infeasible"),
 ]
 
 

@@ -25,7 +25,7 @@ from contagion.sweeps import (
     SweepSpec, run_recovery_sweep, run_shock_sweep, run_timeseries,
 )
 from oracles import (
-    conservation_check, en_closed_form_H, en_second_round_bound,
+    closed_random_network, conservation_check, en_closed_form_H, en_second_round_bound,
     en_second_round_exact, en_vulnerability_form, run, topology_invariance_check,
 )
 
@@ -149,7 +149,7 @@ def test_criterion_4_conservation_and_topology_invariance(monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = int(rng.integers(3, 30))
-            net = fx.random_network(rng, n, zero_external_liabilities=True)
+            net = closed_random_network(rng, n)
             s = rng.uniform(0.0, 1.0)
             shock = ShockSpec.uniform(s)
             traj = run(net, shock)
@@ -163,7 +163,7 @@ def test_criterion_4_conservation_and_topology_invariance(monkeypatch):
         monkeypatch.setattr(fx, "RANDOM_NETWORK_DENSITY", 0.5)
         for base in range(10):
             n = int(rng.integers(5, 20))
-            net = fx.random_network(rng, n, zero_external_liabilities=True)
+            net = closed_random_network(rng, n)
             shock = ShockSpec.uniform(rng.uniform(0.01, 0.5))
             variants = [net]
             for _ in range(20):

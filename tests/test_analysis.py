@@ -164,8 +164,7 @@ def test_conservation_on_ring():
 def test_common_shock_closed_form_at_full_connectivity():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        net = fx.random_network(rng, int(rng.integers(3, 20)),
-                                zero_external_liabilities=True)
+        net = oracles.closed_random_network(rng, int(rng.integers(3, 20)))
         s = rng.uniform(0, 1)
         traj = run(net, ShockSpec.uniform(s))
         H = global_vulnerability(traj, net)

@@ -269,6 +269,14 @@ def test_config_file_missing(capsys, tmp_path):
     assert "config error" in err
 
 
+def test_config_line_without_an_equals_sign_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nensemble_size 5  # a comment\n")
+    code, out, err = run(capsys, "--config", str(cfg), "fixtures", "run")
+    assert code == 2 and out == ""
+    assert "config error: bad config line: ensemble_size 5  # a comment" in err
+
+
 def forbid_ensembles(monkeypatch):
     """Make any ensemble draw fail the test: bad sweep settings must exit first."""
     def draw(*args, **kwargs):

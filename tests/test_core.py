@@ -17,6 +17,7 @@ from contagion.errors import (
 )
 from contagion import MODEL_NAMES, models, run_with_firewall
 from contagion import fixtures as fx
+from contagion.ingest import synthesize_panel
 from oracles import run
 
 
@@ -289,6 +290,24 @@ def test_class_shock_names_an_unknown_class_and_the_known_ones():
     assert ShockSpec.on_class("other", 0.1).per_class_shock.tolist() == [0.0, 0.0, 0.1]
 
 
+@pytest.mark.parametrize("shock, message", [
+    (ShockSpec(per_bank_shock=[0.1, 0.2]), "per-bank shock has size 2, expected 4"),
+    (ShockSpec(per_class_shock=[0.1, 0.2]), "per-class shock has size 2, expected 1"),
+], ids=["per_bank", "per_class"])
+def test_a_shock_of_the_wrong_size_is_rejected(shock, message):
+    # A one-value per-bank shock applies to every bank; any other size must
+    # match the network's banks, and a per-class one its asset classes (1 here).
+    with pytest.raises(DimensionMismatch, match=message):
+        shock.effective_per_bank(fx.chain_fixture().network)
+
+
+@pytest.mark.parametrize("build", [lambda: synthesize_panel(1, 4), lambda: fx.wheel_fixture(1)],
+                         ids=["synthesize_panel", "wheel_fixture"])
+def test_network_builders_need_two_banks(build):
+    with pytest.raises(ValueError, match="at least 2 banks"):
+        build()
+
+
 def test_shock_spec_keeps_a_read_only_copy():
     # A change to the caller's vector after validation must not reach the
     # shock: 7.0 would drive the shocked external assets negative.
@@ -490,18 +509,9 @@ def test_every_public_field_is_read_by_the_program():
             if key.split(".")[1] not in reads.get(where, ())] == []
 
 
-# Defaulted parameters that no call in the program sets, and why each stays.
-UNSET_DEFAULTS = {
-    "calibrate_z.tol": "tests set tol=0 to pin the bisection's bits",
-    "ipf_weights.tolerance": "tests fit tighter than the reconstruction's margin",
-    "random_network.zero_external_liabilities": "conservation tests need L^e = 0",
-    "synthesize_panel.missingness": "tests vary the gap rate to exercise interpolation",
-}
-
-
 def test_every_default_is_set_by_the_program():
     # A default that no call in src/ or bench/ overrides is a constant; make it
-    # one, or list the reason it stays a parameter. Covered: the functions in
+    # one, which a test can monkeypatch. Covered: the functions in
     # contagion.__all__ and the public functions of the modules it lists.
     functions = set()
     for name in contagion.__all__:
@@ -521,4 +531,4 @@ def test_every_default_is_set_by_the_program():
     unset = [f"{fn.__name__}.{p.name}" for fn in functions
              for i, p in enumerate(signature(fn).parameters.values())
              if p.default is not p.empty and not is_set(fn, i, p.name)]
-    assert sorted(unset) == sorted(UNSET_DEFAULTS)
+    assert unset == []

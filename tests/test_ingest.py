@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from contagion import ingest
 from contagion.errors import (
     GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
     SchemaMismatch, UnknownQuarter,
@@ -14,6 +15,12 @@ from contagion.ingest import (
 )
 
 HEADER = ",".join(SCHEMA)
+
+
+def synthesize(monkeypatch, missingness, **kwargs):
+    """synthesize_panel(**kwargs) with cells missing at the given rate."""
+    monkeypatch.setattr(ingest, "SYNTHETIC_MISSINGNESS", missingness)
+    return synthesize_panel(**kwargs)
 
 
 def write_csv(tmp_path, rows, header=HEADER):
@@ -93,6 +100,28 @@ def test_load_panel_wrong_cell_count(tmp_path):
     path = write_csv(tmp_path, ["A,2020-Q1,10,200"])
     with pytest.raises(ParseError):
         load_panel(path)
+
+
+def test_load_panel_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("")
+    with pytest.raises(SchemaMismatch, match="empty file"):
+        load_panel(str(path))
+
+
+def test_load_panel_skips_blank_rows(tmp_path):
+    # Neither an empty line nor a line of blank cells is a record.
+    path = write_csv(tmp_path, ["A,2020-Q1,10,200,20,30,80,8,12", "", " , ,,,,,,,",
+                                "A,2020-Q2,11,210,21,31,81,8,12"])
+    assert [r.quarter for r in load_panel(path).records] == ["2020-Q1", "2020-Q2"]
+
+
+def test_load_panel_rejects_an_empty_bank_id(tmp_path):
+    path = write_csv(tmp_path, ["A,2020-Q1,10,200,20,30,80,8,12",
+                                " ,2020-Q2,10,200,20,30,80,8,12"])
+    with pytest.raises(ParseError, match="empty bank_id") as exc:
+        load_panel(path)
+    assert exc.value.row == 3
 
 
 @pytest.mark.parametrize("cells, field", [
@@ -211,8 +240,8 @@ def test_a_fill_that_overflows_fails_its_bank():
         ("A", NonFiniteField, "interbank_assets")]
 
 
-def test_observed_cells_never_modified():
-    panel = synthesize_panel(n_banks=8, n_quarters=8, seed=1, missingness=0.3)
+def test_observed_cells_never_modified(monkeypatch):
+    panel = synthesize(monkeypatch, 0.3, n_banks=8, n_quarters=8, seed=1)
     out, _ = interpolate_missing(panel)
     # both panels hold one record per (bank, quarter), sorted by that pair
     for r_in, r_out in zip(panel.records, out.records, strict=True):
@@ -223,16 +252,16 @@ def test_observed_cells_never_modified():
                 assert getattr(r_out, name) == v
 
 
-def test_interpolation_idempotent():
-    panel = synthesize_panel(n_banks=6, n_quarters=8, seed=2, missingness=0.3)
+def test_interpolation_idempotent(monkeypatch):
+    panel = synthesize(monkeypatch, 0.3, n_banks=6, n_quarters=8, seed=2)
     once, _ = interpolate_missing(panel)
     twice, _ = interpolate_missing(once)
     for a, b in zip(once.records, twice.records):
         assert a == b
 
 
-def test_no_missingness_is_identity():
-    panel = synthesize_panel(n_banks=5, n_quarters=6, seed=3, missingness=0.0)
+def test_no_missingness_is_identity(monkeypatch):
+    panel = synthesize(monkeypatch, 0.0, n_banks=5, n_quarters=6, seed=3)
     out, _ = interpolate_missing(panel)
     assert out.records == panel.records
     assert out.extrapolated == ()
@@ -251,13 +280,13 @@ def cells_digest(cells):
     return hashlib.sha256("\n".join(",".join(c) for c in cells).encode()).hexdigest()
 
 
-def failing_panel():
+def failing_panel(monkeypatch):
     """Twelve banks, five of which fail: one for each rule that picks the
     failure reported for a bank (anchors before gaps, direct fields first,
     then the ratio fields in plan order, absent records counted as missing).
     Two banks lack their first or last record, which is filled at the boundary,
     and one has a negative equity where its interbank assets are missing."""
-    base = synthesize_panel(n_banks=12, n_quarters=8, seed=5, missingness=0.4)
+    base = synthesize(monkeypatch, 0.4, n_banks=12, n_quarters=8, seed=5)
     qs = base.quarters
     cuts = (  # (bank, field, quarters made missing)
         ("B001", "total_equity", qs),
@@ -303,16 +332,16 @@ PINNED_FAILING_FILL = {
 }
 
 
-def test_interpolation_pinned_bits():
+def test_interpolation_pinned_bits(monkeypatch):
     out, issues = interpolate_missing(
-        synthesize_panel(n_banks=200, n_quarters=8, seed=2, missingness=0.6))
+        synthesize(monkeypatch, 0.6, n_banks=200, n_quarters=8, seed=2))
     assert issues == []
     assert records_digest(out) == PINNED_FILL["records"]
     assert (len(out.extrapolated), cells_digest(out.extrapolated)) == PINNED_FILL["extrapolated"]
 
 
-def test_interpolation_failures_pinned():
-    panel = failing_panel()
+def test_interpolation_failures_pinned(monkeypatch):
+    panel = failing_panel(monkeypatch)
     out, issues = interpolate_missing(panel, drop_failures=True)
     assert [(bank, type(exc).__name__, str(exc)) for bank, exc in issues] == \
         PINNED_FAILING_FILL["issues"]
@@ -433,8 +462,8 @@ def test_synthesize_deterministic():
     assert a.records != c.records
 
 
-def test_synthesize_endpoints_observed():
-    panel = synthesize_panel(n_banks=10, n_quarters=8, seed=5, missingness=0.5)
+def test_synthesize_endpoints_observed(monkeypatch):
+    panel = synthesize(monkeypatch, 0.5, n_banks=10, n_quarters=8, seed=5)
     quarters = panel.quarters
     for bank in panel.bank_ids:
         recs = [r for r in panel.records if r.bank_id == bank]
@@ -443,8 +472,8 @@ def test_synthesize_endpoints_observed():
         assert [r.quarter for r in recs] == quarters
 
 
-def test_synthesize_connectivity_in_unit_interval():
-    panel = synthesize_panel(n_banks=20, n_quarters=4, seed=9, missingness=0.0)
+def test_synthesize_connectivity_in_unit_interval(monkeypatch):
+    panel = synthesize(monkeypatch, 0.0, n_banks=20, n_quarters=4, seed=9)
     out, _ = interpolate_missing(panel)
     agg, issues = to_aggregates(out, out.quarters[0])
     assert issues == []
@@ -455,8 +484,8 @@ def test_synthesize_connectivity_in_unit_interval():
         assert 0.0 < beta < 1.0
 
 
-def test_synthesize_missing_runs_capped():
-    panel = synthesize_panel(n_banks=15, n_quarters=12, seed=11, missingness=0.6)
+def test_synthesize_missing_runs_capped(monkeypatch):
+    panel = synthesize(monkeypatch, 0.6, n_banks=15, n_quarters=12, seed=11)
     for bank in panel.bank_ids:
         recs = [r for r in panel.records if r.bank_id == bank]
         for name in SCHEMA[2:]:
@@ -468,8 +497,8 @@ def test_synthesize_missing_runs_capped():
     interpolate_missing(panel)
 
 
-def test_synthetic_roundtrip_to_aggregates():
-    panel = synthesize_panel(n_banks=12, n_quarters=6, seed=13, missingness=0.2)
+def test_synthetic_roundtrip_to_aggregates(monkeypatch):
+    panel = synthesize(monkeypatch, 0.2, n_banks=12, n_quarters=6, seed=13)
     out, _ = interpolate_missing(panel)
     for q in out.quarters:
         agg, issues = to_aggregates(out, q)

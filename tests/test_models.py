@@ -14,7 +14,7 @@ from contagion import models
 from contagion.core import SHORTFALL_TOL
 from contagion.errors import NonConvergence
 from exact import cascade, clearing_payments
-from oracles import en_vulnerability_form, run
+from oracles import closed_random_network, en_vulnerability_form, run
 
 
 # --- clearing model -------------------------------------------------------
@@ -104,12 +104,13 @@ def test_closed_cycle_boundary_bank_pays_in_full():
 
 
 def solve_bare_defaulters(L):
-    """_solve_defaulter_payments at beta = 1 with every bank bare and in D."""
+    """_solve_defaulter_payments at beta = 1 with every bank bare (no outside
+    assets or liabilities) and in D."""
     L = np.array(L, dtype=float)
     p_bar = L.sum(axis=1)
     every = np.ones(len(L), dtype=bool)
     return models._solve_defaulter_payments((L / p_bar[:, None]).T, p_bar, every, 1.0,
-                                            np.zeros(len(L)), every)
+                                            np.zeros(len(L)), np.zeros(len(L)))
 
 
 CYCLE_FED_BY_AN_UNPAID_BANK = [[0.0, 10.0, 0.0], [4.0, 0.0, 0.0], [6.0, 0.0, 0.0]]
@@ -161,7 +162,7 @@ def test_a_solvent_bank_named_in_default_raises(beta):
     p_bar = np.array([10.0, 0.0])
     with pytest.raises(NonConvergence, match=r"left \[0, p_bar\]"):
         models._solve_defaulter_payments(pi_T, p_bar, np.array([True, False]), beta,
-                                         np.array([100.0, 5.0]), np.zeros(2, dtype=bool))
+                                         np.array([100.0, 5.0]), np.ones(2))
 
 
 # _solve_defaulter_payments forms the defaulters' inflow from non-defaulters
@@ -590,6 +591,21 @@ def test_cycle_vulnerability_form_values():
     assert np.allclose(alt.h_final, [1.0, 0.06, 0.0, 0.0], atol=1e-9)
 
 
+# --- settings -------------------------------------------------------------
+
+@pytest.mark.parametrize("settings, message", [
+    ({"model": "XX"}, "unknown model 'XX'"),
+    ({"exogenous_recovery_rate": -0.1}, "recovery rate must lie in"),
+    ({"exogenous_recovery_rate": 1.5}, "recovery rate must lie in"),
+    ({"rv_beta": 1.01}, "rv_beta must lie in"),
+    ({"rv_beta": float("nan")}, "rv_beta must lie in"),
+])
+def test_model_config_rejects_an_unknown_model_or_a_rate_outside_the_unit_interval(
+        settings, message):
+    with pytest.raises(ValueError, match=message):
+        models.ModelConfig(**settings)
+
+
 # --- shared trajectory invariants -----------------------------------------
 
 def test_monotone_bounded_trajectories():
@@ -641,8 +657,8 @@ def test_every_runner_repeats_its_recorded_bytes():
     digest = hashlib.sha256()
     rng = np.random.default_rng(2028)
     for draw in range(200):
-        net = fx.random_network(rng, int(rng.integers(2, 30)),
-                                zero_external_liabilities=draw % 4 == 0)
+        n = int(rng.integers(2, 30))
+        net = closed_random_network(rng, n) if draw % 4 == 0 else fx.random_network(rng, n)
         for s in (0.05, 0.3, 1.0):
             shock = ShockSpec.uniform(s)
             for v in (1.0, 0.6, 0.3, 0.0):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +7,7 @@ from contagion import (
     ModelConfig, ShockSpec, apply_first_round, leverage_decomposition,
     network_from_vectors, relative_liabilities, run_model,
 )
+from contagion import ingest
 from contagion.ingest import interpolate_missing, synthesize_panel
 
 
@@ -105,7 +107,9 @@ def test_cascades_monotone_bounded(net, s, R):
        st.floats(0.0, 0.5))
 @settings(max_examples=30, deadline=None)
 def test_interpolation_idempotent_and_preserving(n_banks, n_quarters, seed, miss):
-    panel = synthesize_panel(n_banks, n_quarters, seed=seed, missingness=miss)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "SYNTHETIC_MISSINGNESS", miss)
+        panel = synthesize_panel(n_banks, n_quarters, seed=seed)
     once, _ = interpolate_missing(panel)
     twice, _ = interpolate_missing(once)
     assert once.records == twice.records

@@ -116,11 +116,19 @@ def test_calibrate_z_unreachable():
         calibrate_z(np.full(4, 0.25), 1.0, *unmasked(range(4)))
 
 
-def test_calibrate_z_raises_when_bisection_runs_out():
-    # No midpoint the bisection visits gives this density exactly, so tol=0
-    # exhausts the 200 steps.
-    with pytest.raises(UnreachableDensity):
-        calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, *unmasked(range(4)), tol=0.0)
+@pytest.mark.parametrize("target", [0.0, -0.5])
+def test_calibrate_z_rejects_a_target_of_zero_or_less(target):
+    # No density lies below 0, so the decade scan finds no z for the target.
+    with pytest.raises(UnreachableDensity, match=f"no z reaches density {target}"):
+        calibrate_z(np.full(4, 0.25), target, *unmasked(range(4)))
+
+
+def test_calibrate_z_raises_when_bisection_runs_out(monkeypatch):
+    # No midpoint the bisection visits gives this density exactly, so a
+    # tolerance of 0 exhausts the 200 steps.
+    monkeypatch.setattr(reconstruct, "CALIBRATION_TOL", 0.0)
+    with pytest.raises(UnreachableDensity, match="bisection did not reach density 0.2 within 0.0"):
+        calibrate_z(np.array([0.4, 0.3, 0.2, 0.1]), 0.2, *unmasked(range(4)))
 
 
 def calibration_case(n):
@@ -139,7 +147,7 @@ def bench_like_case():
     return fitness_scores(agg), agg.interbank_assets > 0, agg.interbank_liabilities > 0
 
 
-# calibrate_z(...).hex() at the default tolerance, recorded from the density
+# calibrate_z(...).hex() at CALIBRATION_TOL, recorded from the density
 # evaluation that rebuilt its matrices on each call, and the "panel" case from
 # the one that summed the full n x n matrix. The bisection depends only on
 # comparison outcomes, so z keeps its bits while no comparison changes.
@@ -169,8 +177,8 @@ def test_calibrate_z_pinned_bits(n, density, needed):
 
 # (k, density) with the density recorded, bit for bit, from the blocked
 # evaluation at z = 0.75 * 10**k, where 10**k brackets density 0.2. With
-# tol=0 the bisection returns that z at its second midpoint only when the
-# density there repeats these bits; a sum in another order misses it.
+# CALIBRATION_TOL = 0 the bisection returns that z at its second midpoint only
+# when the density there repeats these bits; a sum in another order misses it.
 EXACT_DENSITY = {
     (50, False): (4, "0x1.fabd7e5cd4d8fp-3"),
     (50, True): (4, "0x1.fd1152eeafaa5p-3"),
@@ -180,11 +188,12 @@ EXACT_DENSITY = {
 
 
 @pytest.mark.parametrize("n, needed", sorted(EXACT_DENSITY))
-def test_calibrate_z_repeats_recorded_density_bits(n, needed):
+def test_calibrate_z_repeats_recorded_density_bits(monkeypatch, n, needed):
     x, row_needed, col_needed = calibration_case(n)
     masks = (row_needed, col_needed) if needed else unmasked(x)
     k, density = EXACT_DENSITY[n, needed]
-    assert calibrate_z(x, float.fromhex(density), *masks, tol=0.0) == 0.75 * 10.0 ** k
+    monkeypatch.setattr(reconstruct, "CALIBRATION_TOL", 0.0)
+    assert calibrate_z(x, float.fromhex(density), *masks) == 0.75 * 10.0 ** k
 
 
 def test_calibrate_z_brackets_a_density_that_falls_before_it_rises():
@@ -304,21 +313,23 @@ def test_repair_support_forces_the_most_probable_link():
         assert forced == np.count_nonzero(adj) - drawn
 
 
-def test_ipf_uniform_targets_complete_support():
+def test_ipf_uniform_targets_complete_support(monkeypatch):
     n = 5
     adj = ~np.eye(n, dtype=bool)
     t = np.full(n, 1.0 / n)
-    w = ipf_weights(adj, t, t, adj, tolerance=1e-6)
+    monkeypatch.setattr(reconstruct, "IPF_MARGINAL_TOLERANCE", 1e-6)
+    w = ipf_weights(adj, t, t, adj)
     off = adj
     assert np.allclose(w[off], w[off][0], atol=1e-9)
     assert np.allclose(w.sum(axis=1), t, atol=1e-6)
 
 
-def test_ipf_two_by_two_exact():
+def test_ipf_two_by_two_exact(monkeypatch):
     adj = np.array([[False, True], [True, False]])
     row = np.array([0.4, 0.6])
     col = np.array([0.6, 0.4])
-    w = ipf_weights(adj, row, col, adj, tolerance=1e-12)
+    monkeypatch.setattr(reconstruct, "IPF_MARGINAL_TOLERANCE", 1e-12)
+    w = ipf_weights(adj, row, col, adj)
     assert w[0, 1] == pytest.approx(0.4, abs=1e-12)
     assert w[1, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -358,6 +369,16 @@ def test_hall_check_lets_a_zero_target_partner_take_the_tolerance():
     assert np.array_equal(w, np.diag(row))
 
 
+@pytest.mark.parametrize("init", [np.eye(3), np.zeros((3, 3))], ids=["off_support", "zero"])
+def test_ipf_rejects_a_start_that_vanishes_on_the_support(init):
+    adj = ~np.eye(3, dtype=bool)
+    t = np.full(3, 1.0 / 3.0)
+    with pytest.raises(InfeasibleSupport) as info:
+        ipf_weights(adj, t, t, init)
+    assert (info.value.bank, info.value.side) == (0, "lending")
+    assert str(info.value).endswith("can take at most 0")
+
+
 def test_ipf_stalled_fit_fails_early():
     # Every bank alone passes the Hall check, but rows 0 and 1 need 0.6 from
     # column 0, which takes only 0.4: the residual stalls at 0.5 by sweep 100.
@@ -388,7 +409,7 @@ def test_hall_check_rejects_only_fits_that_cannot_converge(monkeypatch):
             continue
         row, col = t / t.sum(axis=1, keepdims=True)
         try:
-            reconstruct._check_hall(adj, row, col, IPF_MARGINAL_TOLERANCE)
+            reconstruct._check_hall(adj, row, col)
         except InfeasibleSupport:
             rejected.append((adj, row, col))
     assert len(rejected) >= 100
@@ -398,14 +419,15 @@ def test_hall_check_rejects_only_fits_that_cannot_converge(monkeypatch):
             ipf_weights(adj, row, col, adj)
 
 
-def test_ipf_slow_convergence_is_accepted():
+def test_ipf_slow_convergence_is_accepted(monkeypatch):
     # Feasible only with w[0, 1] = 0, so the residual decays like 1/sweeps:
     # 2,500 sweeps to reach 2e-4, falling by at most 10 % per 50 sweeps from
     # sweep 500 on and by 4 % per 100 sweeps at the end. A rule such as
     # "fell by less than half over 50 sweeps" would reject this fit.
     adj = np.array([[True, True], [False, True]])
     t = np.array([0.5, 0.5])
-    w = ipf_weights(adj, t, t, adj, tolerance=2e-4)
+    monkeypatch.setattr(reconstruct, "IPF_MARGINAL_TOLERANCE", 2e-4)
+    w = ipf_weights(adj, t, t, adj)
     assert np.abs(w.sum(axis=1) - t).max() < 2e-4
     assert np.abs(w.sum(axis=0) - t).max() < 2e-4
 
@@ -462,13 +484,14 @@ def ipf_pin_cases():
 IPF_DIGEST = "9d2f5e4376d1488eab639ff22abf3f8e864b1777f74fb11a691dcd6e2b44c288"
 
 
-def test_ipf_weights_repeats_its_recorded_bytes():
+def test_ipf_weights_repeats_its_recorded_bytes(monkeypatch):
     digest = hashlib.sha256()
     outcomes = {"fit": 0, InfeasibleSupport: 0, IPFNonConvergence: 0}
     for kind, adj, row, col, init, tolerance in ipf_pin_cases():
         digest.update(kind.encode())
+        monkeypatch.setattr(reconstruct, "IPF_MARGINAL_TOLERANCE", tolerance)
         try:
-            w = ipf_weights(adj, row, col, init, tolerance)
+            w = ipf_weights(adj, row, col, init)
         except InfeasibleSupport as exc:
             outcomes[InfeasibleSupport] += 1
             digest.update(repr((exc.bank, exc.side, str(exc))).encode())
@@ -481,6 +504,40 @@ def test_ipf_weights_repeats_its_recorded_bytes():
             digest.update(w.tobytes())
     assert min(outcomes.values()) >= 40, outcomes
     assert digest.hexdigest() == IPF_DIGEST
+
+
+def test_an_equity_above_the_balance_sheet_makes_the_ensemble_infeasible():
+    # Bank 3's equity exceeds its assets, so every member implies negative
+    # outside liabilities for it.
+    agg = make_aggregates(n=20, seed=4)
+    equity = agg.equity.copy()
+    equity[3] = 1e9
+    with pytest.raises(EnsembleInfeasible, match="member 0: negative implied outside liabilities"):
+        generate_ensemble(replace(agg, equity=equity),
+                          ReconstructionConfig(target_density=0.5, ensemble_size=3))
+
+
+def test_calibration_counts_the_links_that_the_repair_forces(monkeypatch):
+    # Bank 7's interbank assets are positive, but its share of the volume
+    # underflows to 0, so the repair forces no lending link for it. The
+    # calibration must take the repair's needed masks, not its own.
+    agg = make_aggregates(n=30, seed=1)
+    assets = agg.interbank_assets.copy()
+    assets[7] = 1e-320
+    masks = {}
+
+    def recorder(name, fn):
+        def wrapped(*args):
+            masks.setdefault(name, args[2:4])
+            return fn(*args)
+        return wrapped
+
+    for name in ("calibrate_z", "_repair_support"):
+        monkeypatch.setattr(reconstruct, name, recorder(name, getattr(reconstruct, name)))
+    generate_ensemble(replace(agg, interbank_assets=assets), ReconstructionConfig(ensemble_size=1))
+    (lending, borrowing), repaired = masks["calibrate_z"], masks["_repair_support"]
+    assert np.flatnonzero(~lending).tolist() == [7] and borrowing.all()
+    assert np.array_equal(lending, repaired[0]) and np.array_equal(borrowing, repaired[1])
 
 
 def test_generate_ensemble_deterministic():

@@ -53,6 +53,16 @@ def test_spec_rejects_an_empty_or_repeated_model_list(models_):
         SweepSpec(models=models_)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"shock_grid": ()}, "grids must be non-empty"),
+    ({"recovery_grid": ()}, "grids must be non-empty"),
+    ({"asset_class": "bonds"}, "asset_class must be one of"),
+])
+def test_spec_rejects_an_empty_grid_or_an_unknown_asset_class(settings, message):
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**settings)
+
+
 RECOVERY_GRID = (0.0, 0.5, 1.0)
 SHOCK_GRID = (0.1, 0.4)
 
