@@ -19,6 +19,8 @@ def global_vulnerability(trajectory: Trajectory, network: LiabilityNetwork,
                          t: int | None = None) -> float:
     """Equity-weighted average of individual vulnerabilities at time t, the
     converged state when t is None; a t outside the trajectory raises IndexError."""
+    if t is not None and t < 0:  # a negative index would wrap to another round
+        raise IndexError(f"t = {t} outside the trajectory")
     return float(network.equity_weights @ trajectory.h[-1 if t is None else t])
 
 

@@ -1,10 +1,12 @@
 """Leverage-network data model: liability networks, leverages, shocks.
 
 All monetary quantities are float64. A network stores its balance sheets as
-per-bank arrays, read-only after construction. It also keeps what it derives
-from them and its last first round, on which models.run_model alone fetches,
-checks and stores the model runs; a kept value is what recomputing would
-give, so no result depends on what is kept.
+per-bank arrays, read-only after construction, and checks them when it is
+constructed, however it is made; build_network only copies its inputs and
+constructs one. A network also keeps what it derives from them and its last
+first round, on which models.run_model alone fetches and stores the model
+runs; a kept value is what recomputing would give, so no result depends on
+what is kept.
 """
 from __future__ import annotations
 
@@ -51,6 +53,14 @@ class LiabilityNetwork:
     kept, read-only as well; so is the last first round, with its shock and
     the model runs made from it, until another shock object replaces it.
     Networks compare by identity.
+
+    The arrays must be float arrays; construction, direct or through
+    build_network or dataclasses.replace, checks them. It rejects mismatched
+    dimensions, negative entries, self-exposure, non-positive equity (or so
+    little that assets / equity overflows), negative external assets or
+    liabilities (NegativeBalance) and balance sheets violating
+    E = A^e + A^b - L^e - L^b; NaN and infinite entries fail the same checks.
+    When several banks are faulty the error names the lowest-index one.
     """
 
     liabilities: np.ndarray
@@ -62,13 +72,48 @@ class LiabilityNetwork:
     interbank_liabilities: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        L = self.liabilities
-        # Finite entries can sum past the largest float; the sum is then inf,
-        # which build_network reports as an IdentityViolation.
+        L, E = self.liabilities, self.equity
+        ae_by_class, le = self.external_assets_by_class, self.external_liabilities
+        n = E.size
+        if L.shape != (n, n):
+            raise DimensionMismatch(f"liability matrix is {L.shape}, expected ({n}, {n})")
+        if (any(v.shape != (n,) for v in (E, le))
+                or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
+            raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
+        # Each check is written so that NaN fails it. An infinite entry would make
+        # the tolerances below infinite, so finiteness is checked explicitly. The
+        # faulty entry named is the first in row-major order, whatever L's layout.
+        valid = np.isfinite(L) & (L >= 0)
+        if not valid.all():
+            i, j = np.argwhere(~valid)[0]
+            raise NegativeEntry(int(i), int(j))
+        if np.diag(L).any():
+            i = int(np.flatnonzero(np.diag(L))[0])
+            raise NegativeEntry(i, i)
+        # Finite entries can sum past the largest float to inf, and inf - inf
+        # gives NaN; the sheet checks below fail both.
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "external_assets", self.external_assets_by_class.sum(axis=1))
-            object.__setattr__(self, "interbank_assets", L.sum(axis=0))
-            object.__setattr__(self, "interbank_liabilities", L.sum(axis=1))
+            ae, ab, lb = ae_by_class.sum(axis=1), L.sum(axis=0), L.sum(axis=1)
+        object.__setattr__(self, "external_assets", ae)
+        object.__setattr__(self, "interbank_assets", ab)
+        object.__setattr__(self, "interbank_liabilities", lb)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total_assets = ae + ab
+            resid = E - (total_assets - le - lb)
+            finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
+            no_equity = ~(E > 0) | (finite & ~np.isfinite(total_assets / E))
+        bad_ae = ~np.all(np.isfinite(ae_by_class) & (ae_by_class >= 0), axis=1)
+        bad_le = ~(np.isfinite(le) & (le >= 0))
+        bad_sheet = (no_equity | bad_ae | bad_le | ~finite
+                     | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))
+        if bad_sheet.any():
+            i = int(np.argmax(bad_sheet))
+            if no_equity[i]:
+                raise NonPositiveEquity(i)
+            if bad_ae[i] or bad_le[i]:
+                raise NegativeBalance(i, "external_assets_by_class" if bad_ae[i]
+                                      else "external_liabilities")
+            raise IdentityViolation(i, float(resid[i]))
         _freeze_arrays(self)
         # One (shock, FirstRound) pair: no reader can match a shock to another's round.
         object.__setattr__(self, "_first_round", (None, None))
@@ -208,62 +253,12 @@ class FirstRound:
 
 def build_network(liability_matrix, equity, external_assets_by_class,
                   external_liabilities) -> LiabilityNetwork:
-    """Validate per-bank n-vectors and assemble a read-only LiabilityNetwork.
-
-    external_assets_by_class is n x m, one column per asset class; the
-    interbank totals are the margins of the liability matrix. The inputs are
-    copied. Rejects mismatched dimensions, negative entries, self-exposure,
-    non-positive equity (or so little that assets / equity overflows),
-    negative external assets or liabilities (NegativeBalance) and balance
-    sheets violating E = A^e + A^b - L^e - L^b; NaN and infinite entries fail
-    the same checks.
-    When several banks are faulty the error names the lowest-index one.
-    """
+    """Copy the inputs into float arrays and construct a LiabilityNetwork,
+    which checks them: per-bank n-vectors, and external_assets_by_class n x m."""
     # np.array keeps an F-ordered matrix F-ordered, so the margins are summed
     # in the same order as the caller's sums over the same memory.
-    L = np.array(liability_matrix, dtype=float)
-    E = np.array(equity, dtype=float)
-    ae_by_class = np.array(external_assets_by_class, dtype=float)
-    le = np.array(external_liabilities, dtype=float)
-    n = E.size
-    if L.shape != (n, n):
-        raise DimensionMismatch(f"liability matrix is {L.shape}, expected ({n}, {n})")
-    if (any(v.shape != (n,) for v in (E, le))
-            or ae_by_class.ndim != 2 or ae_by_class.shape[0] != n):
-        raise DimensionMismatch(f"balance-sheet arrays must have {n} rows")
-    # Each check is written so that NaN fails it. An infinite entry would make
-    # the tolerances below infinite, so finiteness is checked explicitly. The
-    # faulty entry named is the first in row-major order, whatever L's layout.
-    valid = np.isfinite(L) & (L >= 0)
-    if not valid.all():
-        i, j = np.argwhere(~valid)[0]
-        raise NegativeEntry(int(i), int(j))
-    if np.diag(L).any():
-        i = int(np.flatnonzero(np.diag(L))[0])
-        raise NegativeEntry(i, i)
-
-    net = LiabilityNetwork(liabilities=L, equity=E, external_assets_by_class=ae_by_class,
-                           external_liabilities=le)
-    lb = net.interbank_liabilities
-    # An overflowing sum gives inf, and inf - inf gives NaN; both fail the checks.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total_assets = net.external_assets + net.interbank_assets
-        resid = E - (total_assets - le - lb)
-        finite = np.isfinite(E) & np.isfinite(total_assets) & np.isfinite(le) & np.isfinite(lb)
-        no_equity = ~(E > 0) | (finite & ~np.isfinite(total_assets / E))
-    bad_ae = ~np.all(np.isfinite(ae_by_class) & (ae_by_class >= 0), axis=1)
-    bad_le = ~(np.isfinite(le) & (le >= 0))
-    bad_sheet = (no_equity | bad_ae | bad_le | ~finite
-                 | ~(np.abs(resid) <= IDENTITY_RTOL * np.maximum(1.0, total_assets)))
-    if bad_sheet.any():
-        i = int(np.argmax(bad_sheet))
-        if no_equity[i]:
-            raise NonPositiveEquity(i)
-        if bad_ae[i] or bad_le[i]:
-            raise NegativeBalance(i, "external_assets_by_class" if bad_ae[i]
-                                  else "external_liabilities")
-        raise IdentityViolation(i, float(resid[i]))
-    return net
+    return LiabilityNetwork(*(np.array(a, dtype=float) for a in (
+        liability_matrix, equity, external_assets_by_class, external_liabilities)))
 
 
 def network_from_vectors(external_assets, external_liabilities, liability_matrix,

@@ -2,7 +2,8 @@
 
 All models share one timeline: t=0 initial allocation, t=1 first-round
 losses from the external shock (identical across models), t>=2 second-round
-propagation, last index = converged state.
+propagation, last index = converged state. A Trajectory checks its h when
+it is constructed, so every run is checked where its kernel builds it.
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ class ModelConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One run: the vulnerability path h(t), plus p(t) for the clearing models.
-    Its arrays are read-only. Trajectories compare by identity."""
+    Its arrays are read-only and its h is checked when built. Trajectories
+    compare by identity."""
 
     h: np.ndarray                      # (T+1, n); row t is h(t), row 0 is zeros
     payments: np.ndarray | None = None  # (T+1, n) for EN/RV, row 0 is p_bar
@@ -52,6 +54,7 @@ class Trajectory:
 
     def __post_init__(self):
         _freeze_arrays(self)
+        _check_trajectory(self.h)
 
     @property
     def h_final(self) -> np.ndarray:
@@ -231,8 +234,8 @@ def run_model(network: LiabilityNetwork, shock: ShockSpec,
 
     DC, ADR and CDR read config.exogenous_recovery_rate as R.
 
-    Only here is a run fetched, checked and stored, on the shock's FirstRound. The
-    core calls come first even for a stored run: the bench pins their counts.
+    Only here is a run fetched and stored, on the shock's FirstRound. The core
+    calls come first even for a stored run: the bench pins their counts.
     """
     model = config.model
     clearing = model in (EN, RV)
@@ -244,6 +247,5 @@ def run_model(network: LiabilityNetwork, shock: ShockSpec,
         return first.runs[key]
     run = (_run_clearing(network, derived, first, key[1]) if clearing
            else _run_cascade(derived.interbank_leverage, first, key[1], model))
-    _check_trajectory(run.h)
     first.runs[key] = run
     return run

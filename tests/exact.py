@@ -2,18 +2,27 @@
 
 Every float of a network converts to a Fraction exactly, so the clearing
 payments returned here are the exact greatest clearing vector of the network
-as stored, and the cascade rows the exact DC and aDR rounds: no rounding, no
-cancellation. Costs grow fast with n; meant for n <= 6 or so.
+as stored, the cascade rows the exact DC and aDR rounds, and the cDR limit the
+exact limit of the cyclic DebtRank: no rounding, no cancellation. Costs grow
+fast with n; meant for n <= 6 or so.
 """
 from fractions import Fraction
 
 
-def solve(a, b):
-    """x with a x = b, by Gaussian elimination; ValueError if a is singular."""
+def solve(a, b, m_matrix=False):
+    """x with a x = b, by Gaussian elimination; ValueError if a is singular.
+
+    With m_matrix, a is a Z-matrix (no positive entry off the diagonal) and no
+    rows are exchanged: None is returned unless every pivot is positive, that
+    is unless every leading principal minor is, which makes a a nonsingular
+    M-matrix.
+    """
     n = len(b)
     m = [list(row) + [rhs] for row, rhs in zip(a, b)]
     for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if m_matrix and not m[k][k] > 0:
+            return None
+        pivot = k if m_matrix else next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
             raise ValueError("singular system")
         m[k], m[pivot] = m[pivot], m[k]
@@ -93,3 +102,38 @@ def cascade(network, shock, R, model, margin=0.0):
             return rows
         propagated |= active
         raw = [h[i] + keep * sum(L[j][i] / E[i] * h[j] for j in active) for i in range(n)]
+
+
+def cdr_limit(network, shock, R):
+    """Exact limit of the cyclic DebtRank ("CDR") under a per-bank shock: the
+    least fixed point above h(1) of F(h) = min{1, h(1) + (1 - R) l^b h}, with
+    h(1) = min{1, A^e s / E} and l^b_ij = L_ji / E_i. cDR's rounds are the
+    iterates F(0) = h(1), F(h(1)), ..., which rise to it.
+
+    The saturated set S grows only from below: it holds the banks at which an
+    iterate z has reached 1, and z never passes the limit, so the limit is 1
+    on S. Where it is below 1, on the other banks U, it solves
+    (I - (1 - R) l^b_UU) h_U = h(1)_U + (1 - R) l^b_US 1. When that matrix is
+    a nonsingular M-matrix (spectral radius of (1 - R) l^b_UU below 1), F has
+    one fixed point that is 1 on S, so a solution at or below 1 is the limit.
+    Otherwise z takes another step. ValueError after 1,000 steps.
+    """
+    n, keep = network.n, 1 - Fraction(R)
+    E = [Fraction(e) for e in network.equity.tolist()]
+    L = [[Fraction(x) for x in row] for row in network.liabilities.tolist()]
+    m = [[keep * L[j][i] / E[i] for j in range(n)] for i in range(n)]
+    h1 = [min(Fraction(1), Fraction(a) * Fraction(s) / e) for a, s, e in
+          zip(network.external_assets.tolist(), shock.effective_per_bank(network).tolist(), E)]
+    z = h1
+    for _ in range(1000):
+        u = [i for i in range(n) if z[i] < 1]
+        a = [[(i == k) - m[i][k] for k in u] for i in u]
+        b = [h1[i] + sum(m[i][j] for j in range(n) if z[j] >= 1) for i in u]
+        x = solve(a, b, m_matrix=True)
+        if x is not None and all(v <= 1 for v in x):
+            limit = [Fraction(1)] * n
+            for i, v in zip(u, x):
+                limit[i] = v
+            return limit
+        z = [min(Fraction(1), h1[i] + sum(m[i][j] * z[j] for j in range(n))) for i in range(n)]
+    raise ValueError("no saturated set found in 1,000 steps")

@@ -28,8 +28,6 @@ MODELS, RECONSTRUCT = "src/contagion/models.py", "src/contagion/reconstruct.py"
 SWEEPS = "src/contagion/sweeps.py"
 FIREWALL = "tests/test_analysis.py::test_firewall_fires_just_past_its_slack"
 TRAJECTORY = "tests/test_models.py::test_trajectory_check_fires_just_past_its_bounds"
-RUN_CHECK = ("tests/test_models.py::"
-             "test_run_model_checks_each_kernels_run_and_stores_none_that_fails")
 WRITER = ("tests/test_reconstruct.py::"
           "test_write_ensemble_bytes_match_row_by_row_csv_writer_at_300_banks")
 MODEL_CONFIG = ("tests/test_models.py::"
@@ -55,11 +53,18 @@ MUTANTS = [
     # The clearing solve's residual bound.
     (MODELS, "<= 1e-9 * max(1.0, np.abs(b).max())", "<= 1e-3 * max(1.0, np.abs(b).max())",
      "tests/test_models.py::test_clearing_rejects_a_solve_off_by_one_part_in_a_million"),
-    # run_model's trajectory check: deleted, and moved after the store.
-    (MODELS, "    _check_trajectory(run.h)\n    first.runs[key] = run\n",
-     "    first.runs[key] = run\n", RUN_CHECK),
-    (MODELS, "    _check_trajectory(run.h)\n    first.runs[key] = run\n",
-     "    first.runs[key] = run\n    _check_trajectory(run.h)\n", RUN_CHECK),
+    # The trajectory check on construction, deleted.
+    (MODELS, "        _freeze_arrays(self)\n        _check_trajectory(self.h)\n",
+     "        _freeze_arrays(self)\n",
+     "tests/test_models.py::test_a_trajectory_is_checked_when_built"),
+    # The network's entry and balance-sheet checks on construction, each disabled.
+    (CORE, "        if not valid.all():", "        if False:",
+     "tests/test_core.py::test_a_copy_with_a_negative_entry_is_rejected"),
+    (CORE, "        if bad_sheet.any():", "        if False:",
+     "tests/test_core.py::test_a_copy_whose_sheets_do_not_close_is_rejected"),
+    # global_vulnerability's check for a negative round.
+    (ANALYSIS, "    if t is not None and t < 0:", "    if False:",
+     "tests/test_analysis.py::test_global_vulnerability_rejects_a_negative_round"),
     # The clearing's default tie rule: resources equal to the threshold default.
     (MODELS, "new_D = D | (resources < threshold)", "new_D = D | (resources <= threshold)",
      "tests/test_models.py::test_resources_exactly_at_the_default_threshold_do_not_default"),

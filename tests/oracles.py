@@ -12,7 +12,6 @@ from contagion import (
     network_from_vectors, relative_liabilities, run_model,
 )
 from contagion.fixtures import _random_interbank
-from contagion.models import _check_trajectory
 from contagion.reconstruct import _link_probabilities
 
 BOUNDARY_TOL = 1e-12
@@ -139,9 +138,7 @@ def en_vulnerability_form(network, shock) -> Trajectory:
     h_rows = [np.zeros(network.n), base.h[1]]
     for t in range(1, pay.shape[0] - 1):
         h_rows.append(np.minimum(1.0, h_rows[-1] + ratio @ (pay[t] - pay[t + 1])))
-    h_arr = np.array(h_rows)
-    _check_trajectory(h_arr)
-    return Trajectory(h=h_arr, payments=pay)
+    return Trajectory(h=np.array(h_rows), payments=pay)
 
 
 def reference_density(x, row_needed, col_needed):

@@ -57,6 +57,18 @@ def test_global_vulnerability_index_error():
         global_vulnerability(traj, f.network, t=99)
 
 
+def test_global_vulnerability_rejects_a_negative_round():
+    # A negative t would wrap to a round counted from the end: on the chain's
+    # six aDR rows, t = -3 would return H(3).
+    f = fx.chain_fixture()
+    traj = run(f.network, f.shock, ADR)
+    assert traj.h.shape[0] == 6
+    for t in (-1, -3, -6, -7):
+        with pytest.raises(IndexError, match=f"t = {t} outside"):
+            global_vulnerability(traj, f.network, t=t)
+    assert global_vulnerability(traj, f.network, t=0) == 0.0
+
+
 def test_closed_form_on_fixtures():
     for f in fx.topology_family():
         traj = run(f.network, f.shock)

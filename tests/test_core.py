@@ -9,11 +9,12 @@ import pytest
 
 import contagion
 from contagion import (
-    ShockSpec, apply_first_round, build_network, leverage_decomposition,
+    LiabilityNetwork, ShockSpec, apply_first_round, build_network, leverage_decomposition,
     network_from_vectors, relative_liabilities,
 )
 from contagion.errors import (
-    DimensionMismatch, IdentityViolation, NegativeBalance, NegativeEntry, NonPositiveEquity,
+    ContagionError, DimensionMismatch, IdentityViolation, NegativeBalance, NegativeEntry,
+    NonPositiveEquity,
 )
 from contagion import MODEL_NAMES, models, run_with_firewall
 from contagion import fixtures as fx
@@ -21,11 +22,29 @@ from contagion.ingest import synthesize_panel
 from oracles import run
 
 
+def build(L, equity, by_class, external_liabilities):
+    """build_network(L, equity, by_class, external_liabilities). When it
+    raises, the two other ways in must raise the same error type with the
+    same message: LiabilityNetwork on float copies of the arguments, and
+    dataclasses.replace of a valid network with them."""
+    args = (L, equity, by_class, external_liabilities)
+    try:
+        return build_network(*args)
+    except ContagionError as err:
+        names = ("liabilities", "equity", "external_assets_by_class", "external_liabilities")
+        valid = fx.chain_fixture().network
+        for make in (LiabilityNetwork, lambda *arrays: replace(valid, **dict(zip(names, arrays)))):
+            with pytest.raises(ContagionError) as info:
+                make(*(np.array(a, dtype=float) for a in args))
+            assert (type(info.value), str(info.value)) == (type(err), str(err))
+        raise
+
+
 def single_class(L, external_assets, external_liabilities, equity):
-    """build_network with one external asset class; each argument after L is
-    an n-vector."""
-    return build_network(L, equity, np.array(external_assets, dtype=float)[:, None],
-                         external_liabilities)
+    """build with one external asset class; each argument after L is an
+    n-vector."""
+    return build(L, equity, np.array(external_assets, dtype=float)[:, None],
+                 external_liabilities)
 
 
 def test_build_network_accepts_three_bank_cycle():
@@ -103,7 +122,7 @@ def test_identity_violation():
     # An infinite total would make the identity tolerance infinite: finite
     # asset classes whose sum overflows (bank 0) ...
     with pytest.raises(IdentityViolation) as info:
-        build_network(np.zeros((2, 2)), [10.0, 10.0], [[1e308, 1e308], [10.0, 0.0]], [0.0, 0.0])
+        build(np.zeros((2, 2)), [10.0, 10.0], [[1e308, 1e308], [10.0, 0.0]], [0.0, 0.0])
     assert info.value.bank == 0
     # ... or finite claims whose sum overflows: bank 1's interbank assets.
     L = np.zeros((3, 3))
@@ -133,7 +152,7 @@ def test_negative_or_non_finite_balance_rejected(by_class, external_liabilities,
     # gives the largest float).
     equity = np.nan_to_num(by_class.sum(axis=1) + L.sum(axis=0) - np.nan_to_num(le) - L.sum(axis=1))
     with pytest.raises(NegativeBalance) as info:
-        build_network(L, equity, by_class, le)
+        build(L, equity, by_class, le)
     assert (info.value.bank, info.value.field) == (bank, field)
     assert f"bank {bank}: {field} has a negative or non-finite entry" == str(info.value)
 
@@ -147,13 +166,33 @@ def test_network_totals_are_the_matrix_margins():
         for arr in (net.external_assets, net.interbank_assets, net.interbank_liabilities):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-    # A copy with another matrix derives its own totals.
+    # A copy with another matrix derives its own totals. Its whole balance
+    # sheet is doubled, so that every sheet still closes.
     net = nets[0]
-    other = replace(net, liabilities=2.0 * net.liabilities)
+    other = replace(net, liabilities=2.0 * net.liabilities, equity=2.0 * net.equity,
+                    external_assets_by_class=2.0 * net.external_assets_by_class,
+                    external_liabilities=2.0 * net.external_liabilities)
     assert np.array_equal(other.interbank_assets, 2.0 * net.liabilities.sum(axis=0))
     assert np.array_equal(other.interbank_liabilities, 2.0 * net.liabilities.sum(axis=1))
     assert other.external_assets is not net.external_assets
     assert not other.interbank_assets.flags.writeable
+
+
+def test_a_copy_whose_sheets_do_not_close_is_rejected():
+    # Tripled equity breaks every bank's identity; the lowest index is named.
+    net = fx.chain_fixture().network
+    with pytest.raises(IdentityViolation) as info:
+        replace(net, equity=3 * net.equity)
+    assert info.value.bank == 0
+
+
+def test_a_copy_with_a_negative_entry_is_rejected():
+    # The entries are checked before the sheets, which fail too; the first
+    # negative entry in row-major order is named.
+    net = fx.chain_fixture().network
+    with pytest.raises(NegativeEntry) as info:
+        replace(net, liabilities=-net.liabilities)
+    assert (info.value.i, info.value.j) == (0, 1)
 
 
 @pytest.mark.parametrize("equity, external_liabilities, L01, error", [
@@ -481,10 +520,10 @@ SHARED_FIELDS = {
     "Aggregates.external_assets_by_class": "reconstruct._build_member",
     "LiabilityNetwork.external_assets_by_class": "core.ShockSpec.effective_per_bank",
     "Aggregates.interbank_assets": "reconstruct.rebalance_totals",
-    "LiabilityNetwork.interbank_assets": "core.build_network",
+    "LiabilityNetwork.interbank_assets": "reconstruct.write_ensemble",
     "PanelRecord.interbank_assets": "workloads.Reconstruct.check",
     "Aggregates.interbank_liabilities": "reconstruct.rebalance_totals",
-    "LiabilityNetwork.interbank_liabilities": "core.build_network",
+    "LiabilityNetwork.interbank_liabilities": "reconstruct.write_ensemble",
     "PanelRecord.interbank_liabilities": "workloads.Reconstruct.check",
     "ModelConfig.rv_beta": "models.run_model",
     "SweepSpec.rv_beta": "sweeps.run_shock_sweep",

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from contagion import fixtures as fx
 from contagion import models
 from contagion.core import SHORTFALL_TOL
 from contagion.errors import NonConvergence
-from exact import cascade, clearing_payments
+from exact import cascade, cdr_limit, clearing_payments
 from oracles import closed_random_network, en_vulnerability_form, run
 
 
@@ -309,6 +310,50 @@ def test_cascades_are_exact_on_random_networks(seed):
         assert np.abs(traj.h - np.array(rows, dtype=float)).max() <= 1e-12
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cyclic_debtrank_stops_within_its_tolerance_of_the_exact_limit(seed):
+    # cDR stops once no h grows by CDR_TOLERANCE. With kappa = ||(1 - R) l_b||_inf
+    # below 1 each round adds at most kappa times the last round's growth, so the
+    # rounds left would add less than CDR_TOLERANCE kappa / (1 - kappa): the float
+    # last row lies below the exact limit by at most that, and above it by
+    # rounding only. Draws with kappa >= 1 are skipped and counted.
+    rng = np.random.default_rng(seed)
+    net = fx.random_network(rng, int(rng.integers(2, 7)))
+    shock = ShockSpec(per_bank_shock=rng.uniform(0.0, 0.1, net.n))
+    R = rng.uniform(0.0, 1.0)
+    kappa = (1.0 - R) * leverage_decomposition(net).interbank_leverage.sum(axis=1).max()
+    if kappa >= 1.0:
+        event("draw skipped: kappa >= 1")
+        return
+    limit = np.array(cdr_limit(net, shock, R), dtype=float)
+    h = run(net, shock, "CDR", R=R).h_final
+    assert (h <= limit + 1e-12).all()
+    assert (h >= limit - models.CDR_TOLERANCE * kappa / (1.0 - kappa) - 1e-12).all()
+
+
+@pytest.mark.parametrize("share, shock, cap_hit", [(1.0 - 1e-7, 1e-9, True), (1.001, 0.01, False)])
+def test_exact_cyclic_debtrank_limit_of_two_banks_lending_each_other(share, shock, cap_hit):
+    # The pairs of the cDR cap tests in tests/test_analysis.py, at R = 0. Each
+    # bank lends the other `share` of its equity, so rho(l_b) = share. Just
+    # below 1 the limit is h(1) / (1 - share), about 0.01 per bank, while the
+    # float run stops at its 10,000-round cap near 1e-5. Above 1 the only fixed
+    # point is the saturated one.
+    net = network_from_vectors([1.0, 1.0], [0.0, 0.0], [[0.0, share], [share, 0.0]])
+    spec = ShockSpec.uniform(shock)
+    limit = cdr_limit(net, spec, 0.0)
+    traj = run(net, spec, "CDR")
+    assert traj.cap_hit is cap_hit
+    if cap_hit:
+        assert net.equity.tolist() == [1.0, 1.0]
+        assert limit == [Fraction(shock) / (1 - Fraction(share))] * 2
+        np.testing.assert_allclose(np.array(limit, dtype=float), 0.01, rtol=1e-8)
+        np.testing.assert_allclose(traj.h_final, 1e-5, rtol=1e-3)
+    else:
+        assert limit == [1, 1]
+        np.testing.assert_array_equal(traj.h_final, [1.0, 1.0])
+
+
 def test_trajectory_check_rejects_nan():
     with pytest.raises(NonConvergence, match="left"):
         models._check_trajectory(np.array([[0.0, 0.0], [np.nan, 0.5]]))
@@ -328,8 +373,14 @@ def test_trajectory_check_fires_just_past_its_bounds(last_row, match):
             models._check_trajectory(h)
 
 
+def test_a_trajectory_is_checked_when_built():
+    with pytest.raises(NonConvergence, match="decreased over time"):
+        models.Trajectory(h=np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.4]]))
+
+
 def test_run_model_checks_each_kernels_run_and_stores_none_that_fails(monkeypatch):
-    # The kernels do not check their runs; run_model does, before storing.
+    # A kernel's run is checked as the kernel builds it, so run_model stores
+    # none that fails.
     f = fx.chain_fixture()
 
     def decreasing(*args):
