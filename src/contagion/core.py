@@ -1,8 +1,8 @@
 """Leverage-network data model: liability networks, leverages, shocks.
 
-All monetary quantities are float64. A network stores its balance sheets as
-per-bank arrays, read-only after construction, and checks them when it is
-constructed, however it is made; build_network only copies its inputs and
+All monetary quantities are float64. A network copies its balance sheets
+from any numeric array-likes into float64 arrays, which it checks and makes
+read-only when it is constructed, however it is made; build_network only
 constructs one. A network also keeps what it derives from them and its last
 first round, on which models.run_model alone fetches and stores the model
 runs; a kept value is what recomputing would give, so no result depends on
@@ -54,8 +54,9 @@ class LiabilityNetwork:
     the model runs made from it, until another shock object replaces it.
     Networks compare by identity.
 
-    The arrays must be float arrays; construction, direct or through
-    build_network or dataclasses.replace, checks them. It rejects mismatched
+    The four given fields may be any numeric array-likes. Construction, direct
+    or through build_network or dataclasses.replace, checks float64 copies of
+    them and leaves the caller's arrays writeable. It rejects mismatched
     dimensions, negative entries, self-exposure, non-positive equity (or so
     little that assets / equity overflows), negative external assets or
     liabilities (NegativeBalance) and balance sheets violating
@@ -72,6 +73,9 @@ class LiabilityNetwork:
     interbank_liabilities: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # Order 'K' keeps an F-ordered L F-ordered, and so the order of its margin sums.
+        for name in ("liabilities", "equity", "external_assets_by_class", "external_liabilities"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         L, E = self.liabilities, self.equity
         ae_by_class, le = self.external_assets_by_class, self.external_liabilities
         n = E.size
@@ -253,12 +257,9 @@ class FirstRound:
 
 def build_network(liability_matrix, equity, external_assets_by_class,
                   external_liabilities) -> LiabilityNetwork:
-    """Copy the inputs into float arrays and construct a LiabilityNetwork,
-    which checks them: per-bank n-vectors, and external_assets_by_class n x m."""
-    # np.array keeps an F-ordered matrix F-ordered, so the margins are summed
-    # in the same order as the caller's sums over the same memory.
-    return LiabilityNetwork(*(np.array(a, dtype=float) for a in (
-        liability_matrix, equity, external_assets_by_class, external_liabilities)))
+    """Construct a LiabilityNetwork, which copies and checks the inputs."""
+    return LiabilityNetwork(liability_matrix, equity, external_assets_by_class,
+                            external_liabilities)
 
 
 def network_from_vectors(external_assets, external_liabilities, liability_matrix,
@@ -267,9 +268,8 @@ def network_from_vectors(external_assets, external_liabilities, liability_matrix
 
     If equity is omitted it is computed from the balance sheet identity.
     """
-    L = np.array(liability_matrix, dtype=float)
-    ae = np.asarray(external_assets, dtype=float)
-    le = np.asarray(external_liabilities, dtype=float)
+    L, ae, le = (np.asarray(a, dtype=float)
+                 for a in (liability_matrix, external_assets, external_liabilities))
     if equity is None:
         equity = ae + L.sum(axis=0) - le - L.sum(axis=1)
     return build_network(L, equity, ae[:, None], le)

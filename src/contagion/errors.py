@@ -94,6 +94,12 @@ class ParseError(ContagionError):
         super().__init__(f"row {row}: {message}")
 
 
+class DuplicateRecord(ContagionError):
+    def __init__(self, bank, quarter):
+        self.bank, self.quarter = bank, quarter
+        super().__init__(f"bank {bank} has more than one record for quarter {quarter}")
+
+
 class GapTooLong(ContagionError):
     def __init__(self, bank, field):
         self.bank = bank

@@ -1,6 +1,7 @@
 """Quarterly balance-sheet panel ingestion and repair.
 
-CSV schema (UTF-8, '.' decimal separator, empty cell = missing):
+CSV schema (UTF-8, with or without a leading byte-order mark; '.' decimal
+separator; empty cell = missing):
 bank_id,quarter,total_equity,total_assets,interbank_assets,
 interbank_liabilities,total_loans,impaired_loans,derivatives
 with quarter formatted YYYY-Qn. Equity, total assets, and total loans are
@@ -13,14 +14,15 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import (
-    GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError, SchemaMismatch,
-    UnknownQuarter,
+    DuplicateRecord, GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
+    SchemaMismatch, UnknownQuarter,
 )
 from .reconstruct import Aggregates
 
@@ -44,6 +46,7 @@ DERIVED_CHECKS = ("equity", "external_assets", "external_liabilities", "other",
 
 _QUARTER_RE = re.compile(r"^\d{4}-Q[1-4]$")
 _cells = attrgetter(*VALUE_FIELDS)  # a record's VALUE_FIELDS, in order
+_pair = attrgetter("bank_id", "quarter")
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,15 @@ class PanelRecord:
 
 @dataclass(frozen=True)
 class Panel:
+    """Records, at most one per (bank_id, quarter): construction raises
+    DuplicateRecord for the first pair that repeats."""
     records: tuple
     extrapolated: tuple = ()   # (bank_id, quarter, field) cells filled at a boundary
+
+    def __post_init__(self):
+        pairs = list(map(_pair, self.records))
+        if len(set(pairs)) != len(pairs):
+            raise DuplicateRecord(*next(p for p, k in Counter(pairs).items() if k > 1))
 
     @property
     def quarters(self) -> list:
@@ -78,7 +88,7 @@ def load_panel(path: str) -> Panel:
 
     A cell that is not a finite number (including nan and inf) raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -62,6 +62,11 @@ MUTANTS = [
      "tests/test_core.py::test_a_copy_with_a_negative_entry_is_rejected"),
     (CORE, "        if bad_sheet.any():", "        if False:",
      "tests/test_core.py::test_a_copy_whose_sheets_do_not_close_is_rejected"),
+    # The network's float64 copies of its inputs on construction, dropped.
+    (CORE, "object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))",
+     "object.__setattr__(self, name, getattr(self, name))",
+     "tests/test_core.py::"
+     "test_every_way_in_builds_the_same_float64_network_from_any_numeric_input"),
     # global_vulnerability's check for a negative round.
     (ANALYSIS, "    if t is not None and t < 0:", "    if False:",
      "tests/test_analysis.py::test_global_vulnerability_rejects_a_negative_round"),
@@ -100,6 +105,11 @@ MUTANTS = [
     (RECONSTRUCT, "config.target_density, shared.lending,",
      "config.target_density, agg.interbank_assets > 0,",
      "tests/test_reconstruct.py::test_calibration_counts_the_links_that_the_repair_forces"),
+    # The calibration's upper bracket, left at 1e30 without an error.
+    (RECONSTRUCT, '            raise UnreachableDensity("density target not reachable")',
+     "            break",
+     "tests/test_reconstruct.py::"
+     "test_calibrate_z_raises_when_no_z_up_to_1e30_reaches_the_target"),
     # Input checks, each disabled.
     (MODELS, "        if self.model not in MODEL_NAMES:", "        if False:", MODEL_CONFIG),
     (MODELS, "        if not 0.0 <= self.exogenous_recovery_rate <= 1.0:", "        if False:",
@@ -126,6 +136,11 @@ MUTANTS = [
     (RECONSTRUCT, "        if np.any(le < 0):", "        if False:",
      "tests/test_reconstruct.py::"
      "test_an_equity_above_the_balance_sheet_makes_the_ensemble_infeasible"),
+    (INGEST, "        if len(set(pairs)) != len(pairs):", "        if False:",
+     "tests/test_ingest.py::test_a_panel_rejects_a_repeated_bank_and_quarter"),
+    # A UTF-8 file's byte-order mark read as part of the first header cell.
+    (INGEST, 'encoding="utf-8-sig"', 'encoding="utf-8"',
+     "tests/test_ingest.py::test_load_panel_reads_utf8_with_or_without_a_byte_order_mark"),
 ]
 
 

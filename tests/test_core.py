@@ -22,20 +22,23 @@ from contagion.ingest import synthesize_panel
 from oracles import run
 
 
+INPUTS = ("liabilities", "equity", "external_assets_by_class", "external_liabilities")
+# The three ways into a network, each taking the four inputs in INPUTS order.
+WAYS_IN = (build_network, LiabilityNetwork,
+           lambda *inputs: replace(fx.chain_fixture().network, **dict(zip(INPUTS, inputs))))
+
+
 def build(L, equity, by_class, external_liabilities):
     """build_network(L, equity, by_class, external_liabilities). When it
-    raises, the two other ways in must raise the same error type with the
-    same message: LiabilityNetwork on float copies of the arguments, and
-    dataclasses.replace of a valid network with them."""
+    raises, the two other ways in, given the same arguments, must raise the
+    same error type with the same message."""
     args = (L, equity, by_class, external_liabilities)
     try:
         return build_network(*args)
     except ContagionError as err:
-        names = ("liabilities", "equity", "external_assets_by_class", "external_liabilities")
-        valid = fx.chain_fixture().network
-        for make in (LiabilityNetwork, lambda *arrays: replace(valid, **dict(zip(names, arrays)))):
+        for make in WAYS_IN[1:]:
             with pytest.raises(ContagionError) as info:
-                make(*(np.array(a, dtype=float) for a in args))
+                make(*args)
             assert (type(info.value), str(info.value)) == (type(err), str(err))
         raise
 
@@ -43,8 +46,7 @@ def build(L, equity, by_class, external_liabilities):
 def single_class(L, external_assets, external_liabilities, equity):
     """build with one external asset class; each argument after L is an
     n-vector."""
-    return build(L, equity, np.array(external_assets, dtype=float)[:, None],
-                 external_liabilities)
+    return build(L, equity, [[a] for a in external_assets], external_liabilities)
 
 
 def test_build_network_accepts_three_bank_cycle():
@@ -193,6 +195,62 @@ def test_a_copy_with_a_negative_entry_is_rejected():
     with pytest.raises(NegativeEntry) as info:
         replace(net, liabilities=-net.liabilities)
     assert (info.value.i, info.value.j) == (0, 1)
+
+
+def test_every_way_in_builds_the_same_float64_network_from_any_numeric_input():
+    # The chain fixture's numbers are integers, so it is also given as int64
+    # arrays. A network that kept int64 arrays would derive an all-zero Pi
+    # (np.zeros_like of an int L truncates L / p_bar), and EN and RV on it
+    # would fail with numpy's casting error.
+    chain = fx.chain_fixture()
+    rng = np.random.default_rng(35)
+    draws = [(chain.network, chain.shock, chain.recovery_rate)] + [
+        (fx.random_network(rng, int(rng.integers(2, 9))), ShockSpec.uniform(rng.uniform()),
+         rng.uniform()) for _ in range(200)]
+    for net, shock, R in draws:
+        floats = [getattr(net, name) for name in INPUTS]
+        kinds = [floats, [a.tolist() for a in floats]]
+        if net is chain.network:
+            kinds.append([a.astype(np.int64) for a in floats])
+        reference = build_network(*floats)
+        expected = [run(reference, shock, m, R, 0.6) for m in MODEL_NAMES]
+        for inputs in kinds:
+            for make in WAYS_IN:
+                built = make(*inputs)
+                for a, b in ((getattr(built, f.name), getattr(reference, f.name))
+                             for f in fields(LiabilityNetwork)):
+                    assert a.dtype == np.float64 and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+                for m, traj in zip(MODEL_NAMES, expected):
+                    got = run(built, shock, m, R, 0.6)
+                    assert got.h.tobytes() == traj.h.tobytes()
+                    if traj.payments is not None:
+                        assert got.payments.tobytes() == traj.payments.tobytes()
+
+
+def test_every_way_in_leaves_the_callers_arrays_writeable():
+    net = fx.chain_fixture().network
+    for make in WAYS_IN:
+        inputs = [np.array(getattr(net, name)) for name in INPUTS]
+        built = make(*inputs)
+        assert all(a.flags.writeable for a in inputs)
+        inputs[1][0] = 1.0  # the network holds copies, not the caller's arrays
+        assert built.equity[0] == net.equity[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("liabilities", [[0.0, 1.0], [1.0]]),  # ragged
+    ("equity", ["five", "ten"]),
+])
+def test_every_way_in_rejects_a_ragged_or_non_numeric_input_alike(field, value):
+    inputs = dict(zip(INPUTS, (np.zeros((2, 2)), [5.0, 5.0], [[5.0], [5.0]], [0.0, 0.0])))
+    inputs[field] = value
+    messages = set()
+    for make in WAYS_IN:
+        with pytest.raises(ValueError) as info:
+            make(*inputs.values())
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 @pytest.mark.parametrize("equity, external_liabilities, L01, error", [

@@ -6,7 +6,7 @@ import pytest
 
 from contagion import ingest
 from contagion.errors import (
-    GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
+    DuplicateRecord, GapTooLong, InsufficientAnchors, NegativeDerived, NonFiniteField, ParseError,
     SchemaMismatch, UnknownQuarter,
 )
 from contagion.ingest import (
@@ -86,8 +86,28 @@ def test_load_panel_duplicate(tmp_path):
         "A,2020-Q1,10,200,20,30,80,8,12",
         "A,2020-Q1,10,200,20,30,80,8,12",
     ])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:  # the file's line, before the panel's check
         load_panel(path)
+    assert exc.value.row == 3
+
+
+def test_a_panel_rejects_a_repeated_bank_and_quarter():
+    # Accepted, such a panel would reach interpolate_missing, which keeps the
+    # last of the two A records, and to_aggregates, which lists bank A twice.
+    records = (full_record("A", "2010-Q1"), full_record("B", "2010-Q1"),
+               full_record("A", "2010-Q1", equity=11.0))
+    with pytest.raises(DuplicateRecord) as exc:
+        Panel(records=records)
+    assert (exc.value.bank, exc.value.quarter) == ("A", "2010-Q1")
+    assert str(exc.value) == "bank A has more than one record for quarter 2010-Q1"
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte_order_mark"])
+def test_load_panel_reads_utf8_with_or_without_a_byte_order_mark(tmp_path, mark):
+    # Spreadsheet exports often start a UTF-8 file with a byte-order mark.
+    path = tmp_path / "panel.csv"
+    path.write_bytes(mark + f"{HEADER}\nA,2020-Q1,10,200,20,30,80,8,12\n".encode())
+    assert load_panel(str(path)).records == (full_record("A", "2020-Q1"),)
 
 
 def test_load_panel_non_numeric(tmp_path):

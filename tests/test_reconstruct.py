@@ -123,6 +123,14 @@ def test_calibrate_z_rejects_a_target_of_zero_or_less(target):
         calibrate_z(np.full(4, 0.25), target, *unmasked(range(4)))
 
 
+def test_calibrate_z_raises_when_no_z_up_to_1e30_reaches_the_target():
+    # Bank 0's fitness dwarfs the others', so even z = 1e30 links only bank
+    # 0's 18 of the 90 pairs: a density near 0.2, below the target.
+    x = np.array([1.0] + [1e-20] * 9)
+    with pytest.raises(UnreachableDensity, match="density target not reachable"):
+        calibrate_z(x, 0.5, *unmasked(x))
+
+
 def test_calibrate_z_raises_when_bisection_runs_out(monkeypatch):
     # No midpoint the bisection visits gives this density exactly, so a
     # tolerance of 0 exhausts the 200 steps.
